@@ -19,15 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .eval2 import (
-    AggValue,
-    aggregate_holds_everywhere,
-    aggregate_holds_somewhere,
-    aggregate_value,
-    checked_int,
-    literal_holds,
-)
-from .interp import InterpretationPair
+from .eval2 import AggValue, aggregate_value, checked_int, eval_aggregate, literal_holds
+from .interp import InterpretationPair, enumerate_interval
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
 
@@ -131,12 +124,18 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
 
 
 def interval_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
-    """Interval-universal truth: t if the atom holds at every Z, f at none."""
-    if aggregate_holds_everywhere(atom, pair):
-        return TruthValue.TRUE
-    if not aggregate_holds_somewhere(atom, pair):
-        return TruthValue.FALSE
-    return TruthValue.UNDEFINED
+    """Interval-universal truth: t if the atom holds at every Z, f at none.
+
+    One sweep over the aggregate's own condition atoms, which stops at the
+    first member whose value differs from the first member's.
+    """
+    members = enumerate_interval(
+        pair.lower, pair.upper, restrict=frozenset(atom.condition_atoms)
+    )
+    first = eval_aggregate(atom, next(members))
+    if any(eval_aggregate(atom, z) != first for z in members):
+        return TruthValue.UNDEFINED
+    return TruthValue.from_bool(first)
 
 
 def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:

@@ -31,7 +31,6 @@ __all__ = [
     "is_model",
     "is_supported_model",
     "aggregate_holds_everywhere",
-    "aggregate_holds_somewhere",
 ]
 
 INT64_MIN = -(1 << 63)
@@ -152,16 +151,6 @@ def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) ->
     pair.require_consistent()
     relevant = frozenset(atom.condition_atoms)
     return all(
-        eval_aggregate(atom, z)
-        for z in enumerate_interval(pair.lower, pair.upper, restrict=relevant)
-    )
-
-
-def aggregate_holds_somewhere(atom: AggregateAtom, pair: InterpretationPair) -> bool:
-    """True iff the aggregate holds at some Z in the pair's interval."""
-    pair.require_consistent()
-    relevant = frozenset(atom.condition_atoms)
-    return any(
         eval_aggregate(atom, z)
         for z in enumerate_interval(pair.lower, pair.upper, restrict=relevant)
     )

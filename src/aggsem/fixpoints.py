@@ -12,7 +12,7 @@ when it is a supported model and the least fixpoint of X -> lower(X, Y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 from .errors import CapabilityError, TooLargeError
 from .eval2 import eval_aggregate, is_model, is_supported_model, literal_holds, sat2, tp
@@ -24,14 +24,13 @@ from .syntax import (
     Rule,
     combine_rules_per_head,
 )
-from .ternary import SemanticsId, sat3_body, sat3_upper_body
+from .ternary import SemanticsId, sat3_body, truth3_body
+from .truth import TruthValue
 
 __all__ = [
-    "ApproximatorStep",
     "WellFoundedResult",
     "lower_step",
     "upper_step",
-    "approximator_step",
     "lfp_lower",
     "stable_check",
     "stable_enumerate",
@@ -44,12 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ATOMS = 20
-
-
-@dataclass(frozen=True)
-class ApproximatorStep:
-    lower_next: Interpretation
-    upper_next: Interpretation
 
 
 @dataclass(frozen=True)
@@ -89,14 +82,26 @@ def upper_step(sem: SemanticsId | str, program: Program, pair: InterpretationPai
     """Heads of rules whose body is possibly true (truth-function semantics)."""
     sem = SemanticsId.from_tag(sem)
     _check_gl_applicable(sem, program)
-    fired = {rule.head for rule in program.rules if sat3_upper_body(sem, rule.body, pair)}
+    fired = {
+        rule.head
+        for rule in program.rules
+        if truth3_body(sem, rule.body, pair) is not TruthValue.FALSE
+    }
     return Interpretation(program.universe, frozenset(fired))
 
 
-def approximator_step(
-    sem: SemanticsId | str, program: Program, pair: InterpretationPair
-) -> ApproximatorStep:
-    return ApproximatorStep(lower_step(sem, program, pair), upper_step(sem, program, pair))
+_State = TypeVar("_State")
+
+
+def _kleene(step: Callable[[_State], _State], start: _State, limit: int) -> _State:
+    """Iterate `step` from `start` until it maps a state to itself."""
+    current = start
+    for _ in range(limit):
+        nxt = step(current)
+        if nxt == current:
+            return current
+        current = nxt
+    raise AssertionError(f"Kleene iteration failed to reach a fixpoint in {limit} steps")
 
 
 def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -> Interpretation:
@@ -111,21 +116,18 @@ def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -
         raise CapabilityError(
             f"{sem.value} has no monotone lower operator; use its minimal-model check"
         )
-    universe = program.universe
-    current = Interpretation.empty(universe)
-    for _ in range(len(universe) + 1):
-        nxt = lower_step(sem, program, InterpretationPair(current, y))
-        if nxt.atoms == current.atoms:
-            return current
-        current = nxt
-    raise AssertionError("lower operator failed to reach a fixpoint in |universe|+1 steps")
+    return _kleene(
+        lambda x: lower_step(sem, program, InterpretationPair(x, y)),
+        Interpretation.empty(program.universe),
+        len(program.universe) + 1,
+    )
 
 
 def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) -> bool:
     """Is y a stable model (answer set) of the program under the relation?"""
     sem = SemanticsId.from_tag(sem)
-    if sem is SemanticsId.FLP:
-        return _flp_stable_check(program, y)
+    if not sem.monotone_lower_operator:
+        return _minimal_model_check(sem, program, y)
     if not is_supported_model(program, y):
         return False
     target: ProgramLike = (
@@ -134,10 +136,10 @@ def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) ->
     return lfp_lower(sem, target, y).atoms == y.atoms
 
 
-def _flp_stable_check(program: Program, y: Interpretation) -> bool:
+def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) -> bool:
     """y satisfies the program and no proper subset is closed under the
-    double-satisfaction relation with y as upper bound (equivalently: no
-    proper subset models the body-preserving reduct)."""
+    relation with y as upper bound (for flp, equivalently: no proper
+    subset models the body-preserving reduct)."""
     if not is_model(program, y):
         return False
     members = [a for a in y.universe if a in y.atoms]
@@ -146,7 +148,7 @@ def _flp_stable_check(program: Program, y: Interpretation) -> bool:
         subset = y.with_atoms(a for bit, a in enumerate(members) if mask >> bit & 1)
         closed = all(
             rule.head in subset.atoms
-            or not sat3_body(SemanticsId.FLP, rule.body, InterpretationPair(subset, pair_upper))
+            or not sat3_body(sem, rule.body, InterpretationPair(subset, pair_upper))
             for rule in program.rules
         )
         if closed:
@@ -244,14 +246,13 @@ def kripke_kleene(sem: SemanticsId | str, program: Program) -> InterpretationPai
     sem = SemanticsId.from_tag(sem)
     _require_truth_function(sem)
     _check_gl_applicable(sem, program)
-    pair = InterpretationPair.least_precise(program.universe)
-    for _ in range(2 * len(program.universe) + 2):
-        step = approximator_step(sem, program, pair)
-        nxt = InterpretationPair(step.lower_next, step.upper_next)
-        if nxt == pair:
-            return pair
-        pair = nxt
-    raise AssertionError("approximator failed to reach a fixpoint in 2|universe|+2 steps")
+    return _kleene(
+        lambda pair: InterpretationPair(
+            lower_step(sem, program, pair), upper_step(sem, program, pair)
+        ),
+        InterpretationPair.least_precise(program.universe),
+        2 * len(program.universe) + 2,
+    )
 
 
 def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
@@ -282,14 +283,11 @@ def _lfp_upper(sem: SemanticsId, program: Program, x: Interpretation) -> Interpr
     which keeps every evaluated pair consistent and computes the same
     least fixpoint (the seed is contained in it).
     """
-    universe = program.universe
-    current = Interpretation.empty(universe)
-    for _ in range(len(universe) + 1):
-        nxt = upper_step(sem, program, InterpretationPair(x, current.union(x.atoms)))
-        if nxt.atoms == current.atoms:
-            return current
-        current = nxt
-    raise AssertionError("upper operator failed to reach a fixpoint in |universe|+1 steps")
+    return _kleene(
+        lambda z: upper_step(sem, program, InterpretationPair(x, z.union(x.atoms))),
+        Interpretation.empty(program.universe),
+        len(program.universe) + 1,
+    )
 
 
 def ultimate_operator_bruteforce(

@@ -333,6 +333,14 @@ def verify_program(
     pairs = _sample_pairs(program, seed)
     aggregates = program.aggregate_atoms()
 
+    stable: dict[SemanticsId, list[Interpretation]] = {}
+
+    def stable_models(sem: SemanticsId) -> list[Interpretation]:
+        # one enumeration serves both the reduct comparison and the report
+        if sem not in stable:
+            stable[sem] = stable_enumerate(sem, program)
+        return stable[sem]
+
     def compare(descriptor, main_fn, reference_fn):
         try:
             main, reference = main_fn(), reference_fn()
@@ -368,7 +376,7 @@ def verify_program(
                 continue
             compare(
                 f"stable models under {sem.value}: relation path vs reduct path",
-                lambda s=sem: [str(m) for m in stable_enumerate(s, program)],
+                lambda s=sem: [str(m) for m in stable_models(s)],
                 lambda s=sem: [str(m) for m in reduct_stable_models(s, program)],
             )
         elif sem is SemanticsId.ULTIMATE:
@@ -383,7 +391,7 @@ def verify_program(
     for sem in sems:
         if sem is SemanticsId.GL and not program.is_aggregate_free:
             continue
-        report.stable_models[sem.value] = stable_enumerate(sem, program)
+        report.stable_models[sem.value] = stable_models(sem)
     return report
 
 

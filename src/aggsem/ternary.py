@@ -18,16 +18,19 @@ differ only on aggregate atoms:
   bnd       like ult, but sum/prod/card with = and != are decided from
             exact value bounds only (polynomial, may answer u)
   mr        upper satisfies the atom and some subset of lower does
-  flp       both lower and upper satisfy the element
+  flp       both lower and upper satisfy the atom
   ultimate  whole disjunctive bodies only: the disjunction holds at
             every interpretation in the interval (not truth-functional)
+
+Each `SemanticsId` member carries its row of this table, so adding a
+semantics is adding one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, NoReturn, Sequence, Union
 
 from .bounds import bnd_truth, interval_truth
 from .errors import CapabilityError, TooLargeError
@@ -38,7 +41,7 @@ from .eval2 import (
     sat2_disjunction,
     sat2_element,
 )
-from .interp import Interpretation, InterpretationPair, enumerate_interval
+from .interp import Interpretation, InterpretationPair, enumerate_interval, leq_precision
 from .syntax import (
     AggregateAtom,
     BodyElement,
@@ -54,7 +57,6 @@ __all__ = [
     "sat3",
     "sat3_body",
     "sat3_upper",
-    "sat3_upper_body",
     "truth3",
     "truth3_body",
     "WellBehavedReport",
@@ -68,43 +70,6 @@ __all__ = [
 ]
 
 DisjunctiveBody = tuple[tuple[BodyElement, ...], ...]
-
-
-class SemanticsId(Enum):
-    GL = "gl"
-    TRIV = "triv"
-    GZ = "gz"
-    ULT = "ult"
-    LPST = "lpst"
-    BND = "bnd"
-    MR = "mr"
-    FLP = "flp"
-    ULTIMATE = "ultimate"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @staticmethod
-    def from_tag(tag: "SemanticsId | str") -> "SemanticsId":
-        if isinstance(tag, SemanticsId):
-            return tag
-        try:
-            return SemanticsId(tag)
-        except ValueError:
-            valid = ", ".join(s.value for s in SemanticsId)
-            raise CapabilityError(f"unknown semantics {tag!r} (expected one of: {valid})") from None
-
-    @property
-    def has_truth_function(self) -> bool:
-        return self in (SemanticsId.GL, SemanticsId.TRIV, SemanticsId.ULT, SemanticsId.BND)
-
-    @property
-    def is_well_behaved_claimed(self) -> bool:
-        return self not in (SemanticsId.MR, SemanticsId.FLP)
-
-    @property
-    def monotone_lower_operator(self) -> bool:
-        return self is not SemanticsId.FLP
 
 
 def _literal_sat3(lit: Literal, pair: InterpretationPair) -> bool:
@@ -123,18 +88,38 @@ def _literal_truth(lit: Literal, pair: InterpretationPair) -> TruthValue:
     return negate(value) if lit.negated else value
 
 
-def _conditions_decided(atom: AggregateAtom, pair: InterpretationPair) -> bool:
-    return all(
-        a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms
+def _aggregate_free_only(atom: AggregateAtom, pair: InterpretationPair) -> NoReturn:
+    raise CapabilityError("gl is defined for aggregate-free programs only")
+
+
+def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
+    if all(a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms):
+        return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
+    return TruthValue.UNDEFINED
+
+
+def _gz_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
+    return eval_aggregate(atom, pair.upper) and all(
+        _literal_sat3(cond, pair) for cond in atom.conditions if literal_holds(cond, pair.upper)
     )
 
 
-def _mr_witness_exists(atom: AggregateAtom, pair: InterpretationPair) -> bool:
-    """Some subset of lower satisfies the atom.
+def _lpst_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
+    # Deliberately sweeps the full unrestricted interval: an independent
+    # realization of the same definition as ult's restricted sweep.
+    return all(
+        eval_aggregate(atom, z) for z in enumerate_interval(pair.lower, pair.upper)
+    )
+
+
+def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
+    """Upper satisfies the atom and some subset of lower does.
 
     Only the trace on the atom's condition atoms matters, so the subsets
     of lower restricted to those atoms cover all cases.
     """
+    if not eval_aggregate(atom, pair.upper):
+        return False
     base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
     blank = pair.lower.with_atoms(())
     for mask in range(1 << len(base)):
@@ -144,48 +129,66 @@ def _mr_witness_exists(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     return False
 
 
-def _lpst_aggregate(atom: AggregateAtom, pair: InterpretationPair) -> bool:
-    # Deliberately sweeps the full unrestricted interval: an independent
-    # realization of the same definition as ult's restricted sweep.
-    return all(
-        eval_aggregate(atom, z) for z in enumerate_interval(pair.lower, pair.upper)
-    )
+def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
+    return eval_aggregate(atom, pair.lower) and eval_aggregate(atom, pair.upper)
+
+
+class SemanticsId(Enum):
+    """A semantics tag together with its row of the relation table: the
+    three-valued truth function of aggregate atoms (None when the relation
+    has none), the certain-truth test of aggregate atoms (None for the
+    whole-body relation; by default, the truth function says t), and
+    the capability flags."""
+
+    def __new__(cls, tag, truth, certain=None, well_behaved=True, monotone=True):
+        member = object.__new__(cls)
+        member._value_ = tag
+        if certain is None and truth is not None:
+            certain = lambda atom, pair: truth(atom, pair) is TruthValue.TRUE
+        member._truth = truth
+        member._certain = certain
+        member.is_well_behaved_claimed = well_behaved
+        member.monotone_lower_operator = monotone
+        return member
+
+    # tag, truth function, certain-truth test, well-behaved, monotone lower operator
+    GL = ("gl", _aggregate_free_only)
+    TRIV = ("triv", _triv_truth)
+    GZ = ("gz", None, _gz_certain)
+    ULT = ("ult", interval_truth, aggregate_holds_everywhere)
+    LPST = ("lpst", None, _lpst_certain)
+    BND = ("bnd", bnd_truth)
+    MR = ("mr", None, _mr_certain, False)
+    FLP = ("flp", None, _flp_certain, False, False)
+    ULTIMATE = ("ultimate", None)
+
+    def __str__(self) -> str:
+        return self.value
+
+    @staticmethod
+    def from_tag(tag: "SemanticsId | str") -> "SemanticsId":
+        if isinstance(tag, SemanticsId):
+            return tag
+        try:
+            return SemanticsId(tag)
+        except ValueError:
+            valid = ", ".join(s.value for s in SemanticsId)
+            raise CapabilityError(f"unknown semantics {tag!r} (expected one of: {valid})") from None
+
+    @property
+    def has_truth_function(self) -> bool:
+        return self._truth is not None
 
 
 def sat3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair) -> bool:
     """Certain-truth of one body element under the selected relation."""
     sem = SemanticsId.from_tag(sem)
     pair.require_consistent()
-    if sem is SemanticsId.ULTIMATE:
+    if sem._certain is None:
         raise CapabilityError("the whole-program relation applies to bodies, not elements")
-
     if isinstance(element, Literal):
-        if sem is SemanticsId.FLP:
-            return literal_holds(element, pair.lower) and literal_holds(element, pair.upper)
         return _literal_sat3(element, pair)
-
-    if sem is SemanticsId.GL:
-        raise CapabilityError("gl is defined for aggregate-free programs only")
-    if sem is SemanticsId.TRIV:
-        return eval_aggregate(element, pair.upper) and _conditions_decided(element, pair)
-    if sem is SemanticsId.GZ:
-        if not eval_aggregate(element, pair.upper):
-            return False
-        return all(
-            _literal_sat3(cond, pair)
-            for cond in element.conditions
-            if literal_holds(cond, pair.upper)
-        )
-    if sem is SemanticsId.ULT:
-        return aggregate_holds_everywhere(element, pair)
-    if sem is SemanticsId.LPST:
-        return _lpst_aggregate(element, pair)
-    if sem is SemanticsId.BND:
-        return bnd_truth(element, pair) is TruthValue.TRUE
-    if sem is SemanticsId.MR:
-        return eval_aggregate(element, pair.upper) and _mr_witness_exists(element, pair)
-    # flp
-    return eval_aggregate(element, pair.lower) and eval_aggregate(element, pair.upper)
+    return sem._certain(element, pair)
 
 
 def _relevant_atoms(bodies: DisjunctiveBody) -> frozenset[str]:
@@ -224,22 +227,11 @@ def truth3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPai
     have truth functions."""
     sem = SemanticsId.from_tag(sem)
     pair.require_consistent()
-    if not sem.has_truth_function:
-        hint = " (use triv, which it coincides with)" if sem is SemanticsId.GZ else ""
-        raise CapabilityError(f"{sem.value} has no three-valued truth function{hint}")
-
+    if sem._truth is None:
+        raise CapabilityError(f"{sem.value} has no three-valued truth function")
     if isinstance(element, Literal):
         return _literal_truth(element, pair)
-
-    if sem is SemanticsId.GL:
-        raise CapabilityError("gl is defined for aggregate-free programs only")
-    if sem is SemanticsId.TRIV:
-        if _conditions_decided(element, pair):
-            return TruthValue.from_bool(eval_aggregate(element, pair.upper))
-        return TruthValue.UNDEFINED
-    if sem is SemanticsId.ULT:
-        return interval_truth(element, pair)
-    return bnd_truth(element, pair)
+    return sem._truth(element, pair)
 
 
 def truth3_body(
@@ -253,12 +245,6 @@ def sat3_upper(sem: SemanticsId | str, element: BodyElement, pair: Interpretatio
     return truth3(sem, element, pair) is not TruthValue.FALSE
 
 
-def sat3_upper_body(
-    sem: SemanticsId | str, body: Sequence[BodyElement], pair: InterpretationPair
-) -> bool:
-    return truth3_body(sem, body, pair) is not TruthValue.FALSE
-
-
 # ---------------------------------------------------------------------------
 # Well-behavedness and precision
 # ---------------------------------------------------------------------------
@@ -266,33 +252,25 @@ def sat3_upper_body(
 Formula = Union[BodyElement, DisjunctiveBody]
 
 
-def _subset_key(universe: tuple[str, ...]) -> Callable[[frozenset[str]], tuple]:
-    index = {a: i for i, a in enumerate(universe)}
-
-    def key(s: frozenset[str]) -> tuple:
-        return (len(s), tuple(sorted(index[a] for a in s)))
-
-    return key
-
-
 def _ordered_subsets(universe: tuple[str, ...]) -> list[frozenset[str]]:
+    """Every subset, by size and then by universe positions."""
+    index = {a: i for i, a in enumerate(universe)}
     subsets = [frozenset()]
     for atom in universe:
         subsets += [s | {atom} for s in subsets]
-    return sorted(subsets, key=_subset_key(universe))
+    return sorted(subsets, key=lambda s: (len(s), tuple(sorted(index[a] for a in s))))
 
 
 def all_consistent_pairs(universe: Iterable[str]) -> list[InterpretationPair]:
     """Every consistent pair over the universe, in a fixed order."""
     universe = tuple(universe)
-    key = _subset_key(universe)
+    subsets = _ordered_subsets(universe)
     pairs = []
-    for upper in _ordered_subsets(universe):
+    for upper in subsets:
         up = Interpretation(universe, upper)
-        for lower in sorted(
-            (s for s in _ordered_subsets(universe) if s <= upper), key=key
-        ):
-            pairs.append(InterpretationPair(Interpretation(universe, lower), up))
+        for lower in subsets:
+            if lower <= upper:
+                pairs.append(InterpretationPair(Interpretation(universe, lower), up))
     return pairs
 
 
@@ -406,16 +384,12 @@ def check_well_behaved(
             if not sat(fi, pair):
                 continue
             for refined in pairs:
-                if refined != pair and leq_precision_fast(pair, refined) and not sat(fi, refined):
+                if refined != pair and leq_precision(pair, refined) and not sat(fi, refined):
                     return WellBehavedReport(
                         False,
                         WellBehavedCounterexample("monotone", formula, pair, refined),
                     )
     raise AssertionError("single-step violation had no two-pair witness")
-
-
-def leq_precision_fast(a: InterpretationPair, b: InterpretationPair) -> bool:
-    return a.lower.atoms <= b.lower.atoms and b.upper.atoms <= a.upper.atoms
 
 
 def _single_refinements(pair: InterpretationPair) -> Iterable[InterpretationPair]:
@@ -456,8 +430,9 @@ def compare_precision(
             f"universe of {len(program.universe)} atoms exceeds bound {max_universe}"
         )
     only_a = only_b = None
+    pairs = all_consistent_pairs(program.universe)
     for element in program.body_elements():
-        for pair in all_consistent_pairs(program.universe):
+        for pair in pairs:
             a, b = sat3(sem_a, element, pair), sat3(sem_b, element, pair)
             if a and not b and only_a is None:
                 only_a = (element, pair)

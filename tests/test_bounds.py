@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aggsem import AggFunc, AggregateAtom, Comparison, Literal, TooLargeError, exact_bounds
 from aggsem.bounds import bnd_truth, interval_truth
-from aggsem.oracle import brute_bounds, random_aggregate_atom
+from aggsem.oracle import brute_bounds, brute_sat_ult, brute_sat_ult_upper, random_aggregate_atom
 from aggsem.ternary import all_consistent_pairs
 from aggsem.truth import TruthValue
 
@@ -213,3 +213,21 @@ def test_bnd_equals_interval_truth_for_sum_card_orderings():
         )
         for p in pairs:
             assert bnd_truth(atom, p) is interval_truth(atom, p), (str(atom), str(p))
+
+
+@pytest.mark.parametrize("func", list(AggFunc))
+def test_interval_truth_matches_oracle(func):
+    # the single sweep answers t, f or u exactly as the unrestricted
+    # universal and existential oracles do
+    rng = random.Random(func.value)
+    pairs = all_consistent_pairs(("a", "b", "c"))
+    for _ in range(40):
+        atom = random_aggregate_atom(rng, ("a", "b", "c"), funcs=(func,))
+        for p in pairs:
+            if brute_sat_ult(atom, p):
+                expected = T
+            elif not brute_sat_ult_upper(atom, p):
+                expected = F
+            else:
+                expected = U
+            assert interval_truth(atom, p) is expected, (str(atom), str(p))

@@ -2,6 +2,9 @@
 
 import io
 import json
+import time
+
+import pytest
 
 from aggsem.cli import run
 
@@ -242,6 +245,19 @@ def test_verify_loop_program_cli(capsys):
     assert report["stable"]["ult"] == []
 
 
+def test_verify_stable_keys_follow_semantics_order(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        program_path("nonconvex_loop.lp"),
+        "--semantics",
+        "ult,gz,flp",
+        "--json",
+    )
+    assert code == 0
+    assert list(json.loads(out)["report"]["stable"]) == ["ult", "gz", "flp"]
+
+
 def test_parse_round_trip(capsys):
     code, out, _ = run_cli(capsys, "parse", program_path("nonconvex_loop.lp"))
     assert code == 0
@@ -318,3 +334,38 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# universe cap
+# ---------------------------------------------------------------------------
+
+# 23 atoms, three above the default cap of 20; an ult sweep of this
+# aggregate at the least precise pair visits 2^22 members
+WIDE_SUM = "h :- sum{" + ", ".join(f"1:c{i}" for i in range(22)) + "} >= 23.\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models"],
+        ["check", "--model", "h"],
+        ["kk"],
+        ["wf"],
+        ["compare"],
+        ["analyze"],
+        ["verify"],
+        ["verify", "--max-atoms", "3", "--semantics", "ult"],
+    ],
+    ids=" ".join,
+)
+def test_max_atoms_covers_every_command_but_parse(tmp_path, capsys, argv):
+    path = tmp_path / "wide.lp"
+    path.write_text(WIDE_SUM, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    elapsed = time.perf_counter() - start
+    assert code == 3 and out == ""
+    assert "universe of 23 atoms exceeds bound" in err
+    assert elapsed < 1.0, f"{argv[0]} took {elapsed:.2f}s to refuse"
+    assert run_cli(capsys, "parse", str(path))[0] == 0

@@ -183,6 +183,23 @@ def test_verify_samples_pairs_on_wide_universes(wide_aggregate):
     assert again.checked == report.checked and again.mismatches == report.mismatches
 
 
+def test_verify_enumerates_each_semantics_once(nonconvex_loop, monkeypatch):
+    import aggsem.oracle as oracle_module
+
+    calls = []
+    enumerate_models = oracle_module.stable_enumerate
+
+    def counting(sem, program, *args):
+        calls.append(sem)
+        return enumerate_models(sem, program, *args)
+
+    monkeypatch.setattr(oracle_module, "stable_enumerate", counting)
+    report = verify_program(nonconvex_loop, ["gz", "flp", "ult"])
+    assert report.ok
+    assert len(calls) == 3
+    assert list(report.stable_models) == ["gz", "flp", "ult"]
+
+
 def test_verify_random_programs_have_no_mismatches():
     rng = random.Random(101)
     for _ in range(25):

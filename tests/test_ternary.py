@@ -18,7 +18,7 @@ from aggsem import (
     truth3,
     truth3_body,
 )
-from aggsem.eval2 import sat2_element
+from aggsem.eval2 import literal_holds, sat2_element
 from aggsem.oracle import random_aggregate_atom
 from aggsem.ternary import PrecisionOrder, SemanticsId, all_consistent_pairs, sat3_upper
 from aggsem.truth import TruthValue
@@ -101,6 +101,16 @@ def test_literals_follow_lower_upper_reads():
         assert not sat3(sem, Literal("b"), at)  # undefined atom is not certain
         assert not sat3(sem, Literal("a", negated=True), at)
         assert not sat3(sem, Literal("b", negated=True), at)  # still possibly true
+
+
+@pytest.mark.parametrize("sem", [s for s in SemanticsId if s is not SemanticsId.ULTIMATE])
+def test_literals_hold_in_lower_and_in_upper(sem):
+    # on a consistent pair the shared literal rule is double satisfaction
+    atoms = ("a", "b")
+    for p in all_consistent_pairs(atoms):
+        for lit in (Literal(a, negated) for a in atoms for negated in (False, True)):
+            expected = literal_holds(lit, p.lower) and literal_holds(lit, p.upper)
+            assert sat3(sem, lit, p) == expected, (str(lit), str(p))
 
 
 def test_sat3_rejects_gl_on_aggregates():
