@@ -19,8 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .eval2 import AggValue, aggregate_value, checked_int, eval_aggregate, literal_holds
-from .interp import InterpretationPair, enumerate_interval
+from .eval2 import (
+    AggValue,
+    aggregate_value,
+    checked_int,
+    eval_aggregate,
+    eval_multiset,
+    literal_holds,
+)
+from .interp import InterpretationPair, enumerate_interval, extensions
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
 
@@ -96,7 +103,8 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
             lo, hi = min(candidates), max(candidates)
         return Bounds(AggValue.of(lo), AggValue.of(hi), empty_possible, empty_certain)
 
-    # min/max/avg: enumerate branch combinations
+    # min/max/avg: evaluate every branch combination, that is every member
+    # of the interval that varies the undefined condition atoms only
     atoms = list(branches)
     if len(atoms) > MAX_BRANCH_ATOMS:
         raise TooLargeError(
@@ -106,11 +114,8 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     lb = ub = None
     empty_possible = False
     empty_certain = True
-    for mask in range(1 << len(atoms)):
-        multiset = list(fixed)
-        for bit, a in enumerate(atoms):
-            bt, bf = branches[a]
-            multiset.extend(bt if mask >> bit & 1 else bf)
+    for z in extensions(pair.lower, atoms):
+        multiset = eval_multiset(atom.entries, z)
         if not multiset:
             empty_possible = True
             continue

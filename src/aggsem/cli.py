@@ -15,7 +15,14 @@ import sys
 from typing import Sequence
 
 from . import fixpoints, oracle
-from .errors import AggsemError, CapabilityError, ParseError, TooLargeError, UniverseMismatchError
+from .errors import (
+    AggsemError,
+    CapabilityError,
+    ParseError,
+    TooLargeError,
+    UniverseMismatchError,
+    check_universe_size,
+)
 from .interp import Interpretation
 from .syntax import Program, parse_interpretation, parse_program
 from .ternary import (
@@ -48,12 +55,8 @@ def _model_atoms(model: Interpretation) -> list[str]:
     return list(model.sorted_atoms)
 
 
-def _format_model(model: Interpretation) -> str:
-    return "{" + ", ".join(model.sorted_atoms) + "}"
-
-
 def _format_models(models: list[Interpretation]) -> str:
-    return " ".join(_format_model(m) for m in models) if models else "(none)"
+    return " ".join(map(str, models)) if models else "(none)"
 
 
 def emit_json(result: dict, out=None) -> None:
@@ -71,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, semantics_default: str | None = DEFAULT_SEMANTICS):
+    def add_command(name: str, help: str, semantics_default: str | None = DEFAULT_SEMANTICS):
+        """A subcommand; every one but parse (semantics_default None) takes
+        --semantics and --max-atoms."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("input", help="program file, or '-' for standard input")
         if semantics_default is not None:
             p.add_argument(
@@ -80,35 +86,33 @@ def _build_parser() -> argparse.ArgumentParser:
                 help=f"comma-separated semantics tags (default: {semantics_default})",
             )
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument(
-            "--max-atoms",
-            type=int,
-            default=fixpoints.DEFAULT_MAX_ATOMS,
-            metavar="N",
-            help="universe-size cap for every command but parse (default 20)",
-        )
-        p.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
+        if semantics_default is not None:
+            p.add_argument(
+                "--max-atoms",
+                type=int,
+                default=fixpoints.DEFAULT_MAX_ATOMS,
+                metavar="N",
+                help="universe-size cap (default 20)",
+            )
+        return p
 
-    add_common(sub.add_parser("parse", help="parse a program and pretty-print it"), None)
-    add_common(sub.add_parser("models", help="enumerate stable models"))
-    check = sub.add_parser("check", help="check whether a model is stable")
-    add_common(check)
+    add_command("parse", "parse a program and pretty-print it", None)
+    add_command("models", "enumerate stable models")
+    check = add_command("check", "check whether a model is stable")
     check.add_argument("--model", required=True, help="comma-separated atom list")
-    add_common(sub.add_parser("kk", help="Kripke-Kleene fixpoint"))
-    add_common(sub.add_parser("wf", help="well-founded fixpoint"))
-    add_common(
-        sub.add_parser("compare", help="stable models side by side per semantics"),
-        "ult,ultimate",
-    )
-    add_common(
-        sub.add_parser(
-            "analyze",
-            help="convexity, well-behavedness and precision reports",
-        ),
+    add_command("kk", "Kripke-Kleene fixpoint")
+    add_command("wf", "well-founded fixpoint")
+    add_command("compare", "stable models side by side per semantics", "ult,ultimate")
+    add_command(
+        "analyze",
+        "convexity, well-behavedness and precision reports",
         # every tag but gl, which rejects the aggregates analyze is about
         ",".join(s.value for s in SemanticsId if s is not SemanticsId.GL),
     )
-    add_common(sub.add_parser("verify", help="cross-check against brute-force oracles"))
+    verify = add_command("verify", "cross-check against brute-force oracles")
+    verify.add_argument(
+        "--seed", type=int, default=0, metavar="N", help="seed of the pair sampling"
+    )
     return parser
 
 
@@ -127,31 +131,36 @@ def _cmd_parse(args, program: Program) -> int:
     return EXIT_OK
 
 
-def _cmd_models(args, program: Program) -> int:
-    sems = _semantics_list(args.semantics)
+def _cmd_models(args, program: Program, sems: list[SemanticsId]) -> int:
+    """models and compare: the stable models under each semantics."""
     results = {
         sem.value: fixpoints.stable_enumerate(sem, program, args.max_atoms) for sem in sems
     }
+    single = args.command == "models" and len(sems) == 1
     if args.json:
-        payload: dict = {"command": "models", "semantics": [s.value for s in sems]}
-        if len(sems) == 1:
+        payload: dict = {"command": args.command, "semantics": [s.value for s in sems]}
+        if single:
             payload["models"] = [_model_atoms(m) for m in results[sems[0].value]]
         else:
             payload["results"] = {
                 tag: [_model_atoms(m) for m in models] for tag, models in results.items()
             }
         emit_json(payload)
-    elif len(sems) == 1:
+    elif single:
         for model in results[sems[0].value]:
-            print(_format_model(model))
+            print(model)
     else:
+        width = 0  # compare prints a table, models one "tag:" line per semantics
+        if args.command == "compare":
+            width = max(len("semantics"), *(len(tag) for tag in results))
+            print(f"{'semantics'.ljust(width)}  stable models")
         for tag, models in results.items():
-            print(f"{tag}: {_format_models(models)}")
+            label = tag.ljust(width) + " " if width else tag + ":"
+            print(f"{label} {_format_models(models)}")
     return EXIT_OK
 
 
-def _cmd_check(args, program: Program) -> int:
-    sems = _semantics_list(args.semantics)
+def _cmd_check(args, program: Program, sems: list[SemanticsId]) -> int:
     model = parse_interpretation(args.model, program.universe)
     verdicts = {sem.value: fixpoints.stable_check(sem, program, model) for sem in sems}
     if args.json:
@@ -165,78 +174,38 @@ def _cmd_check(args, program: Program) -> int:
         )
     else:
         for tag, verdict in verdicts.items():
-            print(f"{tag}: {_format_model(model)} is {'stable' if verdict else 'not stable'}")
+            print(f"{tag}: {model} is {'stable' if verdict else 'not stable'}")
     return EXIT_OK if all(verdicts.values()) else EXIT_SEMANTIC_FAILURE
 
 
-def _pair_payload(lower: Interpretation, upper: Interpretation) -> dict:
-    return {"lower": _model_atoms(lower), "upper": _model_atoms(upper)}
-
-
-def _cmd_kk(args, program: Program) -> int:
-    sems = _semantics_list(args.semantics)
+def _cmd_fixpoint(args, program: Program, sems: list[SemanticsId]) -> int:
+    """kk and wf: one line, or one JSON object, per semantics."""
     for sem in sems:
-        pair = fixpoints.kripke_kleene(sem, program)
-        if args.json:
-            emit_json(
-                {
-                    "command": "kk",
-                    "semantics": [sem.value],
-                    "kk": _pair_payload(pair.lower, pair.upper),
-                }
-            )
+        rounds = None
+        if args.command == "kk":
+            pair = fixpoints.kripke_kleene(sem, program)
         else:
-            print(f"{sem.value}: lower {_format_model(pair.lower)} upper {_format_model(pair.upper)}")
-    return EXIT_OK
-
-
-def _cmd_wf(args, program: Program) -> int:
-    sems = _semantics_list(args.semantics)
-    for sem in sems:
-        result = fixpoints.well_founded(sem, program)
+            result = fixpoints.well_founded(sem, program)
+            pair, rounds = result.pair, result.iterations
         if args.json:
-            emit_json(
-                {
-                    "command": "wf",
-                    "semantics": [sem.value],
-                    "wf": _pair_payload(result.pair.lower, result.pair.upper),
-                    "iterations": result.iterations,
-                }
-            )
-        else:
-            print(
-                f"{sem.value}: lower {_format_model(result.pair.lower)} "
-                f"upper {_format_model(result.pair.upper)} "
-                f"({result.iterations} rounds)"
-            )
-    return EXIT_OK
-
-
-def _cmd_compare(args, program: Program) -> int:
-    sems = _semantics_list(args.semantics)
-    results = {
-        sem.value: fixpoints.stable_enumerate(sem, program, args.max_atoms) for sem in sems
-    }
-    if args.json:
-        emit_json(
-            {
-                "command": "compare",
-                "semantics": [s.value for s in sems],
-                "results": {
-                    tag: [_model_atoms(m) for m in models] for tag, models in results.items()
+            payload = {
+                "command": args.command,
+                "semantics": [sem.value],
+                args.command: {
+                    "lower": _model_atoms(pair.lower),
+                    "upper": _model_atoms(pair.upper),
                 },
             }
-        )
-    else:
-        width = max(len("semantics"), *(len(tag) for tag in results))
-        print(f"{'semantics'.ljust(width)}  stable models")
-        for tag, models in results.items():
-            print(f"{tag.ljust(width)}  {_format_models(models)}")
+            if rounds is not None:
+                payload["iterations"] = rounds
+            emit_json(payload)
+        else:
+            line = f"{sem.value}: lower {pair.lower} upper {pair.upper}"
+            print(line if rounds is None else f"{line} ({rounds} rounds)")
     return EXIT_OK
 
 
-def _cmd_analyze(args, program: Program) -> int:
-    sems = _semantics_list(args.semantics)
+def _cmd_analyze(args, program: Program, sems: list[SemanticsId]) -> int:
     convexity = {str(atom): is_convex(atom) for atom in program.aggregate_atoms()}
     behaved = {}
     for sem in sems:
@@ -278,8 +247,7 @@ def _cmd_analyze(args, program: Program) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, program: Program) -> int:
-    sems = _semantics_list(args.semantics)
+def _cmd_verify(args, program: Program, sems: list[SemanticsId]) -> int:
     report = oracle.verify_program(program, sems, seed=args.seed)
     if args.json:
         emit_json(
@@ -312,12 +280,11 @@ def _cmd_verify(args, program: Program) -> int:
 
 
 _COMMANDS = {
-    "parse": _cmd_parse,
     "models": _cmd_models,
     "check": _cmd_check,
-    "kk": _cmd_kk,
-    "wf": _cmd_wf,
-    "compare": _cmd_compare,
+    "kk": _cmd_fixpoint,
+    "wf": _cmd_fixpoint,
+    "compare": _cmd_models,
     "analyze": _cmd_analyze,
     "verify": _cmd_verify,
 }
@@ -333,14 +300,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         program = parse_program(text)
-        default_sems = getattr(args, "semantics", None)
-        if default_sems is not None:
-            _semantics_list(default_sems)  # validate tags before dispatch
-        if args.command != "parse" and len(program.universe) > args.max_atoms:
-            raise TooLargeError(
-                f"universe of {len(program.universe)} atoms exceeds bound {args.max_atoms}"
-            )
-        return _COMMANDS[args.command](args, program)
+        if args.command == "parse":
+            return _cmd_parse(args, program)
+        sems = _semantics_list(args.semantics)
+        check_universe_size(len(program.universe), args.max_atoms)
+        return _COMMANDS[args.command](args, program, sems)
     except (ParseError, UniverseMismatchError) as error:
         print(f"aggsem: {error}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,3 +35,9 @@ class ArithmeticOverflowError(AggsemError, OverflowError):
 
 class TooLargeError(AggsemError):
     """Input exceeds the configured bound for an exhaustive operation."""
+
+
+def check_universe_size(universe_size: int, bound: int) -> None:
+    """Raise TooLargeError when a universe exceeds an exhaustive-size cap."""
+    if universe_size > bound:
+        raise TooLargeError(f"universe of {universe_size} atoms exceeds bound {bound}")

@@ -12,11 +12,12 @@ when it is a supported model and the least fixpoint of X -> lower(X, Y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, TypeVar, Union
 
-from .errors import CapabilityError, TooLargeError
+from .errors import CapabilityError, TooLargeError, check_universe_size
 from .eval2 import eval_aggregate, is_model, is_supported_model, literal_holds, sat2, tp
-from .interp import Interpretation, InterpretationPair, enumerate_interval
+from .interp import Interpretation, InterpretationPair, enumerate_interval, extensions
 from .syntax import (
     DisjunctiveBodyProgram,
     Literal,
@@ -142,18 +143,17 @@ def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) 
     subset models the body-preserving reduct)."""
     if not is_model(program, y):
         return False
-    members = [a for a in y.universe if a in y.atoms]
-    pair_upper = y
-    for mask in range((1 << len(members)) - 1):  # all proper subsets
-        subset = y.with_atoms(a for bit, a in enumerate(members) if mask >> bit & 1)
-        closed = all(
+    members = list(y)
+    # the walk ends at y itself, which is not a proper subset
+    proper_subsets = islice(extensions(y.with_atoms(()), members), (1 << len(members)) - 1)
+    return not any(
+        all(
             rule.head in subset.atoms
-            or not sat3_body(sem, rule.body, InterpretationPair(subset, pair_upper))
+            or not sat3_body(sem, rule.body, InterpretationPair(subset, y))
             for rule in program.rules
         )
-        if closed:
-            return False
-    return True
+        for subset in proper_subsets
+    )
 
 
 def stable_enumerate(
@@ -166,18 +166,10 @@ def stable_enumerate(
     skipped.  Results are sorted lexicographically by atom names.
     """
     sem = SemanticsId.from_tag(sem)
-    if len(program.universe) > max_atoms:
-        raise TooLargeError(
-            f"universe of {len(program.universe)} atoms exceeds bound {max_atoms}"
-        )
+    check_universe_size(len(program.universe), max_atoms)
     heads = [a for a in program.universe if a in set(program.heads)]
-    models = []
-    for mask in range(1 << len(heads)):
-        candidate = Interpretation.of(
-            program.universe, (a for bit, a in enumerate(heads) if mask >> bit & 1)
-        )
-        if stable_check(sem, program, candidate):
-            models.append(candidate)
+    candidates = extensions(Interpretation.empty(program.universe), heads)
+    models = [candidate for candidate in candidates if stable_check(sem, program, candidate)]
     return sorted(models, key=lambda m: m.sorted_atoms)
 
 
@@ -245,7 +237,6 @@ def kripke_kleene(sem: SemanticsId | str, program: Program) -> InterpretationPai
     """Least precise fixpoint of the approximator, iterated from (bottom, top)."""
     sem = SemanticsId.from_tag(sem)
     _require_truth_function(sem)
-    _check_gl_applicable(sem, program)
     return _kleene(
         lambda pair: InterpretationPair(
             lower_step(sem, program, pair), upper_step(sem, program, pair)
@@ -260,7 +251,6 @@ def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
     started at the least precise pair and run until stationary."""
     sem = SemanticsId.from_tag(sem)
     _require_truth_function(sem)
-    _check_gl_applicable(sem, program)
     universe = program.universe
     x = Interpretation.empty(universe)
     y = Interpretation.full(universe)

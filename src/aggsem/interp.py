@@ -10,7 +10,7 @@ when lower is contained in upper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentPairError, UniverseMismatchError
 
@@ -20,6 +20,7 @@ __all__ = [
     "leq_subset",
     "leq_precision",
     "enumerate_interval",
+    "extensions",
     "interval_expansion_count",
     "reset_interval_expansions",
 ]
@@ -167,13 +168,13 @@ def enumerate_interval(
     y: Interpretation,
     restrict: frozenset[str] | set[str] | None = None,
 ) -> Iterator[Interpretation]:
-    """Yield every Z with x <= Z <= y, by binary counting over y minus x.
+    """Yield every Z with x <= Z <= y, in the order of `extensions` with
+    the atoms of y minus x as free atoms, taken in universe order.
 
-    Free atoms vary in universe order with the earliest atom as the least
-    significant bit, so the output order is fixed.  When `restrict` is
-    given, atoms outside it are frozen at their x-value and only the
-    restricted free atoms vary; this keeps sweeps over value-irrelevant
-    atoms out of aggregate evaluations.
+    When `restrict` is given, atoms outside it are frozen at their x-value
+    and only the restricted free atoms vary; this keeps sweeps over
+    value-irrelevant atoms out of aggregate evaluations.  Each call counts
+    one interval expansion.
     """
     global _interval_expansions
     _require_same_universe(x, y)
@@ -183,10 +184,16 @@ def enumerate_interval(
     if restrict is not None:
         free = [a for a in free if a in restrict]
     _interval_expansions += 1
-    return _iter_interval(x, free)
+    return extensions(x, free)
 
 
-def _iter_interval(x: Interpretation, free: list[str]) -> Iterator[Interpretation]:
+def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretation]:
+    """Yield x united with every subset of `free`, by binary counting with
+    free[0] as the least significant bit, so the output order is fixed.
+
+    Every exhaustive subset walk outside the independent oracle runs
+    here.  The walk does not count interval expansions.
+    """
     for mask in range(1 << len(free)):
         extra = [a for bit, a in enumerate(free) if mask >> bit & 1]
         yield x.union(extra) if extra else x

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, NoReturn, Sequence, Union
 
 from .bounds import bnd_truth, interval_truth
-from .errors import CapabilityError, TooLargeError
+from .errors import CapabilityError, TooLargeError, check_universe_size
 from .eval2 import (
     aggregate_holds_everywhere,
     eval_aggregate,
@@ -41,7 +42,13 @@ from .eval2 import (
     sat2_disjunction,
     sat2_element,
 )
-from .interp import Interpretation, InterpretationPair, enumerate_interval, leq_precision
+from .interp import (
+    Interpretation,
+    InterpretationPair,
+    enumerate_interval,
+    extensions,
+    leq_precision,
+)
 from .syntax import (
     AggregateAtom,
     BodyElement,
@@ -121,12 +128,7 @@ def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     if not eval_aggregate(atom, pair.upper):
         return False
     base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
-    blank = pair.lower.with_atoms(())
-    for mask in range(1 << len(base)):
-        chosen = [a for bit, a in enumerate(base) if mask >> bit & 1]
-        if eval_aggregate(atom, blank.with_atoms(chosen)):
-            return True
-    return False
+    return any(eval_aggregate(atom, z) for z in extensions(pair.lower.with_atoms(()), base))
 
 
 def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
@@ -254,11 +256,11 @@ Formula = Union[BodyElement, DisjunctiveBody]
 
 def _ordered_subsets(universe: tuple[str, ...]) -> list[frozenset[str]]:
     """Every subset, by size and then by universe positions."""
-    index = {a: i for i, a in enumerate(universe)}
-    subsets = [frozenset()]
-    for atom in universe:
-        subsets += [s | {atom} for s in subsets]
-    return sorted(subsets, key=lambda s: (len(s), tuple(sorted(index[a] for a in s))))
+    return [
+        frozenset(subset)
+        for size in range(len(universe) + 1)
+        for subset in combinations(universe, size)
+    ]
 
 
 def all_consistent_pairs(universe: Iterable[str]) -> list[InterpretationPair]:
@@ -350,8 +352,7 @@ def check_well_behaved(
     """
     sem = SemanticsId.from_tag(sem)
     universe, formulas = _formulas_of(sem, source)
-    if len(universe) > max_universe:
-        raise TooLargeError(f"universe of {len(universe)} atoms exceeds bound {max_universe}")
+    check_universe_size(len(universe), max_universe)
 
     pairs = all_consistent_pairs(universe)
     cache: dict[tuple[int, InterpretationPair], bool] = {}
@@ -362,9 +363,9 @@ def check_well_behaved(
             cache[key] = _sat3_formula(sem, formulas[fi], pair)
         return cache[key]
 
+    exact_pairs = [pair for pair in pairs if pair.is_exact]
     for fi, formula in enumerate(formulas):
-        for subset in _ordered_subsets(universe):
-            exact = InterpretationPair.exact(Interpretation(universe, subset))
+        for exact in exact_pairs:
             if sat(fi, exact) != _sat2_formula(sem, formula, exact.lower):
                 return WellBehavedReport(
                     False, WellBehavedCounterexample("exact", formula, exact)
@@ -425,10 +426,7 @@ def compare_precision(
     for sem in (sem_a, sem_b):
         if sem is SemanticsId.ULTIMATE:
             raise CapabilityError("precision comparison covers element-wise relations only")
-    if len(program.universe) > max_universe:
-        raise TooLargeError(
-            f"universe of {len(program.universe)} atoms exceeds bound {max_universe}"
-        )
+    check_universe_size(len(program.universe), max_universe)
     only_a = only_b = None
     pairs = all_consistent_pairs(program.universe)
     for element in program.body_elements():
@@ -458,24 +456,22 @@ def is_convex(atom: AggregateAtom, max_condition_atoms: int = 16) -> bool:
         raise TooLargeError(
             f"{n} condition atoms exceed the convexity bound {max_condition_atoms}"
         )
-    blank = Interpretation.of(atoms)
-    sat = [
-        eval_aggregate(atom, blank.with_atoms(a for b, a in enumerate(atoms) if mask >> b & 1))
-        for mask in range(1 << n)
-    ]
+    # sat[mask] is the value at the subset holding atoms[b] for each bit b
+    # set in mask, which is the order of the walk
+    sat = [eval_aggregate(atom, z) for z in extensions(Interpretation.empty(atoms), atoms)]
+    masks = range(len(sat))
     has_sat_subset = list(sat)
-    for mask in range(1 << n):
+    for mask in masks:
         if not has_sat_subset[mask]:
             has_sat_subset[mask] = any(
                 has_sat_subset[mask ^ (1 << b)] for b in range(n) if mask >> b & 1
             )
     has_sat_superset = list(sat)
-    for mask in range((1 << n) - 1, -1, -1):
+    for mask in reversed(masks):
         if not has_sat_superset[mask]:
             has_sat_superset[mask] = any(
                 has_sat_superset[mask | (1 << b)] for b in range(n) if not mask >> b & 1
             )
     return not any(
-        not sat[mask] and has_sat_subset[mask] and has_sat_superset[mask]
-        for mask in range(1 << n)
+        not sat[mask] and has_sat_subset[mask] and has_sat_superset[mask] for mask in masks
     )

@@ -303,6 +303,16 @@ def test_bounds_gap_program_end_to_end(capsys):
     assert results["bnd"] == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["models", "--seed", "1"], ["parse", "--max-atoms", "3"]], ids=" ".join
+)
+def test_flags_only_on_commands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run([argv[0], program_path("tautology_pair.lp"), *argv[1:]])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     path = tmp_path / "bad.lp"
     path.write_text("p :- q not r.\n", encoding="utf-8")
@@ -334,6 +344,88 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# exact output of the commands that share a body
+# ---------------------------------------------------------------------------
+
+TAUTOLOGY = program_path("tautology_pair.lp")
+LOOP = program_path("nonconvex_loop.lp")
+
+GOLDEN = [
+    (
+        ["kk", LOOP, "--semantics", "triv,ult"],
+        0,
+        "triv: lower {} upper {p, q, s}\n"
+        "ult: lower {} upper {p, q, s}\n",
+    ),
+    (
+        ["kk", TAUTOLOGY, "--semantics", "bnd,ult", "--json"],
+        0,
+        '{"command": "kk", "semantics": ["bnd"], "kk": {"lower": [], "upper": ["p"]}}\n'
+        '{"command": "kk", "semantics": ["ult"], "kk": {"lower": [], "upper": ["p"]}}\n',
+    ),
+    (
+        ["wf", LOOP, "--semantics", "triv,ult"],
+        0,
+        "triv: lower {} upper {p, q, s} (1 rounds)\n"
+        "ult: lower {} upper {p, q, s} (1 rounds)\n",
+    ),
+    (
+        ["wf", TAUTOLOGY, "--semantics", "bnd,ult", "--json"],
+        0,
+        '{"command": "wf", "semantics": ["bnd"], "wf": {"lower": [], "upper": ["p"]}, '
+        '"iterations": 1}\n'
+        '{"command": "wf", "semantics": ["ult"], "wf": {"lower": [], "upper": ["p"]}, '
+        '"iterations": 1}\n',
+    ),
+    (
+        ["models", TAUTOLOGY, "--semantics", "ult,ultimate"],
+        0,
+        "ult: (none)\nultimate: {p}\n",
+    ),
+    (
+        ["models", TAUTOLOGY, "--semantics", "ult,ultimate", "--json"],
+        0,
+        '{"command": "models", "semantics": ["ult", "ultimate"], '
+        '"results": {"ult": [], "ultimate": [["p"]]}}\n',
+    ),
+    (
+        ["models", LOOP, "--semantics", "mr", "--json"],
+        0,
+        '{"command": "models", "semantics": ["mr"], "models": [["p", "q", "s"]]}\n',
+    ),
+    (
+        ["compare", TAUTOLOGY],
+        0,
+        "semantics  stable models\n"
+        "ult        (none)\n"
+        "ultimate   {p}\n",
+    ),
+    (
+        ["compare", LOOP, "--semantics", "ult,mr,flp", "--json"],
+        0,
+        '{"command": "compare", "semantics": ["ult", "mr", "flp"], '
+        '"results": {"ult": [], "mr": [["p", "q", "s"]], "flp": [["p", "q", "s"]]}}\n',
+    ),
+    (
+        ["check", LOOP, "--semantics", "ult,mr,flp", "--model", "p,q,s"],
+        1,
+        "ult: {p, q, s} is not stable\n"
+        "mr: {p, q, s} is stable\n"
+        "flp: {p, q, s} is stable\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    GOLDEN,
+    ids=[" ".join(a.rsplit("/", 1)[-1] for a in argv) for argv, _, _ in GOLDEN],
+)
+def test_golden_output(capsys, argv, code, stdout):
+    assert run_cli(capsys, *argv) == (code, stdout, "")
 
 
 # ---------------------------------------------------------------------------

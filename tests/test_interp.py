@@ -15,6 +15,7 @@ from aggsem import (
     leq_precision,
     leq_subset,
 )
+from aggsem.interp import extensions, interval_expansion_count
 from aggsem.ternary import all_consistent_pairs
 
 from .conftest import interp, pair
@@ -143,6 +144,11 @@ def test_interval_count_is_two_to_the_free_atoms():
             assert len(members) == 1 << len(y.atoms - x.atoms)
             assert len({m.atoms for m in members}) == len(members)
             assert all(x.atoms <= m.atoms <= y.atoms for m in members)
+            # the walker behind it: same members, same order, no count
+            expansions = interval_expansion_count()
+            free = [a for a in universe if a in y.atoms - x.atoms]
+            assert list(extensions(x, free)) == members
+            assert interval_expansion_count() == expansions
 
 
 def test_interval_restrict_freezes_other_atoms():
