@@ -8,14 +8,18 @@ its positive-condition weights (atom chosen true) or its
 negative-condition weights (atom chosen false), never a mix.  Naive
 per-entry bounds would get [1:p, 1:not p] wrong.
 
-sum and card are additive over per-atom branch extrema; prod keeps a
-running (min, max) product pair so sign flips are exact.  min/max/avg
-fall back to enumerating the branch combinations, which is exponential
-in the number of undefined condition atoms; acceptable at desk scale.
+sum, card and prod share one loop.  Each undefined atom has one value
+per branch (the count, sum or product of that branch's weights), and the
+running (min, max) pair of the fixed value becomes the min and max of
+its four combinations with the two branch values, by + or *; keeping
+both extremes makes sign flips of a product exact.  min/max/avg fall
+back to enumerating the branch combinations, which is exponential in
+the number of undefined condition atoms; acceptable at desk scale.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import TooLargeError
@@ -23,6 +27,7 @@ from .eval2 import (
     AggValue,
     aggregate_value,
     checked_int,
+    checked_product,
     eval_aggregate,
     eval_multiset,
     literal_holds,
@@ -74,33 +79,20 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     )
 
     func = atom.func
-    if func in (AggFunc.SUM, AggFunc.CARD):
-        measure = (lambda ws: checked_int(sum(ws), "sum")) if func is AggFunc.SUM else len
+    if func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
+        if func is AggFunc.PROD:
+            measure, combine, context = checked_product, operator.mul, "product"
+        else:
+            measure = (lambda ws: checked_int(sum(ws), "sum")) if func is AggFunc.SUM else len
+            combine, context = operator.add, "sum"
         lo = hi = measure(fixed)
         for bt, bf in branches.values():
             vt, vf = measure(bt), measure(bf)
-            lo = checked_int(lo + min(vt, vf), "sum")
-            hi = checked_int(hi + max(vt, vf), "sum")
-        return Bounds(AggValue.of(lo), AggValue.of(hi), empty_possible, empty_certain)
-
-    if func is AggFunc.PROD:
-        lo = hi = 1
-        for w in fixed:
-            v = checked_int(lo * w, "product")
-            lo = hi = v
-        for bt, bf in branches.values():
-            ft = 1
-            for w in bt:
-                ft = checked_int(ft * w, "product")
-            ff = 1
-            for w in bf:
-                ff = checked_int(ff * w, "product")
-            candidates = [
-                checked_int(prev * factor, "product")
-                for prev in (lo, hi)
-                for factor in (ft, ff)
-            ]
-            lo, hi = min(candidates), max(candidates)
+            values = (combine(lo, vt), combine(lo, vf), combine(hi, vt), combine(hi, vf))
+            # every combination lies between these two, so checking them
+            # catches any overflow
+            lo = checked_int(min(values), context)
+            hi = checked_int(max(values), context)
         return Bounds(AggValue.of(lo), AggValue.of(hi), empty_possible, empty_certain)
 
     # min/max/avg: evaluate every branch combination, that is every member
@@ -112,14 +104,10 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
             f"branch-enumeration bound of {MAX_BRANCH_ATOMS}"
         )
     lb = ub = None
-    empty_possible = False
-    empty_certain = True
     for z in extensions(pair.lower, atoms):
         multiset = eval_multiset(atom.entries, z)
         if not multiset:
-            empty_possible = True
             continue
-        empty_certain = False
         value = aggregate_value(func, multiset).value
         lb = value if lb is None else min(lb, value)
         ub = value if ub is None else max(ub, value)
@@ -144,36 +132,22 @@ def interval_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
 
 
 def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
-    """Bound-based truth for sum/prod (card as sum of unit weights); the
-    bounds decide ordering comparisons exactly and =/!= conservatively.
-    min/max/avg fall back to interval-universal truth."""
+    """Bound-based truth for sum/prod/card, the hull rule: t when the
+    comparison holds at every value from the lower to the upper bound, f
+    when it holds at none of them.  That is exact for the ordering
+    comparisons; = and != are decided conservatively, as the bounds do
+    not know which values in between are achieved.  min/max/avg fall
+    back to interval-universal truth."""
     pair.require_consistent()
     if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
         return interval_truth(atom, pair)
 
     bounds = exact_bounds(atom, pair)
     lb, ub, w = bounds.lb.value, bounds.ub.value, atom.bound
-    cmp = atom.cmp
-    if cmp is Comparison.EQ:
-        if lb == w == ub:
-            return TruthValue.TRUE
-        if lb > w or ub < w:
-            return TruthValue.FALSE
-        return TruthValue.UNDEFINED
-    if cmp is Comparison.NE:
-        if lb > w or ub < w:
-            return TruthValue.TRUE
-        if lb == w == ub:
-            return TruthValue.FALSE
-        return TruthValue.UNDEFINED
-    if cmp is Comparison.GE:
-        forced, refuted = lb >= w, ub < w
-    elif cmp is Comparison.GT:
-        forced, refuted = lb > w, ub <= w
-    elif cmp is Comparison.LE:
-        forced, refuted = ub <= w, lb > w
-    else:  # LT
-        forced, refuted = ub < w, lb >= w
+    cmp, holds = atom.cmp, atom.cmp.holds
+    outside = w < lb or w > ub
+    forced = outside if cmp is Comparison.NE else holds(lb, w) and holds(ub, w)
+    refuted = outside if cmp is Comparison.EQ else not (holds(lb, w) or holds(ub, w))
     if forced:
         return TruthValue.TRUE
     if refuted:

@@ -303,6 +303,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.command == "parse":
             return _cmd_parse(args, program)
         sems = _semantics_list(args.semantics)
+        if not sems:
+            print("aggsem: --semantics names no semantics", file=sys.stderr)
+            return EXIT_USAGE
         check_universe_size(len(program.universe), args.max_atoms)
         return _COMMANDS[args.command](args, program, sems)
     except (ParseError, UniverseMismatchError) as error:

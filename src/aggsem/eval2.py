@@ -43,6 +43,14 @@ def checked_int(value: int, context: str = "aggregate value") -> int:
     return value
 
 
+def checked_product(weights: Iterable[int]) -> int:
+    """Product of the weights, checked after every factor."""
+    result = 1
+    for w in weights:
+        result = checked_int(result * w, "product")
+    return result
+
+
 @dataclass(frozen=True)
 class AggValue:
     """Result of an aggregate function; undefined only for min/max/avg of {}."""
@@ -60,20 +68,7 @@ class AggValue:
         return str(self.value) if self.defined else "undefined"
 
     def compare(self, cmp: Comparison, bound: int) -> bool:
-        if not self.defined:
-            return False
-        v = self.value
-        if cmp is Comparison.LT:
-            return v < bound
-        if cmp is Comparison.LE:
-            return v <= bound
-        if cmp is Comparison.GT:
-            return v > bound
-        if cmp is Comparison.GE:
-            return v >= bound
-        if cmp is Comparison.EQ:
-            return v == bound
-        return v != bound
+        return self.defined and cmp.holds(self.value, bound)
 
 
 AggValue.UNDEFINED = AggValue(False)
@@ -94,10 +89,7 @@ def aggregate_value(func: AggFunc, multiset: Sequence[int]) -> AggValue:
     if func is AggFunc.CARD:
         return AggValue.of(len(multiset))
     if func is AggFunc.PROD:
-        result = 1
-        for w in multiset:
-            result = checked_int(result * w, "product")
-        return AggValue.of(result)
+        return AggValue.of(checked_product(multiset))
     if not multiset:
         return AggValue.UNDEFINED
     if func is AggFunc.MIN:

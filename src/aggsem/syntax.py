@@ -15,6 +15,7 @@ first-occurrence order, including a single optional `#atoms` declaration.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -47,12 +48,23 @@ class AggFunc(Enum):
 
 
 class Comparison(Enum):
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
-    EQ = "="
-    NE = "!="
+    """A comparison of an aggregate's value with its bound.  The value is
+    the surface symbol; each member carries its test, `holds(value,
+    bound)`, an `operator` builtin kept on the member so evaluation needs
+    no lookup keyed by the enum."""
+
+    def __new__(cls, symbol, holds):
+        member = object.__new__(cls)
+        member._value_ = symbol
+        member.holds = holds
+        return member
+
+    LT = ("<", operator.lt)
+    LE = ("<=", operator.le)
+    GT = (">", operator.gt)
+    GE = (">=", operator.ge)
+    EQ = ("=", operator.eq)
+    NE = ("!=", operator.ne)
 
 
 @dataclass(frozen=True)

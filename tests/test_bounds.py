@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggsem import AggFunc, AggregateAtom, Comparison, Literal, TooLargeError, exact_bounds
+from aggsem import (
+    AggFunc,
+    AggregateAtom,
+    ArithmeticOverflowError,
+    Comparison,
+    Literal,
+    TooLargeError,
+    exact_bounds,
+)
 from aggsem.bounds import bnd_truth, interval_truth
 from aggsem.oracle import brute_bounds, brute_sat_ult, brute_sat_ult_upper, random_aggregate_atom
 from aggsem.ternary import all_consistent_pairs
@@ -65,6 +73,33 @@ def test_bounds_reject_inconsistent_pair():
     bad = InterpretationPair(Interpretation.of(("p",), "p"), Interpretation.of(("p",)))
     with pytest.raises(InconsistentPairError):
         exact_bounds(agg("sum", [(1, "p")], ">", 0), bad)
+
+
+BIG, HUGE = 1 << 62, 1 << 40
+
+
+@pytest.mark.parametrize(
+    "func, entries, lower, message",
+    [
+        ("sum", [(BIG, "p"), (BIG, "q")], (), f"sum {1 << 63} "),
+        ("sum", [(-BIG, "p"), (-BIG, "q"), (-1, "r")], (), f"sum {-(1 << 63) - 1} "),
+        ("sum", [(-BIG, "p"), (-BIG, "q"), (-1, "r")], ("p", "q"), f"sum {-(1 << 63) - 1} "),
+        ("prod", [(HUGE, "p"), (HUGE, "q")], (), f"product {1 << 80} "),
+        ("prod", [(-HUGE, "p"), (HUGE, "q")], (), f"product {-(1 << 80)} "),
+    ],
+)
+def test_sum_prod_bounds_overflow(func, entries, lower, message):
+    universe = ("p", "q", "r")
+    at = pair(universe, lower, universe)
+    with pytest.raises(ArithmeticOverflowError) as error:
+        exact_bounds(agg(func, entries, ">=", 0), at)
+    assert str(error.value) == message + "leaves the signed 64-bit range"
+
+
+def test_prod_bounds_reach_two_to_the_62():
+    at = pair(("p", "q", "r"), (), ("p", "q", "r"))
+    bounds = exact_bounds(agg("prod", [(1 << 31, "p"), (1 << 31, "q")], ">=", 0), at)
+    assert (bounds.lb.value, bounds.ub.value) == (1, 1 << 62)
 
 
 def test_min_branch_enumeration_cap():

@@ -190,6 +190,28 @@ def test_unknown_semantics_tag(capsys):
     assert "unknown semantics" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models"],
+        ["check", "--model", "p"],
+        ["check", "--json", "--model", "p"],
+        ["kk"],
+        ["wf"],
+        ["compare"],
+        ["analyze"],
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_empty_semantics_list_is_usage_error(capsys, argv):
+    code, out, err = run_cli(
+        capsys, argv[0], program_path("tautology_pair.lp"), *argv[1:], "--semantics", " , "
+    )
+    assert code == 2 and out == ""
+    assert err == "aggsem: --semantics names no semantics\n"
+
+
 # ---------------------------------------------------------------------------
 # compare / analyze / verify / parse
 # ---------------------------------------------------------------------------
