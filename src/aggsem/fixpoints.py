@@ -6,7 +6,21 @@ precise approximator.
 The lower operator of a relation maps (X, Y) to the heads of rules whose
 body is certainly true; for the semantics with truth functions the upper
 operator collects heads of possibly-true bodies.  Y is a stable model
-when it is a supported model and the least fixpoint of X -> lower(X, Y).
+when it is a supported model and the least fixpoint of X -> lower(X, Y)
+(for flp, which has no monotone lower operator: a supported model that
+no proper subset of Y is closed under).
+
+Stable-model search tests only the candidates inside one box, the same
+for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
+approximator, iterated from (nothing, the head atoms).  It is sound for
+every relation because every stable model here, FLP answer sets
+included, is a supported model: a fixpoint M of the consequence
+operator, so a set of heads, and (nothing, heads) is below (M, M) in
+precision.  The `bnd` approximator is precision-monotone and maps (M, M)
+to itself, so each pair of the iteration stays below (M, M), and so does
+its limit: M lies between the box's lower and upper sets.  When the
+bounds of an aggregate overflow or exceed a size cap on the way, the box
+is (nothing, the head atoms) itself.
 """
 
 from __future__ import annotations
@@ -15,8 +29,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, TypeVar, Union
 
-from .errors import CapabilityError, TooLargeError, check_universe_size
-from .eval2 import eval_aggregate, is_model, is_supported_model, literal_holds, sat2, tp
+from .errors import ArithmeticOverflowError, CapabilityError, TooLargeError, check_universe_size
+from .eval2 import eval_aggregate, is_supported_model, literal_holds, sat2, tp
 from .interp import Interpretation, InterpretationPair, enumerate_interval, extensions
 from .syntax import (
     DisjunctiveBodyProgram,
@@ -125,12 +139,18 @@ def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -
 
 
 def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) -> bool:
-    """Is y a stable model (answer set) of the program under the relation?"""
+    """Is y a stable model (answer set) of the program under the relation?
+
+    Every relation first asks that y be a supported model; a candidate
+    that passes lies in the box `stable_enumerate` searches.  Then y must
+    be the least fixpoint of X -> lower(X, y), or, for a relation
+    without a monotone lower operator, pass the minimal-model check.
+    """
     sem = SemanticsId.from_tag(sem)
-    if not sem.monotone_lower_operator:
-        return _minimal_model_check(sem, program, y)
     if not is_supported_model(program, y):
         return False
+    if not sem.monotone_lower_operator:
+        return _minimal_model_check(sem, program, y)
     target: ProgramLike = (
         combine_rules_per_head(program) if sem is SemanticsId.ULTIMATE else program
     )
@@ -138,11 +158,9 @@ def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) ->
 
 
 def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) -> bool:
-    """y satisfies the program and no proper subset is closed under the
+    """No proper subset of the supported model y is closed under the
     relation with y as upper bound (for flp, equivalently: no proper
     subset models the body-preserving reduct)."""
-    if not is_model(program, y):
-        return False
     members = list(y)
     # the walk ends at y itself, which is not a proper subset
     proper_subsets = islice(extensions(y.with_atoms(()), members), (1 << len(members)) - 1)
@@ -159,18 +177,34 @@ def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) 
 def stable_enumerate(
     sem: SemanticsId | str, program: Program, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> list[Interpretation]:
-    """All stable models, found by filtering candidate interpretations.
+    """All stable models, found by filtering the candidates in the box.
 
-    Any stable model is a fixpoint of the immediate consequence operator,
-    hence a subset of the head atoms; candidates outside that set are
-    skipped.  Results are sorted lexicographically by atom names.
+    The box is the Kripke-Kleene fixpoint of the `bnd` approximator
+    started at (nothing, the head atoms), or that start pair when some
+    aggregate's bounds overflow or exceed a size cap on the way; the
+    module docstring says why every stable model under every relation
+    lies in it.  The candidates are its lower set united with each
+    subset of its undefined atoms.  Results are sorted lexicographically
+    by atom names.
     """
     sem = SemanticsId.from_tag(sem)
     check_universe_size(len(program.universe), max_atoms)
-    heads = [a for a in program.universe if a in set(program.heads)]
-    candidates = extensions(Interpretation.empty(program.universe), heads)
+    box = _supported_box(program)
+    candidates = extensions(box.lower, box.undefined_atoms())
     models = [candidate for candidate in candidates if stable_check(sem, program, candidate)]
     return sorted(models, key=lambda m: m.sorted_atoms)
+
+
+def _supported_box(program: Program) -> InterpretationPair:
+    """A pair whose interval holds every supported model of the program."""
+    heads = InterpretationPair(
+        Interpretation.empty(program.universe),
+        Interpretation(program.universe, frozenset(program.heads)),
+    )
+    try:
+        return _kripke_kleene_from(SemanticsId.BND, program, heads)
+    except (ArithmeticOverflowError, TooLargeError):
+        return heads
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +271,21 @@ def kripke_kleene(sem: SemanticsId | str, program: Program) -> InterpretationPai
     """Least precise fixpoint of the approximator, iterated from (bottom, top)."""
     sem = SemanticsId.from_tag(sem)
     _require_truth_function(sem)
+    return _kripke_kleene_from(
+        sem, program, InterpretationPair.least_precise(program.universe)
+    )
+
+
+def _kripke_kleene_from(
+    sem: SemanticsId, program: Program, start: InterpretationPair
+) -> InterpretationPair:
+    """Kleene iteration of the approximator from `start`, which the
+    approximator must map to an equally or more precise pair."""
     return _kleene(
         lambda pair: InterpretationPair(
             lower_step(sem, program, pair), upper_step(sem, program, pair)
         ),
-        InterpretationPair.least_precise(program.universe),
+        start,
         2 * len(program.universe) + 2,
     )
 

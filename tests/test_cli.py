@@ -451,6 +451,35 @@ def test_golden_output(capsys, argv, code, stdout):
 
 
 # ---------------------------------------------------------------------------
+# stable search where an aggregate's bounds leave the 64-bit range
+# ---------------------------------------------------------------------------
+
+HALF = 1 << 62  # two of these sum to 2^63, one past the largest int64
+
+
+@pytest.mark.parametrize(
+    "text, models",
+    [
+        # p and q are false in every candidate, so no sum reaches 2^63;
+        # a box started at the whole universe would overflow
+        (f"#atoms h, p, q.\nh :- sum{{{HALF}:p, {HALF}:q}} >= 1.\n", "{}"),
+        # the bounds overflow, so the search keeps every subset of the
+        # heads; `not p` comes first, so no candidate sums both weights
+        (
+            f"h :- not p, sum{{{HALF}:p, {HALF}:q}} >= 1.\np :- not q.\nq :- not p.\n",
+            "{h, q} {p}",
+        ),
+    ],
+    ids=["non-head conditions", "overflowing bounds"],
+)
+def test_models_when_aggregate_bounds_overflow(tmp_path, capsys, text, models):
+    path = tmp_path / "big.lp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "models", str(path), "--semantics", "ult,mr,flp")
+    assert (code, out, err) == (0, f"ult: {models}\nmr: {models}\nflp: {models}\n", "")
+
+
+# ---------------------------------------------------------------------------
 # universe cap
 # ---------------------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from aggsem import (
+    AggsemError,
     CapabilityError,
     InterpretationPair,
     Literal,
@@ -24,6 +25,7 @@ from aggsem import (
     ultimate_operator_bruteforce,
     well_founded,
 )
+from aggsem import fixpoints
 from aggsem.fixpoints import lower_step
 from aggsem.oracle import random_program, reduct_stable_models
 from aggsem.ternary import SemanticsId, all_consistent_pairs
@@ -156,6 +158,71 @@ def test_enumerate_universe_cap():
     program = parse_program(f"#atoms {atoms}.")
     with pytest.raises(TooLargeError):
         stable_enumerate("ult", program)
+
+
+def _outcome(compute):
+    """Models as sorted atom tuples, or the type and message of the error."""
+    try:
+        return [m.sorted_atoms for m in compute()]
+    except AggsemError as error:
+        return type(error), str(error)
+
+
+def test_enumerate_box_matches_universe_scan_and_reducts():
+    """The box search loses no model and raises no other error than a
+    scan of every interpretation with stable_check, under every relation."""
+    for seed in range(300):
+        program = random_program(
+            random.Random(seed),
+            max_atoms=7,
+            max_rules=6,
+            aggregate_probability=0.0 if seed % 5 == 4 else 0.5,
+        )
+        universe = program.universe
+        subsets = [
+            interp(universe, [a for bit, a in enumerate(universe) if mask >> bit & 1])
+            for mask in range(1 << len(universe))
+        ]
+        for sem in SemanticsId:
+            found = _outcome(lambda: stable_enumerate(sem, program))
+            scanned = _outcome(
+                lambda: sorted(
+                    (y for y in subsets if stable_check(sem, program, y)),
+                    key=lambda m: m.sorted_atoms,
+                )
+            )
+            assert found == scanned, (seed, sem)
+            if sem in (SemanticsId.GZ, SemanticsId.FLP) or (
+                sem is SemanticsId.GL and program.is_aggregate_free
+            ):
+                assert found == _outcome(lambda: reduct_stable_models(sem, program)), (seed, sem)
+
+
+# a_i :- sum{1:a_{i-1}, 1:b_i} >= 1 with b_i, c_i an even loop: 13 atoms,
+# 16 models; the box fixes every a_i, leaving 2^8 candidates of the 2^13
+CHAIN_4 = "a0.\n" + "".join(
+    f"a{i} :- sum{{1:a{i - 1}, 1:b{i}}} >= 1.\nb{i} :- not c{i}.\nc{i} :- not b{i}.\n"
+    for i in range(1, 5)
+)
+
+
+@pytest.mark.parametrize("sem", [s.value for s in SemanticsId])
+def test_enumerate_tests_only_candidates_in_the_box(monkeypatch, sem):
+    tested = []
+    check = fixpoints.stable_check
+
+    def counting_check(sem, program, candidate):
+        tested.append(candidate)
+        return check(sem, program, candidate)
+
+    monkeypatch.setattr(fixpoints, "stable_check", counting_check)
+    program = parse_program(CHAIN_4)
+    if sem == "gl":
+        with pytest.raises(CapabilityError):
+            stable_enumerate(sem, program)
+    else:
+        assert len(stable_enumerate(sem, program)) == 16
+    assert 0 < len(tested) <= 2**8
 
 
 # ---------------------------------------------------------------------------
