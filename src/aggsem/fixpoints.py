@@ -1,7 +1,9 @@
 """Fixpoint engines: least fixpoints of the lower operator, stable-model
 checking and enumeration per semantics, Kripke-Kleene and well-founded
-fixpoints, the three reduct constructions, and the brute-force most
-precise approximator.
+fixpoints, and the classical (Gelfond-Lifschitz) reduct.  The aggregate
+reducts (gz, flp) and the brute-force most precise approximator are
+reference code and live in `oracle`, on the oracle's own two-valued
+evaluation and subset walk.
 
 The lower operator of a relation maps (X, Y) to the heads of rules whose
 body is certainly true; for the semantics with truth functions the upper
@@ -19,8 +21,8 @@ operator, so a set of heads, and (nothing, heads) is below (M, M) in
 precision.  The `bnd` approximator is precision-monotone and maps (M, M)
 to itself, so each pair of the iteration stays below (M, M), and so does
 its limit: M lies between the box's lower and upper sets.  When the
-bounds of an aggregate overflow or exceed a size cap on the way, the box
-is (nothing, the head atoms) itself.
+bounds of an aggregate overflow on the way, the box is (nothing, the
+head atoms) itself.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, TypeVar, Union
 
-from .errors import ArithmeticOverflowError, CapabilityError, TooLargeError, check_universe_size
-from .eval2 import eval_aggregate, is_supported_model, literal_holds, sat2, tp
-from .interp import Interpretation, InterpretationPair, enumerate_interval, extensions
+from .errors import ArithmeticOverflowError, CapabilityError, check_universe_size
+from .eval2 import is_supported_model
+from .interp import Interpretation, InterpretationPair, extensions
 from .syntax import (
     DisjunctiveBodyProgram,
     Literal,
@@ -50,11 +52,8 @@ __all__ = [
     "stable_check",
     "stable_enumerate",
     "gl_reduct",
-    "gz_reduct",
-    "flp_reduct",
     "kripke_kleene",
     "well_founded",
-    "ultimate_operator_bruteforce",
 ]
 
 DEFAULT_MAX_ATOMS = 20
@@ -108,13 +107,16 @@ def upper_step(sem: SemanticsId | str, program: Program, pair: InterpretationPai
 _State = TypeVar("_State")
 
 
-def _kleene(step: Callable[[_State], _State], start: _State, limit: int) -> _State:
-    """Iterate `step` from `start` until it maps a state to itself."""
+def _kleene(
+    step: Callable[[_State], _State], start: _State, limit: int
+) -> tuple[_State, int]:
+    """Iterate `step` from `start` until it maps a state to itself; return
+    that state and the number of steps taken, the last one included."""
     current = start
-    for _ in range(limit):
+    for steps in range(1, limit + 1):
         nxt = step(current)
         if nxt == current:
-            return current
+            return current, steps
         current = nxt
     raise AssertionError(f"Kleene iteration failed to reach a fixpoint in {limit} steps")
 
@@ -135,7 +137,7 @@ def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -
         lambda x: lower_step(sem, program, InterpretationPair(x, y)),
         Interpretation.empty(program.universe),
         len(program.universe) + 1,
-    )
+    )[0]
 
 
 def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) -> bool:
@@ -181,11 +183,10 @@ def stable_enumerate(
 
     The box is the Kripke-Kleene fixpoint of the `bnd` approximator
     started at (nothing, the head atoms), or that start pair when some
-    aggregate's bounds overflow or exceed a size cap on the way; the
-    module docstring says why every stable model under every relation
-    lies in it.  The candidates are its lower set united with each
-    subset of its undefined atoms.  Results are sorted lexicographically
-    by atom names.
+    aggregate's bounds overflow on the way; the module docstring says
+    why every stable model under every relation lies in it.  The
+    candidates are its lower set united with each subset of its
+    undefined atoms.  Results are sorted lexicographically by atom names.
     """
     sem = SemanticsId.from_tag(sem)
     check_universe_size(len(program.universe), max_atoms)
@@ -203,12 +204,12 @@ def _supported_box(program: Program) -> InterpretationPair:
     )
     try:
         return _kripke_kleene_from(SemanticsId.BND, program, heads)
-    except (ArithmeticOverflowError, TooLargeError):
+    except ArithmeticOverflowError:
         return heads
 
 
 # ---------------------------------------------------------------------------
-# Reducts
+# The classical reduct
 # ---------------------------------------------------------------------------
 
 
@@ -224,34 +225,6 @@ def gl_reduct(program: Program, i: Interpretation) -> Program:
         body = tuple(e for e in rule.body if not (isinstance(e, Literal) and e.negated))
         kept.append(Rule(rule.head, body))
     return Program(tuple(kept), program.universe)
-
-
-def gz_reduct(program: Program, i: Interpretation) -> Program:
-    """Two-phase aggregate reduct followed by the classical one: drop rules
-    with an i-false aggregate, replace each remaining aggregate by the
-    conjunction of its i-true conditions, then take the classical reduct."""
-    kept: list[Rule] = []
-    for rule in program.rules:
-        body: list[Literal] = []
-        dropped = False
-        for element in rule.body:
-            if isinstance(element, Literal):
-                body.append(element)
-            elif eval_aggregate(element, i):
-                # in-place replacement by the set of its i-true conditions
-                body.extend(c for c in element.conditions if literal_holds(c, i))
-            else:
-                dropped = True
-                break
-        if not dropped:
-            kept.append(Rule(rule.head, tuple(body)))
-    return gl_reduct(Program(tuple(kept), program.universe), i)
-
-
-def flp_reduct(program: Program, i: Interpretation) -> Program:
-    """Keep exactly the rules whose body is satisfied in i, unchanged."""
-    kept = tuple(rule for rule in program.rules if sat2(rule.body, i))
-    return Program(kept, program.universe)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +260,7 @@ def _kripke_kleene_from(
         ),
         start,
         2 * len(program.universe) + 2,
-    )
+    )[0]
 
 
 def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
@@ -295,19 +268,18 @@ def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
     started at the least precise pair and run until stationary."""
     sem = SemanticsId.from_tag(sem)
     _require_truth_function(sem)
-    universe = program.universe
-    x = Interpretation.empty(universe)
-    y = Interpretation.full(universe)
-    limit = 2 * len(universe) + 2
-    for iteration in range(1, limit + 1):
-        x_next = lfp_lower(sem, program, y)
-        y_next = _lfp_upper(sem, program, x)
-        if not x_next.atoms <= y_next.atoms:
+
+    def refine(pair: InterpretationPair) -> InterpretationPair:
+        x = lfp_lower(sem, program, pair.upper)
+        y = _lfp_upper(sem, program, pair.lower)
+        if not x.atoms <= y.atoms:
             raise AssertionError("well-founded refinement left the consistent pairs")
-        if x_next == x and y_next == y:
-            return WellFoundedResult(InterpretationPair(x, y), iteration)
-        x, y = x_next, y_next
-    raise AssertionError("well-founded refinement failed to converge in 2|universe|+2 rounds")
+        return InterpretationPair(x, y)
+
+    pair, iterations = _kleene(
+        refine, InterpretationPair.least_precise(program.universe), 2 * len(program.universe) + 2
+    )
+    return WellFoundedResult(pair, iterations)
 
 
 def _lfp_upper(sem: SemanticsId, program: Program, x: Interpretation) -> Interpretation:
@@ -321,27 +293,4 @@ def _lfp_upper(sem: SemanticsId, program: Program, x: Interpretation) -> Interpr
         lambda z: upper_step(sem, program, InterpretationPair(x, z.union(x.atoms))),
         Interpretation.empty(program.universe),
         len(program.universe) + 1,
-    )
-
-
-def ultimate_operator_bruteforce(
-    program: Program, pair: InterpretationPair, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> InterpretationPair:
-    """Most precise approximator of the consequence operator, computed by
-    intersecting and uniting its images over the whole interval."""
-    pair.require_consistent()
-    if len(pair.undefined_atoms()) > max_atoms:
-        raise TooLargeError(
-            f"{len(pair.undefined_atoms())} undefined atoms exceed bound {max_atoms}"
-        )
-    lower: frozenset[str] | None = None
-    upper: frozenset[str] = frozenset()
-    for z in enumerate_interval(pair.lower, pair.upper):
-        image = tp(program, z).atoms
-        lower = image if lower is None else lower & image
-        upper |= image
-    assert lower is not None
-    universe = program.universe
-    return InterpretationPair(
-        Interpretation(universe, lower), Interpretation(universe, upper)
-    )
+    )[0]

@@ -1,27 +1,28 @@
 """Independent brute-force implementations used by tests and the `verify`
 command.  These deliberately re-derive their answers from first
 principles (direct enumeration, reduct constructions) and do not share
-code with the main-path implementations of the same quantities.
+code with the main-path implementations of the same quantities: the
+oracle has its own two-valued evaluation and one subset walk, and the
+gz and flp reducts and the brute-force most precise approximator live
+here.  The evaluation raises ArithmeticOverflowError with the main
+path's message where the main path does; the per-pair oracles
+(`brute_sat_*`, `brute_bounds`) compute with unchecked integers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterator, Sequence
 
 from .bounds import Bounds, bnd_truth, exact_bounds
-from .errors import TooLargeError
-from .eval2 import AggValue, is_model, tp
-from .fixpoints import (
-    flp_reduct,
-    gl_reduct,
-    gz_reduct,
-    lower_step,
-    stable_enumerate,
-    ultimate_operator_bruteforce,
-)
+from .errors import ArithmeticOverflowError, TooLargeError
+from .eval2 import AggValue
+from .fixpoints import gl_reduct, lower_step, stable_enumerate
 from .interp import Interpretation, InterpretationPair
 from .syntax import (
     AggFunc,
@@ -42,6 +43,9 @@ __all__ = [
     "brute_sat_triv",
     "brute_sat_mr",
     "brute_bnd_truth",
+    "gz_reduct",
+    "flp_reduct",
+    "ultimate_operator_bruteforce",
     "minimal_model_check",
     "reduct_stable_models",
     "alternating_reduct_wf",
@@ -52,25 +56,44 @@ __all__ = [
 ]
 
 MAX_BRUTE_CONDITIONS = 16
+# the minimal-model check and the most precise approximator walk further
+MAX_BRUTE_ATOMS = 20
 
 
-def _brute_value(atom: AggregateAtom, true_atoms: frozenset[str]) -> int | Fraction | None:
+def _subsets(
+    base: frozenset[str], free: Sequence[str], bound: int = MAX_BRUTE_CONDITIONS
+) -> Iterator[frozenset[str]]:
+    """`base` united with every subset of `free`, by binary counting with
+    free[0] as the least significant bit: the oracle's one exhaustive
+    walk.  The size check runs at the call, before any member is made."""
+    if len(free) > bound:
+        raise TooLargeError(f"{len(free)} free atoms exceed the brute-force bound {bound}")
+    return (
+        base | {a for bit, a in enumerate(free) if mask >> bit & 1}
+        for mask in range(1 << len(free))
+    )
+
+
+def _interval(
+    pair: InterpretationPair, bound: int = MAX_BRUTE_CONDITIONS
+) -> Iterator[frozenset[str]]:
+    """Every Z between the pair's lower and upper set, all atoms varied."""
+    pair.require_consistent()
+    return _subsets(pair.lower.atoms, pair.undefined_atoms(), bound)
+
+
+def _weights(atom: AggregateAtom, true_atoms: frozenset[str]) -> list[int]:
+    return [w for w, lit in atom.entries if (lit.atom in true_atoms) != lit.negated]
+
+
+def _brute_value(func: AggFunc, weights: list[int]) -> int | Fraction | None:
     """Aggregate value from scratch: no shared evaluation helpers."""
-    weights = []
-    for w, lit in atom.entries:
-        holds = (lit.atom in true_atoms) != lit.negated
-        if holds:
-            weights.append(w)
-    func = atom.func
     if func is AggFunc.SUM:
         return sum(weights)
     if func is AggFunc.CARD:
         return len(weights)
     if func is AggFunc.PROD:
-        result = 1
-        for w in weights:
-            result *= w
-        return result
+        return math.prod(weights)
     if not weights:
         return None
     if func is AggFunc.MIN:
@@ -93,67 +116,73 @@ def _brute_compare(value: int | Fraction | None, cmp: Comparison, bound: int) ->
     }[cmp]
 
 
-def _interval_traces(atom: AggregateAtom, pair: InterpretationPair) -> Iterable[frozenset[str]]:
-    """Condition-atom traces of all interval members, by direct counting."""
-    pair.require_consistent()
-    fixed = frozenset(a for a in atom.condition_atoms if a in pair.lower.atoms)
-    free = [
-        a
-        for a in atom.condition_atoms
-        if a in pair.upper.atoms and a not in pair.lower.atoms
-    ]
-    if len(free) > MAX_BRUTE_CONDITIONS:
-        raise TooLargeError(f"{len(free)} undefined condition atoms exceed the brute bound")
-    for mask in range(1 << len(free)):
-        yield fixed | {a for bit, a in enumerate(free) if mask >> bit & 1}
+def _brute_holds(atom: AggregateAtom, true_atoms: frozenset[str]) -> bool:
+    return _brute_compare(_brute_value(atom.func, _weights(atom, true_atoms)), atom.cmp, atom.bound)
+
+
+def _int64(value: int, context: str) -> None:
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ArithmeticOverflowError(f"{context} {value} leaves the signed 64-bit range")
+
+
+def _element_holds(element: Literal | AggregateAtom, true_atoms: frozenset[str]) -> bool:
+    """Two-valued truth of a literal or aggregate atom, with the main
+    path's int64 checks: sum and avg on their total, prod after each
+    factor."""
+    if isinstance(element, Literal):
+        return (element.atom in true_atoms) != element.negated
+    weights = _weights(element, true_atoms)
+    if element.func is AggFunc.PROD:
+        for product in accumulate(weights, mul):
+            _int64(product, "product")
+    elif element.func in (AggFunc.SUM, AggFunc.AVG):
+        _int64(sum(weights), "sum")
+    return _brute_compare(_brute_value(element.func, weights), element.cmp, element.bound)
+
+
+def _body_holds(body: Sequence[Literal | AggregateAtom], true_atoms: frozenset[str]) -> bool:
+    return all(_element_holds(e, true_atoms) for e in body)
+
+
+def _consequences(program: Program, true_atoms: frozenset[str]) -> frozenset[str]:
+    """The consequence operator: heads of the rules whose body holds."""
+    return frozenset(rule.head for rule in program.rules if _body_holds(rule.body, true_atoms))
+
+
+def _is_model(program: Program, true_atoms: frozenset[str]) -> bool:
+    return all(
+        rule.head in true_atoms or not _body_holds(rule.body, true_atoms)
+        for rule in program.rules
+    )
 
 
 def brute_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
-    """Exact value bounds by enumerating the whole interval."""
-    lb = ub = None
-    empty_possible = False
-    empty_certain = True
-    for trace in _interval_traces(atom, pair):
-        nonempty = any((lit.atom in trace) != lit.negated for _, lit in atom.entries)
-        if nonempty:
-            empty_certain = False
-        else:
-            empty_possible = True
-        value = _brute_value(atom, trace)
-        if value is None:
-            continue
-        lb = value if lb is None else min(lb, value)
-        ub = value if ub is None else max(ub, value)
-    if lb is None:
-        return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, empty_possible, empty_certain)
-    return Bounds(AggValue.of(lb), AggValue.of(ub), empty_possible, empty_certain)
+    """Exact value bounds by enumerating the condition-atom traces of the
+    whole interval."""
+    pair.require_consistent()
+    fixed = frozenset(a for a in atom.condition_atoms if a in pair.lower.atoms)
+    free = [a for a in atom.condition_atoms if a in pair.upper.atoms and a not in fixed]
+    empty, values = [], []
+    for trace in _subsets(fixed, free):
+        weights = _weights(atom, trace)
+        empty.append(not weights)
+        value = _brute_value(atom.func, weights)
+        if value is not None:
+            values.append(value)
+    if not values:
+        return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, any(empty), all(empty))
+    return Bounds(AggValue.of(min(values)), AggValue.of(max(values)), any(empty), all(empty))
 
 
 def brute_sat_ult(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """Interval-universal satisfaction by unrestricted enumeration over all
     undefined atoms of the pair, not just the aggregate's conditions."""
-    pair.require_consistent()
-    free = pair.undefined_atoms()
-    if len(free) > MAX_BRUTE_CONDITIONS:
-        raise TooLargeError(f"{len(free)} undefined atoms exceed the brute bound")
-    for mask in range(1 << len(free)):
-        z = pair.lower.atoms | {a for bit, a in enumerate(free) if mask >> bit & 1}
-        if not _brute_compare(_brute_value(atom, frozenset(z)), atom.cmp, atom.bound):
-            return False
-    return True
+    return all(_brute_holds(atom, z) for z in _interval(pair))
 
 
 def brute_sat_ult_upper(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """Interval-existential satisfaction by unrestricted enumeration."""
-    pair.require_consistent()
-    free = pair.undefined_atoms()
-    if len(free) > MAX_BRUTE_CONDITIONS:
-        raise TooLargeError(f"{len(free)} undefined atoms exceed the brute bound")
-    for mask in range(1 << len(free)):
-        z = pair.lower.atoms | {a for bit, a in enumerate(free) if mask >> bit & 1}
-        if _brute_compare(_brute_value(atom, frozenset(z)), atom.cmp, atom.bound):
-            return True
-    return False
+    return any(_brute_holds(atom, z) for z in _interval(pair))
 
 
 def brute_sat_triv(atom: AggregateAtom, pair: InterpretationPair) -> bool:
@@ -161,7 +190,7 @@ def brute_sat_triv(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     upper set satisfies the atom and the set of conditions true in the
     lower set equals the set true in the upper set."""
     pair.require_consistent()
-    if not _brute_compare(_brute_value(atom, pair.upper.atoms), atom.cmp, atom.bound):
+    if not _brute_holds(atom, pair.upper.atoms):
         return False
     conditions = {lit for _, lit in atom.entries}
     lower_true = {c for c in conditions if (c.atom in pair.lower.atoms) != c.negated}
@@ -172,16 +201,9 @@ def brute_sat_triv(atom: AggregateAtom, pair: InterpretationPair) -> bool:
 def brute_sat_mr(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """Witness-subset satisfaction with subsets of the whole lower set."""
     pair.require_consistent()
-    if not _brute_compare(_brute_value(atom, pair.upper.atoms), atom.cmp, atom.bound):
+    if not _brute_holds(atom, pair.upper.atoms):
         return False
-    members = tuple(pair.lower)
-    if len(members) > MAX_BRUTE_CONDITIONS:
-        raise TooLargeError(f"{len(members)} lower atoms exceed the brute bound")
-    for mask in range(1 << len(members)):
-        z = frozenset(a for bit, a in enumerate(members) if mask >> bit & 1)
-        if _brute_compare(_brute_value(atom, z), atom.cmp, atom.bound):
-            return True
-    return False
+    return any(_brute_holds(atom, z) for z in _subsets(frozenset(), tuple(pair.lower)))
 
 
 def brute_bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
@@ -210,28 +232,64 @@ def brute_bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue
     return TruthValue.UNDEFINED
 
 
+# ---------------------------------------------------------------------------
+# Reducts, the most precise approximator and reduct-based semantics
+# ---------------------------------------------------------------------------
+
+
+def gz_reduct(program: Program, i: Interpretation) -> Program:
+    """Two-phase aggregate reduct followed by the classical one: drop rules
+    with an i-false aggregate, replace each remaining aggregate by the
+    conjunction of its i-true conditions, then take the classical reduct."""
+    kept: list[Rule] = []
+    for rule in program.rules:
+        body: list[Literal] = []
+        for element in rule.body:
+            if isinstance(element, Literal):
+                body.append(element)
+            elif _element_holds(element, i.atoms):
+                # in-place replacement by the set of its i-true conditions
+                body.extend(c for c in element.conditions if _element_holds(c, i.atoms))
+            else:
+                break
+        else:
+            kept.append(Rule(rule.head, tuple(body)))
+    return gl_reduct(Program(tuple(kept), program.universe), i)
+
+
+def flp_reduct(program: Program, i: Interpretation) -> Program:
+    """Keep exactly the rules whose body is satisfied in i, unchanged."""
+    kept = tuple(rule for rule in program.rules if _body_holds(rule.body, i.atoms))
+    return Program(kept, program.universe)
+
+
+def ultimate_operator_bruteforce(program: Program, pair: InterpretationPair) -> InterpretationPair:
+    """Most precise approximator of the consequence operator, computed by
+    intersecting and uniting its images over the whole interval."""
+    images = (_consequences(program, z) for z in _interval(pair, MAX_BRUTE_ATOMS))
+    lower = upper = next(images)
+    for image in images:
+        lower, upper = lower & image, upper | image
+    universe = program.universe
+    return InterpretationPair(Interpretation(universe, lower), Interpretation(universe, upper))
+
+
 def minimal_model_check(program: Program, i: Interpretation) -> bool:
     """i is a model and no proper subset of i is a model."""
-    members = tuple(i)
-    if len(members) > 20:
-        raise TooLargeError(f"{len(members)} atoms exceed the minimal-model bound")
-    if not is_model(program, i):
+    subsets = _subsets(frozenset(), tuple(i), MAX_BRUTE_ATOMS)
+    if not _is_model(program, i.atoms):
         return False
-    for mask in range((1 << len(members)) - 1):
-        subset = i.with_atoms(a for bit, a in enumerate(members) if mask >> bit & 1)
-        if is_model(program, subset):
-            return False
-    return True
+    # the walk ends at i itself, which is not a proper subset
+    return not any(z != i.atoms and _is_model(program, z) for z in subsets)
 
 
 def _lfp_tp(program: Program) -> Interpretation:
     """Least fixpoint of the consequence operator of a negation-free program."""
-    current = Interpretation.empty(program.universe)
+    current: frozenset[str] = frozenset()
     while True:
-        nxt = tp(program, current)
-        merged = current.union(nxt.atoms)
-        if merged.atoms == current.atoms:
-            return current
+        merged = current | _consequences(program, current)
+        if merged == current:
+            return Interpretation(program.universe, current)
         current = merged
 
 
@@ -256,13 +314,13 @@ def reduct_stable_models(sem: SemanticsId | str, program: Program) -> list[Inter
     main path's head-set pruning, so the two routes stay independent.
     """
     sem = SemanticsId.from_tag(sem)
-    candidates = _candidate_interpretations(program.universe)
     models = []
-    for candidate in candidates:
+    for atoms in _subsets(frozenset(), program.universe):
+        candidate = Interpretation(program.universe, atoms)
         if sem is SemanticsId.GL:
-            ok = _lfp_tp(gl_reduct(program, candidate)).atoms == candidate.atoms
+            ok = _lfp_tp(gl_reduct(program, candidate)).atoms == atoms
         elif sem is SemanticsId.GZ:
-            ok = _lfp_tp(gz_reduct(program, candidate)).atoms == candidate.atoms
+            ok = _lfp_tp(gz_reduct(program, candidate)).atoms == atoms
         elif sem is SemanticsId.FLP:
             ok = minimal_model_check(flp_reduct(program, candidate), candidate)
         else:
@@ -270,15 +328,6 @@ def reduct_stable_models(sem: SemanticsId | str, program: Program) -> list[Inter
         if ok:
             models.append(candidate)
     return sorted(models, key=lambda m: m.sorted_atoms)
-
-
-def _candidate_interpretations(universe: tuple[str, ...]) -> list[Interpretation]:
-    if len(universe) > 16:
-        raise TooLargeError(f"universe of {len(universe)} atoms exceeds the brute bound")
-    return [
-        Interpretation.of(universe, (a for bit, a in enumerate(universe) if mask >> bit & 1))
-        for mask in range(1 << len(universe))
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -447,14 +447,17 @@ def compare_precision(
     return PrecisionResult(order, only_a, only_b)
 
 
-def is_convex(atom: AggregateAtom, max_condition_atoms: int = 16) -> bool:
+MAX_CONVEXITY_ATOMS = 16
+
+
+def is_convex(atom: AggregateAtom) -> bool:
     """No chain X <= Y <= Z over the condition atoms satisfies the atom at
     X and Z but not at Y (checked by subset/superset reachability)."""
     atoms = atom.condition_atoms
     n = len(atoms)
-    if n > max_condition_atoms:
+    if n > MAX_CONVEXITY_ATOMS:
         raise TooLargeError(
-            f"{n} condition atoms exceed the convexity bound {max_condition_atoms}"
+            f"{n} condition atoms exceed the convexity bound {MAX_CONVEXITY_ATOMS}"
         )
     # sat[mask] is the value at the subset holding atoms[b] for each bit b
     # set in mask, which is the order of the walk
