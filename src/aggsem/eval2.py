@@ -80,7 +80,8 @@ def literal_holds(literal: Literal, i: Interpretation) -> bool:
 
 def eval_multiset(entries: Sequence[tuple[int, Literal]], i: Interpretation) -> tuple[int, ...]:
     """Multiset of weights whose condition holds in i, entry order preserved."""
-    return tuple(w for w, lit in entries if literal_holds(lit, i))
+    atoms = i.atoms
+    return tuple([w for w, lit in entries if (lit.atom in atoms) != lit.negated])
 
 
 def aggregate_value(func: AggFunc, multiset: Sequence[int]) -> AggValue:

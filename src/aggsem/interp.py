@@ -45,11 +45,7 @@ class Interpretation:
     atoms: frozenset[str]
 
     def __post_init__(self) -> None:
-        unknown = self.atoms - set(self.universe)
-        if unknown:
-            raise UniverseMismatchError(
-                f"atoms outside the universe: {', '.join(sorted(unknown))}"
-            )
+        _require_in_universe(self.atoms, self.universe)
 
     @staticmethod
     def of(universe: Iterable[str], atoms: Iterable[str] = ()) -> "Interpretation":
@@ -92,6 +88,12 @@ class Interpretation:
 
     def intersection(self, atoms: Iterable[str]) -> "Interpretation":
         return Interpretation(self.universe, self.atoms & frozenset(atoms))
+
+
+def _require_in_universe(atoms: Iterable[str], universe: tuple[str, ...]) -> None:
+    unknown = frozenset(atoms).difference(universe)
+    if unknown:
+        raise UniverseMismatchError(f"atoms outside the universe: {', '.join(sorted(unknown))}")
 
 
 def _require_same_universe(a: Interpretation, b: Interpretation) -> None:
@@ -193,7 +195,38 @@ def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretatio
 
     Every exhaustive subset walk outside the independent oracle runs
     here.  The walk does not count interval expansions.
+
+    Cost: `free` is checked against x's universe once, before the first
+    member, so a foreign atom raises UniverseMismatchError there.  Each
+    member is then built without its own universe check, as x's atoms
+    united with two cached half-subsets: one of the low half of `free`
+    (indexed by the low bits of the mask) and one of the high half
+    (indexed by the high bits).  A table entry is built from an earlier
+    one the first time the walk reaches it, so the tables hold
+    O(2^(|free|/2)) sets and a walk that stops early pays only for what
+    it visited.
     """
-    for mask in range(1 << len(free)):
-        extra = [a for bit, a in enumerate(free) if mask >> bit & 1]
-        yield x.union(extra) if extra else x
+    _require_in_universe(free, x.universe)
+    universe = x.universe
+    half = len(free) // 2
+    low_mask = (1 << half) - 1
+    low: list[frozenset[str]] = [frozenset()]  # subsets of free[:half]
+    high = [x.atoms]  # x's atoms united with the subsets of free[half:]
+    new = object.__new__
+    yield x
+    outer = x.atoms
+    for mask in range(1, 1 << len(free)):
+        i = mask & low_mask
+        if not i:
+            j = mask >> half
+            if j == len(high):
+                # j without its lowest set bit, plus that bit's atom
+                high.append(high[j & (j - 1)] | {free[half + (j & -j).bit_length() - 1]})
+            outer = high[j]
+        elif i == len(low):
+            low.append(low[i & (i - 1)] | {free[(i & -i).bit_length() - 1]})
+        member = new(Interpretation)
+        fields = member.__dict__
+        fields["universe"] = universe
+        fields["atoms"] = outer | low[i]
+        yield member

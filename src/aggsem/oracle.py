@@ -375,7 +375,9 @@ def verify_program(
 
     Universes of at most six atoms are checked over every consistent
     pair; larger ones over a seeded sample of pairs.  Individual checks
-    whose oracle exceeds its enumeration bound are counted as skipped.
+    whose oracle exceeds its enumeration bound, or whose main-path or
+    reference value leaves the signed 64-bit range, are counted as
+    skipped.
     """
     report = VerificationReport()
     sems = [SemanticsId.from_tag(s) for s in sems]
@@ -393,7 +395,7 @@ def verify_program(
     def compare(descriptor, main_fn, reference_fn):
         try:
             main, reference = main_fn(), reference_fn()
-        except TooLargeError:
+        except (TooLargeError, ArithmeticOverflowError):
             report.skipped += 1
             return
         report.record(main == reference, descriptor, main, reference)

@@ -19,6 +19,7 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .errors import ParseError, UniverseMismatchError
@@ -90,12 +91,13 @@ class AggregateAtom:
         inner = ", ".join(f"{w}:{lit}" for w, lit in self.entries)
         return f"{self.func.value}{{{inner}}} {self.cmp.value} {self.bound}"
 
-    @property
+    # cached per atom, outside the fields, so eq, hash and repr are unchanged
+    @cached_property
     def conditions(self) -> tuple[Literal, ...]:
         """Distinct condition literals, first occurrence first."""
         return tuple(dict.fromkeys(lit for _, lit in self.entries))
 
-    @property
+    @cached_property
     def condition_atoms(self) -> tuple[str, ...]:
         """Distinct atoms occurring in conditions, first occurrence first."""
         return tuple(dict.fromkeys(lit.atom for _, lit in self.entries))

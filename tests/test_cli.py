@@ -479,6 +479,18 @@ def test_models_when_aggregate_bounds_overflow(tmp_path, capsys, text, models):
     assert (code, out, err) == (0, f"ult: {models}\nmr: {models}\nflp: {models}\n", "")
 
 
+@pytest.mark.parametrize("sem", ["gl", "ult", "flp"])
+def test_verify_counts_overflowing_checks_as_skipped(tmp_path, capsys, sem):
+    # exact_bounds overflows at every pair with p and q both in the lower set
+    path = tmp_path / "big.lp"
+    path.write_text(f"#atoms h, p, q.\nh :- sum{{{HALF}:p, {HALF}:q}} >= 1.\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path), "--semantics", sem, "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["skipped"] > 0 and report["checked"] > 0
+    assert report["mismatches"] == []
+
+
 # ---------------------------------------------------------------------------
 # universe cap
 # ---------------------------------------------------------------------------

@@ -91,6 +91,47 @@ def test_one_subset_walk_each_in_interp_and_oracle():
     assert sorted(loops) == [("interp", "extensions"), ("oracle", "_subsets")]
 
 
+def _unchecked_interpretations(module):
+    """(module, enclosing function) of each way past `Interpretation`'s
+    universe check: a call that takes the class itself as an argument,
+    such as `object.__new__(Interpretation)` under any name, and a use of
+    `__dict__` or `__setattr__`, which fill an instance's fields without
+    its `__init__`."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.function = None
+
+        def visit_FunctionDef(self, node):
+            outer, self.function = self.function, node.name
+            self.generic_visit(node)
+            self.function = outer
+
+        def visit_Call(self, node):
+            is_type_test = isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            if not is_type_test and any(
+                isinstance(arg, ast.Name) and arg.id == "Interpretation" for arg in node.args
+            ):
+                found.append((module, self.function))
+            self.generic_visit(node)
+
+        def visit_Attribute(self, node):
+            if node.attr in ("__dict__", "__setattr__"):
+                found.append((module, self.function))
+            self.generic_visit(node)
+
+    Visitor().visit(_module_tree(module))
+    return found
+
+
+def test_only_the_walk_builds_interpretations_unchecked():
+    places = {
+        place for path in PACKAGE.glob("*.py") for place in _unchecked_interpretations(path.stem)
+    }
+    assert places == {("interp", "extensions")}
+
+
 # ---------------------------------------------------------------------------
 # the oracle's two-valued evaluation against eval2
 # ---------------------------------------------------------------------------
