@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from typing import Sequence
 
 from . import fixpoints, oracle
@@ -25,12 +26,7 @@ from .errors import (
 )
 from .interp import Interpretation
 from .syntax import Program, parse_interpretation, parse_program
-from .ternary import (
-    SemanticsId,
-    check_well_behaved,
-    compare_precision,
-    is_convex,
-)
+from .ternary import MAX_ANALYZE_ATOMS, Analysis, SemanticsId, is_convex
 
 EXIT_OK = 0
 EXIT_SEMANTIC_FAILURE = 1
@@ -207,21 +203,20 @@ def _cmd_fixpoint(args, program: Program, sems: list[SemanticsId]) -> int:
 
 def _cmd_analyze(args, program: Program, sems: list[SemanticsId]) -> int:
     convexity = {str(atom): is_convex(atom) for atom in program.aggregate_atoms()}
+    # one table per relation, shared by its well-behavedness and precision checks
+    analysis = Analysis(program, min(args.max_atoms, MAX_ANALYZE_ATOMS))
     behaved = {}
     for sem in sems:
-        report = check_well_behaved(sem, program, max_universe=min(args.max_atoms, 8))
+        report = analysis.well_behaved(sem)
         entry: dict = {"holds": report.holds}
         if report.counterexample is not None:
             entry["counterexample"] = str(report.counterexample)
         behaved[sem.value] = entry
-    precision = []
     comparable = [s for s in sems if s is not SemanticsId.ULTIMATE]
-    for i, sem_a in enumerate(comparable):
-        for sem_b in comparable[i + 1 :]:
-            result = compare_precision(sem_a, sem_b, program, max_universe=min(args.max_atoms, 8))
-            precision.append(
-                {"first": sem_a.value, "second": sem_b.value, "order": result.order.value}
-            )
+    precision = [
+        {"first": a.value, "second": b.value, "order": analysis.precision(a, b).order.value}
+        for a, b in combinations(comparable, 2)
+    ]
     if args.json:
         emit_json(
             {
@@ -270,7 +265,7 @@ def _cmd_verify(args, program: Program, sems: list[SemanticsId]) -> int:
     else:
         print(f"checked: {report.checked}")
         if report.skipped:
-            print(f"skipped: {report.skipped} (oracle enumeration bounds)")
+            print(f"skipped: {report.skipped} (oracle bounds or 64-bit overflow)")
         for tag, models in report.stable_models.items():
             print(f"{tag}: {_format_models(models)}")
         for descriptor, main, reference in report.mismatches:
@@ -305,6 +300,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         sems = _semantics_list(args.semantics)
         if not sems:
             print("aggsem: --semantics names no semantics", file=sys.stderr)
+            return EXIT_USAGE
+        repeated = [sem for i, sem in enumerate(sems) if sem in sems[:i]]
+        if repeated:
+            print(f"aggsem: --semantics names {repeated[0]} twice", file=sys.stderr)
             return EXIT_USAGE
         check_universe_size(len(program.universe), args.max_atoms)
         return _COMMANDS[args.command](args, program, sems)

@@ -47,7 +47,6 @@ from .interp import (
     InterpretationPair,
     enumerate_interval,
     extensions,
-    leq_precision,
 )
 from .syntax import (
     AggregateAtom,
@@ -66,6 +65,7 @@ __all__ = [
     "sat3_upper",
     "truth3",
     "truth3_body",
+    "Analysis",
     "WellBehavedReport",
     "WellBehavedCounterexample",
     "check_well_behaved",
@@ -253,6 +253,8 @@ def sat3_upper(sem: SemanticsId | str, element: BodyElement, pair: Interpretatio
 
 Formula = Union[BodyElement, DisjunctiveBody]
 
+MAX_ANALYZE_ATOMS = 8
+
 
 def _ordered_subsets(universe: tuple[str, ...]) -> list[frozenset[str]]:
     """Every subset, by size and then by universe positions."""
@@ -339,64 +341,21 @@ class WellBehavedReport:
 def check_well_behaved(
     sem: SemanticsId | str,
     source: Union[Program, Iterable[BodyElement]],
-    max_universe: int = 8,
+    max_universe: int = MAX_ANALYZE_ATOMS,
 ) -> WellBehavedReport:
     """Exhaustively test both well-behavedness conditions over all
     consistent pairs: agreement with two-valued satisfaction on exact
     pairs, and preservation of satisfaction under precision refinement.
 
     Refinement is checked one atom at a time; any refinement decomposes
-    into such steps, so this is complete.  When a violation exists, a
-    scan ordered from the least precise pair reconstructs a
+    into such steps, so this is complete.  The pairs are indexed once,
+    each with its single-step refinements as a list of pair indexes, and
+    the relation is read from one table per (formula, pair index), so it
+    is evaluated at most once per formula and pair.  When a violation
+    exists, a scan ordered from the least precise pair reconstructs a
     counterexample with the smallest refined upper set.
     """
-    sem = SemanticsId.from_tag(sem)
-    universe, formulas = _formulas_of(sem, source)
-    check_universe_size(len(universe), max_universe)
-
-    pairs = all_consistent_pairs(universe)
-    cache: dict[tuple[int, InterpretationPair], bool] = {}
-
-    def sat(fi: int, pair: InterpretationPair) -> bool:
-        key = (fi, pair)
-        if key not in cache:
-            cache[key] = _sat3_formula(sem, formulas[fi], pair)
-        return cache[key]
-
-    exact_pairs = [pair for pair in pairs if pair.is_exact]
-    for fi, formula in enumerate(formulas):
-        for exact in exact_pairs:
-            if sat(fi, exact) != _sat2_formula(sem, formula, exact.lower):
-                return WellBehavedReport(
-                    False, WellBehavedCounterexample("exact", formula, exact)
-                )
-
-    violated = any(
-        sat(fi, pair) and not sat(fi, refined)
-        for fi in range(len(formulas))
-        for pair in pairs
-        for refined in _single_refinements(pair)
-    )
-    if not violated:
-        return WellBehavedReport(True)
-
-    for pair in sorted(pairs, key=lambda p: -len(p.upper.atoms - p.lower.atoms)):
-        for fi, formula in enumerate(formulas):
-            if not sat(fi, pair):
-                continue
-            for refined in pairs:
-                if refined != pair and leq_precision(pair, refined) and not sat(fi, refined):
-                    return WellBehavedReport(
-                        False,
-                        WellBehavedCounterexample("monotone", formula, pair, refined),
-                    )
-    raise AssertionError("single-step violation had no two-pair witness")
-
-
-def _single_refinements(pair: InterpretationPair) -> Iterable[InterpretationPair]:
-    for atom in pair.undefined_atoms():
-        yield InterpretationPair(pair.lower.union((atom,)), pair.upper)
-        yield InterpretationPair(pair.lower, pair.upper.difference((atom,)))
+    return Analysis(source, max_universe).well_behaved(sem)
 
 
 class PrecisionOrder(Enum):
@@ -417,34 +376,154 @@ def compare_precision(
     sem_a: SemanticsId | str,
     sem_b: SemanticsId | str,
     program: Program,
-    max_universe: int = 8,
+    max_universe: int = MAX_ANALYZE_ATOMS,
 ) -> PrecisionResult:
     """Compare two relations pointwise over all consistent pairs and all
     body elements of the program; a relation is less precise when its
-    satisfactions are a subset of the other's."""
-    sem_a, sem_b = SemanticsId.from_tag(sem_a), SemanticsId.from_tag(sem_b)
-    for sem in (sem_a, sem_b):
-        if sem is SemanticsId.ULTIMATE:
-            raise CapabilityError("precision comparison covers element-wise relations only")
-    check_universe_size(len(program.universe), max_universe)
-    only_a = only_b = None
-    pairs = all_consistent_pairs(program.universe)
-    for element in program.body_elements():
-        for pair in pairs:
-            a, b = sat3(sem_a, element, pair), sat3(sem_b, element, pair)
-            if a and not b and only_a is None:
-                only_a = (element, pair)
-            if b and not a and only_b is None:
-                only_b = (element, pair)
-    if only_a is None and only_b is None:
-        order = PrecisionOrder.EQUAL
-    elif only_a is None:
-        order = PrecisionOrder.FIRST_LESS_PRECISE
-    elif only_b is None:
-        order = PrecisionOrder.SECOND_LESS_PRECISE
-    else:
-        order = PrecisionOrder.INCOMPARABLE
-    return PrecisionResult(order, only_a, only_b)
+    satisfactions are a subset of the other's.  The witnesses are the
+    first element, then the first pair, where only one relation holds."""
+    return Analysis(program, max_universe).precision(sem_a, sem_b)
+
+
+class _PairIndex:
+    """The consistent pairs of one universe, in `all_consistent_pairs`
+    order, with each pair's lower and upper sets as bitmasks (bit k stands
+    for universe[k]), the indexes of the exact pairs, and each pair's
+    single-step refinements as indexes: for every undefined atom in
+    universe order, the pair that makes it true, then the pair that makes
+    it false."""
+
+    def __init__(self, universe: tuple[str, ...]):
+        self.pairs = all_consistent_pairs(universe)
+        bit = {a: 1 << k for k, a in enumerate(universe)}
+        self.masks = [
+            (sum(bit[a] for a in p.lower.atoms), sum(bit[a] for a in p.upper.atoms))
+            for p in self.pairs
+        ]
+        at = {mask: i for i, mask in enumerate(self.masks)}
+        self.exact = [i for i, (lo, up) in enumerate(self.masks) if lo == up]
+        self.refinements = [
+            [
+                at[step]
+                for b in bit.values()
+                if (lo ^ up) & b
+                for step in ((lo | b, up), (lo, up ^ b))
+            ]
+            for lo, up in self.masks
+        ]
+
+
+class _Table:
+    """One relation's certain-truth of each formula at each indexed pair,
+    as rows[formula][pair], evaluated on first read (None until then)."""
+
+    def __init__(self, sem: SemanticsId, formulas: list[Formula], index: _PairIndex):
+        self.sem = sem
+        self.formulas = formulas
+        self.index = index
+        self.rows: list[list[bool | None]] = [[None] * len(index.pairs) for _ in formulas]
+
+    def __call__(self, fi: int, pi: int) -> bool:
+        value = self.rows[fi][pi]
+        if value is None:
+            pair = self.index.pairs[pi]
+            value = self.rows[fi][pi] = _sat3_formula(self.sem, self.formulas[fi], pair)
+        return value
+
+
+class Analysis:
+    """Well-behavedness and precision of relations over one source: a
+    program, or body elements whose atoms form the universe.
+
+    Each relation has one table of its certain-truth at every (formula,
+    consistent pair), filled on first read and shared by every check
+    that reads it, so one Analysis evaluates a relation at most once per
+    (formula, pair).  Every check reads its table in the order of its own
+    loops, so an evaluation that raises is reached on the same input as
+    by a check that evaluates afresh.
+    """
+
+    def __init__(
+        self,
+        source: Union[Program, Iterable[BodyElement]],
+        max_universe: int = MAX_ANALYZE_ATOMS,
+    ):
+        self._source = source if isinstance(source, Program) else list(source)
+        self._max_universe = max_universe
+        self._index: _PairIndex | None = None
+        self._tables: dict[SemanticsId, _Table] = {}
+
+    def _table(self, sem: SemanticsId) -> _Table:
+        table = self._tables.get(sem)
+        if table is None:
+            universe, formulas = _formulas_of(sem, self._source)
+            if self._index is None:
+                check_universe_size(len(universe), self._max_universe)
+                self._index = _PairIndex(universe)
+            table = self._tables[sem] = _Table(sem, formulas, self._index)
+        return table
+
+    def well_behaved(self, sem: SemanticsId | str) -> WellBehavedReport:
+        """See `check_well_behaved`."""
+        sem = SemanticsId.from_tag(sem)
+        sat = self._table(sem)
+        index = sat.index
+        pairs, formulas = index.pairs, sat.formulas
+        for fi, formula in enumerate(formulas):
+            for pi in index.exact:
+                if sat(fi, pi) != _sat2_formula(sem, formula, pairs[pi].lower):
+                    return WellBehavedReport(
+                        False, WellBehavedCounterexample("exact", formula, pairs[pi])
+                    )
+
+        violated = any(
+            sat(fi, pi) and not all(sat(fi, ri) for ri in steps)
+            for fi in range(len(formulas))
+            for pi, steps in enumerate(index.refinements)
+        )
+        if not violated:
+            return WellBehavedReport(True)
+
+        masks = index.masks
+        widths = [(lo ^ up).bit_count() for lo, up in masks]
+        for pi in sorted(range(len(pairs)), key=lambda i: -widths[i]):
+            lo, up = masks[pi]
+            for fi, formula in enumerate(formulas):
+                if not sat(fi, pi):
+                    continue
+                # ri == pi never matches, since sat holds at pi
+                for ri, (refined_lo, refined_up) in enumerate(masks):
+                    if lo & refined_lo == lo and refined_up & up == refined_up and not sat(fi, ri):
+                        return WellBehavedReport(
+                            False,
+                            WellBehavedCounterexample("monotone", formula, pairs[pi], pairs[ri]),
+                        )
+        raise AssertionError("single-step violation had no two-pair witness")
+
+    def precision(self, sem_a: SemanticsId | str, sem_b: SemanticsId | str) -> PrecisionResult:
+        """See `compare_precision`."""
+        sem_a, sem_b = SemanticsId.from_tag(sem_a), SemanticsId.from_tag(sem_b)
+        for sem in (sem_a, sem_b):
+            if sem is SemanticsId.ULTIMATE:
+                raise CapabilityError("precision comparison covers element-wise relations only")
+        sat_a, sat_b = self._table(sem_a), self._table(sem_b)
+        only_a = only_b = None
+        for fi, element in enumerate(sat_a.formulas):
+            for pi, pair in enumerate(sat_a.index.pairs):
+                a, b = sat_a(fi, pi), sat_b(fi, pi)
+                if a and not b and only_a is None:
+                    only_a = (element, pair)
+                if b and not a and only_b is None:
+                    only_b = (element, pair)
+        if only_a is None and only_b is None:
+            order = PrecisionOrder.EQUAL
+        elif only_a is None:
+            order = PrecisionOrder.FIRST_LESS_PRECISE
+        elif only_b is None:
+            order = PrecisionOrder.SECOND_LESS_PRECISE
+        else:
+            order = PrecisionOrder.INCOMPARABLE
+        return PrecisionResult(order, only_a, only_b)
 
 
 MAX_CONVEXITY_ATOMS = 16

@@ -524,3 +524,93 @@ def test_max_atoms_covers_every_command_but_parse(tmp_path, capsys, argv):
     assert "universe of 23 atoms exceeds bound" in err
     assert elapsed < 1.0, f"{argv[0]} took {elapsed:.2f}s to refuse"
     assert run_cli(capsys, "parse", str(path))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models"],
+        ["check", "--model", "p"],
+        ["kk"],
+        ["wf"],
+        ["compare"],
+        ["analyze"],
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_semantics_list_naming_a_tag_twice_is_usage_error(capsys, argv):
+    code, out, err = run_cli(
+        capsys, argv[0], program_path("tautology_pair.lp"), *argv[1:], "--semantics", "ult,gz, ult"
+    )
+    assert (code, out, err) == (2, "", "aggsem: --semantics names ult twice\n")
+
+
+def test_verify_text_names_both_causes_of_skips(tmp_path, capsys):
+    # no oracle bound is reached on 3 atoms: every skip is an overflow
+    path = tmp_path / "big.lp"
+    path.write_text(f"#atoms h, p, q.\nh :- sum{{{HALF}:p, {HALF}:q}} >= 1.\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path), "--semantics", "gl")
+    assert (code, err) == (0, "")
+    assert "skipped: 12 (oracle bounds or 64-bit overflow)\n" in out
+
+
+# ---------------------------------------------------------------------------
+# exact output of analyze under the default tags
+# ---------------------------------------------------------------------------
+
+ANALYZE_TAGS = ["triv", "gz", "ult", "lpst", "bnd", "mr", "flp", "ultimate"]
+LESS = "first <=p second"
+
+
+def analyze_golden(convex, counterexample, precision):
+    """analyze's text and JSON output when mr and flp share the
+    counterexample and every other tag is well-behaved; `precision` holds
+    the orders of the 21 tag pairs in output order."""
+    behaved = {
+        tag: {"holds": False, "counterexample": counterexample}
+        if tag in ("mr", "flp")
+        else {"holds": True}
+        for tag in ANALYZE_TAGS
+    }
+    pairs = [(a, b) for i, a in enumerate(ANALYZE_TAGS[:-1]) for b in ANALYZE_TAGS[i + 1 : -1]]
+    rows = [{"first": a, "second": b, "order": o} for (a, b), o in zip(pairs, precision)]
+    text = [f"convex: {atom}: {'yes' if yes else 'no'}" for atom, yes in convex.items()]
+    text += [f"well-behaved: {tag}: yes" for tag in ANALYZE_TAGS[:5]]
+    text += [f"well-behaved: {tag}: no ({counterexample})" for tag in ("mr", "flp")]
+    text += ["well-behaved: ultimate: yes"]
+    text += [f"precision: {r['first']} vs {r['second']}: {r['order']}" for r in rows]
+    payload = {
+        "command": "analyze",
+        "semantics": ANALYZE_TAGS,
+        "report": {"convex": convex, "well_behaved": behaved, "precision": rows},
+    }
+    text_out = "".join(line + "\n" for line in text)
+    return text_out, json.dumps(payload, separators=(", ", ": ")) + "\n"
+
+
+ANALYZE_GOLDEN = {
+    "nonconvex_loop.lp": analyze_golden(
+        {"sum{1:p, -1:q} >= 0": False, "sum{1:s} > 0": True, "sum{1:q} > 0": True},
+        "satisfied at ({}, {p, q, s}) but not at the refinement ({}, {q}) on sum{1:p, -1:q} >= 0",
+        # triv vs gz ult lpst bnd mr flp, gz vs ult lpst bnd mr flp,
+        # ult vs lpst bnd mr flp, lpst vs bnd mr flp, bnd vs mr flp, mr vs flp
+        ["equal", LESS, LESS, LESS, LESS, LESS, LESS, LESS, LESS, LESS, LESS]
+        + ["equal", "equal", LESS, LESS, "equal", LESS, LESS, LESS, LESS, "second <=p first"],
+    ),
+    "bounds_gap.lp": analyze_golden(
+        {"sum{2:p, 1:q} != 2": False},
+        "satisfied at ({}, {p, q}) but not at the refinement ({}, {p}) on sum{2:p, 1:q} != 2",
+        ["equal", LESS, LESS, LESS, LESS, LESS, LESS, LESS, LESS, LESS, LESS]
+        + ["equal", "second <=p first", LESS, LESS]
+        + ["second <=p first", LESS, LESS, LESS, LESS, "second <=p first"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_analyze_golden_output(capsys, name, json_flag):
+    text, payload = ANALYZE_GOLDEN[name]
+    expected = payload if json_flag else text
+    assert run_cli(capsys, "analyze", program_path(name), *json_flag) == (0, expected, "")
