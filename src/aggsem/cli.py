@@ -43,6 +43,17 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
+def _atom_cap(text: str) -> int:
+    """--max-atoms: a count of atoms, never negative."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"a universe-size cap is at least 0, not {cap}")
+    return cap
+
+
 def _semantics_list(raw: str) -> list[SemanticsId]:
     return [SemanticsId.from_tag(part.strip()) for part in raw.split(",") if part.strip()]
 
@@ -85,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if semantics_default is not None:
             p.add_argument(
                 "--max-atoms",
-                type=int,
+                type=_atom_cap,
                 default=fixpoints.DEFAULT_MAX_ATOMS,
                 metavar="N",
                 help="universe-size cap (default 20)",
@@ -212,7 +223,7 @@ def _cmd_analyze(args, program: Program, sems: list[SemanticsId]) -> int:
         if report.counterexample is not None:
             entry["counterexample"] = str(report.counterexample)
         behaved[sem.value] = entry
-    comparable = [s for s in sems if s is not SemanticsId.ULTIMATE]
+    comparable = [s for s in sems if s.is_elementwise]
     precision = [
         {"first": a.value, "second": b.value, "order": analysis.precision(a, b).order.value}
         for a, b in combinations(comparable, 2)

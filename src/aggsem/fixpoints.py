@@ -5,12 +5,13 @@ reducts (gz, flp) and the brute-force most precise approximator are
 reference code and live in `oracle`, on the oracle's own two-valued
 evaluation and subset walk.
 
-The lower operator of a relation maps (X, Y) to the heads of rules whose
-body is certainly true; for the semantics with truth functions the upper
-operator collects heads of possibly-true bodies.  Y is a stable model
-when it is a supported model and the least fixpoint of X -> lower(X, Y)
-(for flp, which has no monotone lower operator: a supported model that
-no proper subset of Y is closed under).
+The lower operator is per head: it maps (X, Y) to the heads whose
+disjunction of bodies the relation's row finds certainly true; for the
+semantics with truth functions the upper operator collects the heads
+with a possibly true body.  Both take rules grouped per head, from either
+program form.  Y is a stable model when it is a supported model and the
+least fixpoint of X -> lower(X, Y) (for flp, which has no monotone lower
+operator: a supported model that no proper subset of Y is closed under).
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
@@ -35,14 +36,13 @@ from .errors import ArithmeticOverflowError, CapabilityError, check_universe_siz
 from .eval2 import is_supported_model
 from .interp import Interpretation, InterpretationPair, extensions
 from .syntax import (
+    AggregateAtom,
     DisjunctiveBodyProgram,
     Literal,
     Program,
     Rule,
-    combine_rules_per_head,
 )
-from .ternary import SemanticsId, sat3_body, truth3_body
-from .truth import TruthValue
+from .ternary import SemanticsId
 
 __all__ = [
     "WellFoundedResult",
@@ -68,39 +68,26 @@ class WellFoundedResult:
 ProgramLike = Union[Program, DisjunctiveBodyProgram]
 
 
-def _check_gl_applicable(sem: SemanticsId, program: Program) -> None:
-    if sem is SemanticsId.GL and not program.is_aggregate_free:
-        raise CapabilityError("gl handles aggregate-free programs only")
-
-
 def lower_step(sem: SemanticsId | str, program: ProgramLike, pair: InterpretationPair) -> Interpretation:
-    """Heads of rules whose body is certainly true in the pair."""
-    sem = SemanticsId.from_tag(sem)
-    if sem is SemanticsId.ULTIMATE:
-        if not isinstance(program, DisjunctiveBodyProgram):
-            raise CapabilityError(
-                "the whole-program relation needs a one-rule-per-head program; "
-                "apply combine_rules_per_head first"
-            )
-        fired = {
-            head for head, bodies in program.entries if sat3_body(sem, bodies, pair)
-        }
-        return Interpretation(program.universe, frozenset(fired))
-    assert isinstance(program, Program)
-    _check_gl_applicable(sem, program)
-    fired = {rule.head for rule in program.rules if sat3_body(sem, rule.body, pair)}
-    return Interpretation(program.universe, frozenset(fired))
+    """Heads whose disjunction of bodies is certainly true in the pair."""
+    return _step(SemanticsId.bodies_certain, sem, program, pair)
 
 
-def upper_step(sem: SemanticsId | str, program: Program, pair: InterpretationPair) -> Interpretation:
-    """Heads of rules whose body is possibly true (truth-function semantics)."""
+def upper_step(sem: SemanticsId | str, program: ProgramLike, pair: InterpretationPair) -> Interpretation:
+    """Heads with a possibly true body (truth-function semantics)."""
+    return _step(SemanticsId.bodies_possible, sem, program, pair)
+
+
+def _step(holds, sem: SemanticsId | str, program: ProgramLike, pair: InterpretationPair):
+    """The heads whose bodies pass the row's test `holds`, once gl has
+    rejected an aggregate program and the pair has been checked."""
     sem = SemanticsId.from_tag(sem)
-    _check_gl_applicable(sem, program)
-    fired = {
-        rule.head
-        for rule in program.rules
-        if truth3_body(sem, rule.body, pair) is not TruthValue.FALSE
-    }
+    entries = program.entries
+    elements = (e for _, bodies in entries for body in bodies for e in body)
+    if sem is SemanticsId.GL and any(isinstance(e, AggregateAtom) for e in elements):
+        raise CapabilityError("gl handles aggregate-free programs only")
+    pair.require_consistent()
+    fired = {head for head, bodies in entries if holds(sem, bodies, pair)}
     return Interpretation(program.universe, frozenset(fired))
 
 
@@ -153,23 +140,21 @@ def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) ->
         return False
     if not sem.monotone_lower_operator:
         return _minimal_model_check(sem, program, y)
-    target: ProgramLike = (
-        combine_rules_per_head(program) if sem is SemanticsId.ULTIMATE else program
-    )
-    return lfp_lower(sem, target, y).atoms == y.atoms
+    return lfp_lower(sem, program, y).atoms == y.atoms
 
 
 def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) -> bool:
     """No proper subset of the supported model y is closed under the
     relation with y as upper bound (for flp, equivalently: no proper
-    subset models the body-preserving reduct)."""
+    subset models the body-preserving reduct).  Rules are tested in source
+    order, not per head, so no body past the first failed rule is evaluated."""
     members = list(y)
     # the walk ends at y itself, which is not a proper subset
     proper_subsets = islice(extensions(y.with_atoms(()), members), (1 << len(members)) - 1)
     return not any(
         all(
             rule.head in subset.atoms
-            or not sat3_body(sem, rule.body, InterpretationPair(subset, y))
+            or not sem.bodies_certain((rule.body,), InterpretationPair(subset, y))
             for rule in program.rules
         )
         for subset in proper_subsets

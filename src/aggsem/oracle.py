@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import accumulate
 from operator import mul
 from typing import Iterator, Sequence
@@ -31,7 +32,6 @@ from .syntax import (
     Literal,
     Program,
     Rule,
-    combine_rules_per_head,
 )
 from .ternary import SemanticsId, all_consistent_pairs, sat3
 from .truth import TruthValue
@@ -381,67 +381,59 @@ def verify_program(
     """
     report = VerificationReport()
     sems = [SemanticsId.from_tag(s) for s in sems]
+    if not program.is_aggregate_free:
+        # gl rejects aggregates: neither checked nor reported
+        sems = [sem for sem in sems if sem is not SemanticsId.GL]
     pairs = _sample_pairs(program, seed)
     aggregates = program.aggregate_atoms()
 
-    stable: dict[SemanticsId, list[Interpretation]] = {}
-
+    @cache  # one enumeration serves both the reduct comparison and the report
     def stable_models(sem: SemanticsId) -> list[Interpretation]:
-        # one enumeration serves both the reduct comparison and the report
-        if sem not in stable:
-            stable[sem] = stable_enumerate(sem, program)
-        return stable[sem]
+        return stable_enumerate(sem, program)
 
-    def compare(descriptor, main_fn, reference_fn):
+    def compare(descriptor, main_fn, reference_fn, *args):
         try:
-            main, reference = main_fn(), reference_fn()
+            main, reference = main_fn(*args), reference_fn(*args)
         except (TooLargeError, ArithmeticOverflowError):
             report.skipped += 1
             return
         report.record(main == reference, descriptor, main, reference)
 
+    # (main, reference) per tag whose aggregate atoms are checked one by one
     per_atom_oracles = {
-        SemanticsId.ULT: lambda a, p: (lambda: sat3("ult", a, p), lambda: brute_sat_ult(a, p)),
-        SemanticsId.LPST: lambda a, p: (lambda: sat3("lpst", a, p), lambda: brute_sat_ult(a, p)),
-        SemanticsId.BND: lambda a, p: (lambda: bnd_truth(a, p), lambda: brute_bnd_truth(a, p)),
-        SemanticsId.MR: lambda a, p: (lambda: sat3("mr", a, p), lambda: brute_sat_mr(a, p)),
-        SemanticsId.TRIV: lambda a, p: (lambda: sat3("triv", a, p), lambda: brute_sat_triv(a, p)),
+        SemanticsId.ULT: (partial(sat3, SemanticsId.ULT), brute_sat_ult),
+        SemanticsId.LPST: (partial(sat3, SemanticsId.LPST), brute_sat_ult),
+        SemanticsId.BND: (bnd_truth, brute_bnd_truth),
+        SemanticsId.MR: (partial(sat3, SemanticsId.MR), brute_sat_mr),
+        SemanticsId.TRIV: (partial(sat3, SemanticsId.TRIV), brute_sat_triv),
     }
 
     for atom in aggregates:
         for pair in pairs:
-            compare(
-                f"bounds of {atom} at {pair}",
-                lambda a=atom, p=pair: exact_bounds(a, p),
-                lambda a=atom, p=pair: brute_bounds(a, p),
-            )
+            compare(f"bounds of {atom} at {pair}", exact_bounds, brute_bounds, atom, pair)
 
     for sem in sems:
         if sem in per_atom_oracles:
+            main_fn, reference_fn = per_atom_oracles[sem]
             for atom in aggregates:
                 for pair in pairs:
-                    main_fn, reference_fn = per_atom_oracles[sem](atom, pair)
-                    compare(f"{sem.value}: {atom} at {pair}", main_fn, reference_fn)
+                    compare(f"{sem.value}: {atom} at {pair}", main_fn, reference_fn, atom, pair)
         elif sem in (SemanticsId.GL, SemanticsId.GZ, SemanticsId.FLP):
-            if sem is SemanticsId.GL and not program.is_aggregate_free:
-                continue
             compare(
                 f"stable models under {sem.value}: relation path vs reduct path",
-                lambda s=sem: [str(m) for m in stable_models(s)],
-                lambda s=sem: [str(m) for m in reduct_stable_models(s, program)],
+                lambda: [str(m) for m in stable_models(sem)],
+                lambda: [str(m) for m in reduct_stable_models(sem, program)],
             )
         elif sem is SemanticsId.ULTIMATE:
-            combined = combine_rules_per_head(program)
             for pair in pairs:
                 compare(
                     f"most-precise lower operator at {pair}",
-                    lambda p=pair: lower_step("ultimate", combined, p),
-                    lambda p=pair: ultimate_operator_bruteforce(program, p).lower,
+                    partial(lower_step, sem, program),
+                    lambda p: ultimate_operator_bruteforce(program, p).lower,
+                    pair,
                 )
 
     for sem in sems:
-        if sem is SemanticsId.GL and not program.is_aggregate_free:
-            continue
         report.stable_models[sem.value] = stable_models(sem)
     return report
 

@@ -174,6 +174,14 @@ class Program:
     def aggregate_atoms(self) -> tuple[AggregateAtom, ...]:
         return tuple(e for e in self.body_elements() if isinstance(e, AggregateAtom))
 
+    @cached_property  # outside the fields, like AggregateAtom.conditions
+    def entries(self) -> tuple[tuple[str, tuple[tuple[BodyElement, ...], ...]], ...]:
+        """The rule bodies grouped per head, as `DisjunctiveBodyProgram.entries`."""
+        grouped: dict[str, list[tuple[BodyElement, ...]]] = {}
+        for rule in self.rules:
+            grouped.setdefault(rule.head, []).append(rule.body)
+        return tuple((head, tuple(bodies)) for head, bodies in grouped.items())
+
 
 @dataclass(frozen=True)
 class DisjunctiveBodyProgram:
@@ -196,11 +204,7 @@ class DisjunctiveBodyProgram:
 
 def combine_rules_per_head(program: Program) -> DisjunctiveBodyProgram:
     """Group rule bodies by head atom, preserving source order."""
-    grouped: dict[str, list[tuple[BodyElement, ...]]] = {}
-    for rule in program.rules:
-        grouped.setdefault(rule.head, []).append(rule.body)
-    entries = tuple((head, tuple(bodies)) for head, bodies in grouped.items())
-    return DisjunctiveBodyProgram(universe=program.universe, entries=entries)
+    return DisjunctiveBodyProgram(universe=program.universe, entries=program.entries)
 
 
 # ---------------------------------------------------------------------------

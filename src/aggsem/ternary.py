@@ -23,7 +23,9 @@ differ only on aggregate atoms:
             every interpretation in the interval (not truth-functional)
 
 Each `SemanticsId` member carries its row of this table, so adding a
-semantics is adding one row.
+semantics is adding one row.  Every row says whether one head's
+disjunction of bodies is certainly true: an element-wise row by some
+body with every element certainly true, `ultimate` by its own sweep.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .syntax import (
     BodyElement,
     Literal,
     Program,
-    combine_rules_per_head,
 )
 from .truth import TruthValue, conjunction, negate
 
@@ -135,25 +136,43 @@ def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     return eval_aggregate(atom, pair.lower) and eval_aggregate(atom, pair.upper)
 
 
+def _atoms_of(elements: Iterable[BodyElement]) -> tuple[str, ...]:
+    """The atoms the elements mention, first occurrence first."""
+    mentioned = ([e.atom] if isinstance(e, Literal) else e.condition_atoms for e in elements)
+    return tuple(dict.fromkeys(a for atoms in mentioned for a in atoms))
+
+
+def _ultimate_certain(bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
+    """The disjunction holds at every interpretation in the interval; only
+    the atoms occurring in the bodies vary."""
+    relevant = frozenset(_atoms_of(element for body in bodies for element in body))
+    return all(
+        sat2_disjunction(bodies, z)
+        for z in enumerate_interval(pair.lower, pair.upper, restrict=relevant)
+    )
+
+
 class SemanticsId(Enum):
     """A semantics tag together with its row of the relation table: the
     three-valued truth function of aggregate atoms (None when the relation
-    has none), the certain-truth test of aggregate atoms (None for the
-    whole-body relation; by default, the truth function says t), and
-    the capability flags."""
+    has none), the certain-truth test of aggregate atoms (by default, the
+    truth function says t; None when the row is not element-wise), the
+    capability flags, and a test of one head's whole disjunction of bodies
+    for the row that is not element-wise."""
 
-    def __new__(cls, tag, truth, certain=None, well_behaved=True, monotone=True):
+    def __new__(cls, tag, truth, certain=None, well_behaved=True, monotone=True, bodies=None):
         member = object.__new__(cls)
         member._value_ = tag
         if certain is None and truth is not None:
             certain = lambda atom, pair: truth(atom, pair) is TruthValue.TRUE
         member._truth = truth
         member._certain = certain
+        member._bodies = bodies
         member.is_well_behaved_claimed = well_behaved
         member.monotone_lower_operator = monotone
         return member
 
-    # tag, truth function, certain-truth test, well-behaved, monotone lower operator
+    # tag, truth function, certain-truth test, well-behaved, monotone, disjunction test
     GL = ("gl", _aggregate_free_only)
     TRIV = ("triv", _triv_truth)
     GZ = ("gz", None, _gz_certain)
@@ -162,7 +181,7 @@ class SemanticsId(Enum):
     BND = ("bnd", bnd_truth)
     MR = ("mr", None, _mr_certain, False)
     FLP = ("flp", None, _flp_certain, False, False)
-    ULTIMATE = ("ultimate", None)
+    ULTIMATE = ("ultimate", None, None, True, True, _ultimate_certain)
 
     def __str__(self) -> str:
         return self.value
@@ -181,27 +200,44 @@ class SemanticsId(Enum):
     def has_truth_function(self) -> bool:
         return self._truth is not None
 
+    @property
+    def is_elementwise(self) -> bool:
+        return self._certain is not None
+
+    def _element_truth(self, element: BodyElement, pair: InterpretationPair) -> TruthValue:
+        if isinstance(element, Literal):
+            return _literal_truth(element, pair)
+        return self._truth(element, pair)
+
+    def bodies_certain(self, bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
+        """Is one head's disjunction of bodies certainly true at the pair,
+        which the caller has checked to be consistent?"""
+        if self._bodies is not None:
+            return self._bodies(bodies, pair)
+        test = self._certain
+        return any(
+            all(_literal_sat3(e, pair) if isinstance(e, Literal) else test(e, pair) for e in body)
+            for body in bodies
+        )
+
+    def bodies_possible(self, bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
+        """Has one of the head's bodies no false element at the consistent
+        pair?  Without a truth function, raises unless every body is empty."""
+        if self._truth is None and any(bodies):
+            raise CapabilityError(f"{self.value} has no three-valued truth function")
+        truth, false = self._element_truth, TruthValue.FALSE
+        return any(all(truth(e, pair) is not false for e in body) for body in bodies)
+
 
 def sat3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair) -> bool:
     """Certain-truth of one body element under the selected relation."""
     sem = SemanticsId.from_tag(sem)
     pair.require_consistent()
-    if sem._certain is None:
+    if not sem.is_elementwise:
         raise CapabilityError("the whole-program relation applies to bodies, not elements")
     if isinstance(element, Literal):
         return _literal_sat3(element, pair)
     return sem._certain(element, pair)
-
-
-def _relevant_atoms(bodies: DisjunctiveBody) -> frozenset[str]:
-    atoms: set[str] = set()
-    for body in bodies:
-        for element in body:
-            if isinstance(element, Literal):
-                atoms.add(element.atom)
-            else:
-                atoms.update(element.condition_atoms)
-    return frozenset(atoms)
 
 
 def sat3_body(
@@ -210,18 +246,12 @@ def sat3_body(
     pair: InterpretationPair,
 ) -> bool:
     """Certain-truth of a rule body (for `ultimate`: of the whole
-    disjunction of one head's bodies, which must be passed as a tuple of
-    bodies)."""
+    disjunction of one head's bodies, which must be passed as a sequence
+    of bodies)."""
     sem = SemanticsId.from_tag(sem)
-    if sem is SemanticsId.ULTIMATE:
-        pair.require_consistent()
-        bodies: DisjunctiveBody = tuple(tuple(b) for b in body)  # type: ignore[arg-type]
-        restrict = _relevant_atoms(bodies)
-        return all(
-            sat2_disjunction(bodies, z)
-            for z in enumerate_interval(pair.lower, pair.upper, restrict=restrict)
-        )
-    return all(sat3(sem, element, pair) for element in body)  # type: ignore[arg-type]
+    pair.require_consistent()
+    bodies = (body,) if sem.is_elementwise else tuple(map(tuple, body))  # type: ignore[arg-type]
+    return sem.bodies_certain(bodies, pair)  # type: ignore[arg-type]
 
 
 def truth3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair) -> TruthValue:
@@ -231,9 +261,7 @@ def truth3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPai
     pair.require_consistent()
     if sem._truth is None:
         raise CapabilityError(f"{sem.value} has no three-valued truth function")
-    if isinstance(element, Literal):
-        return _literal_truth(element, pair)
-    return sem._truth(element, pair)
+    return sem._element_truth(element, pair)
 
 
 def truth3_body(
@@ -278,36 +306,16 @@ def all_consistent_pairs(universe: Iterable[str]) -> list[InterpretationPair]:
     return pairs
 
 
-def _formulas_of(
-    sem: SemanticsId, source: Union[Program, Iterable[BodyElement]]
-) -> tuple[tuple[str, ...], list[Formula]]:
-    if isinstance(source, Program):
-        universe = source.universe
-        if sem is SemanticsId.ULTIMATE:
-            combined = combine_rules_per_head(source)
-            return universe, [bodies for _, bodies in combined.entries]
-        return universe, list(source.body_elements())
-    elements = list(source)
-    seen: dict[str, None] = {}
-    for element in elements:
-        atoms = [element.atom] if isinstance(element, Literal) else element.condition_atoms
-        for a in atoms:
-            seen.setdefault(a)
-    if sem is SemanticsId.ULTIMATE:
-        return tuple(seen), [((element,),) for element in elements]
-    return tuple(seen), elements
-
-
-def _sat3_formula(sem: SemanticsId, formula: Formula, pair: InterpretationPair) -> bool:
-    if sem is SemanticsId.ULTIMATE:
-        return sat3_body(sem, formula, pair)  # type: ignore[arg-type]
-    return sat3(sem, formula, pair)  # type: ignore[arg-type]
-
-
-def _sat2_formula(sem: SemanticsId, formula: Formula, i: Interpretation) -> bool:
-    if sem is SemanticsId.ULTIMATE:
-        return sat2_disjunction(formula, i)  # type: ignore[arg-type]
-    return sat2_element(formula, i)  # type: ignore[arg-type]
+def _formulas_of(sem: SemanticsId, source: Union[Program, list[BodyElement]]):
+    """The formulas a relation is analysed on, its certain truth of one
+    formula at a pair and their two-valued truth: the body elements for
+    an element-wise relation, else each head's disjunction of bodies
+    (each source element alone when the source is not a program)."""
+    program = isinstance(source, Program)
+    if sem.is_elementwise:
+        return list(source.body_elements() if program else source), sat3, sat2_element
+    heads = [bodies for _, bodies in source.entries] if program else [((e,),) for e in source]
+    return heads, sat3_body, sat2_disjunction
 
 
 @dataclass(frozen=True)
@@ -348,11 +356,8 @@ def check_well_behaved(
     pairs, and preservation of satisfaction under precision refinement.
 
     Refinement is checked one atom at a time; any refinement decomposes
-    into such steps, so this is complete.  The pairs are indexed once,
-    each with its single-step refinements as a list of pair indexes, and
-    the relation is read from one table per (formula, pair index), so it
-    is evaluated at most once per formula and pair.  When a violation
-    exists, a scan ordered from the least precise pair reconstructs a
+    into such steps, so this is complete.  When a violation exists, a
+    scan ordered from the least precise pair reconstructs a
     counterexample with the smallest refined upper set.
     """
     return Analysis(source, max_universe).well_behaved(sem)
@@ -415,19 +420,20 @@ class _PairIndex:
 
 class _Table:
     """One relation's certain-truth of each formula at each indexed pair,
-    as rows[formula][pair], evaluated on first read (None until then)."""
+    as rows[formula][pair], evaluated on first read (None until then),
+    with the two-valued truth of its formulas as `holds`."""
 
-    def __init__(self, sem: SemanticsId, formulas: list[Formula], index: _PairIndex):
+    def __init__(self, sem: SemanticsId, source, index: _PairIndex):
         self.sem = sem
-        self.formulas = formulas
+        self.formulas, self.certain, self.holds = _formulas_of(sem, source)
         self.index = index
-        self.rows: list[list[bool | None]] = [[None] * len(index.pairs) for _ in formulas]
+        self.rows: list[list[bool | None]] = [[None] * len(index.pairs) for _ in self.formulas]
 
     def __call__(self, fi: int, pi: int) -> bool:
         value = self.rows[fi][pi]
         if value is None:
             pair = self.index.pairs[pi]
-            value = self.rows[fi][pi] = _sat3_formula(self.sem, self.formulas[fi], pair)
+            value = self.rows[fi][pi] = self.certain(self.sem, self.formulas[fi], pair)
         return value
 
 
@@ -456,11 +462,12 @@ class Analysis:
     def _table(self, sem: SemanticsId) -> _Table:
         table = self._tables.get(sem)
         if table is None:
-            universe, formulas = _formulas_of(sem, self._source)
             if self._index is None:
+                source = self._source
+                universe = source.universe if isinstance(source, Program) else _atoms_of(source)
                 check_universe_size(len(universe), self._max_universe)
                 self._index = _PairIndex(universe)
-            table = self._tables[sem] = _Table(sem, formulas, self._index)
+            table = self._tables[sem] = _Table(sem, self._source, self._index)
         return table
 
     def well_behaved(self, sem: SemanticsId | str) -> WellBehavedReport:
@@ -471,7 +478,7 @@ class Analysis:
         pairs, formulas = index.pairs, sat.formulas
         for fi, formula in enumerate(formulas):
             for pi in index.exact:
-                if sat(fi, pi) != _sat2_formula(sem, formula, pairs[pi].lower):
+                if sat(fi, pi) != sat.holds(formula, pairs[pi].lower):
                     return WellBehavedReport(
                         False, WellBehavedCounterexample("exact", formula, pairs[pi])
                     )
@@ -503,9 +510,8 @@ class Analysis:
     def precision(self, sem_a: SemanticsId | str, sem_b: SemanticsId | str) -> PrecisionResult:
         """See `compare_precision`."""
         sem_a, sem_b = SemanticsId.from_tag(sem_a), SemanticsId.from_tag(sem_b)
-        for sem in (sem_a, sem_b):
-            if sem is SemanticsId.ULTIMATE:
-                raise CapabilityError("precision comparison covers element-wise relations only")
+        if not (sem_a.is_elementwise and sem_b.is_elementwise):
+            raise CapabilityError("precision comparison covers element-wise relations only")
         sat_a, sat_b = self._table(sem_a), self._table(sem_b)
         only_a = only_b = None
         for fi, element in enumerate(sat_a.formulas):

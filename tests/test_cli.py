@@ -614,3 +614,25 @@ def test_analyze_golden_output(capsys, name, json_flag):
     text, payload = ANALYZE_GOLDEN[name]
     expected = payload if json_flag else text
     assert run_cli(capsys, "analyze", program_path(name), *json_flag) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models"],
+        ["check", "--model", "p"],
+        ["kk"],
+        ["wf"],
+        ["compare"],
+        ["analyze"],
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_negative_max_atoms_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run([argv[0], program_path("tautology_pair.lp"), *argv[1:], "--max-atoms", "-1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-atoms: a universe-size cap is at least 0, not -1" in captured.err

@@ -1,0 +1,38 @@
+"""The choice of semantics has one dispatch point: outside the rows of the
+`SemanticsId` table, no main-path module singles out `ultimate`.  The
+oracle, which is not on the main path, may."""
+
+import ast
+from pathlib import Path
+
+from aggsem import ternary
+
+PACKAGE = Path(ternary.__file__).parent
+MAIN_PATH = sorted(path for path in PACKAGE.glob("*.py") if path.stem != "oracle")
+
+
+def _ultimate_references(path):
+    """Line numbers of `SemanticsId.ULTIMATE` outside the class body that
+    defines `SemanticsId`."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_ClassDef(self, node):
+            if node.name != "SemanticsId":
+                self.generic_visit(node)
+
+        def visit_Attribute(self, node):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "SemanticsId":
+                if node.attr == "ULTIMATE":
+                    found.append(node.lineno)
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_main_path_names_ultimate_only_in_its_row():
+    assert {"ternary", "fixpoints", "cli"} <= {path.stem for path in MAIN_PATH}
+    found = {path.stem: lines for path in MAIN_PATH if (lines := _ultimate_references(path))}
+    assert found == {}
