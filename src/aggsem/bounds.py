@@ -25,14 +25,14 @@ from dataclasses import dataclass
 from .errors import TooLargeError
 from .eval2 import (
     AggValue,
+    _interval_sweep,
     aggregate_value,
     checked_int,
     checked_product,
-    eval_aggregate,
     eval_multiset,
     literal_holds,
 )
-from .interp import InterpretationPair, enumerate_interval, extensions
+from .interp import InterpretationPair, extensions
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
 
@@ -122,13 +122,8 @@ def interval_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     One sweep over the aggregate's own condition atoms, which stops at the
     first member whose value differs from the first member's.
     """
-    members = enumerate_interval(
-        pair.lower, pair.upper, restrict=frozenset(atom.condition_atoms)
-    )
-    first = eval_aggregate(atom, next(members))
-    if any(eval_aggregate(atom, z) != first for z in members):
-        return TruthValue.UNDEFINED
-    return TruthValue.from_bool(first)
+    truth = _interval_sweep(atom, pair, None)
+    return TruthValue.UNDEFINED if truth is None else TruthValue.from_bool(truth)
 
 
 def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:

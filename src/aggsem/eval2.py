@@ -10,13 +10,20 @@ or silently using big integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Sequence
+from math import inf
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import ArithmeticOverflowError
-from .interp import Interpretation, InterpretationPair, enumerate_interval
-from .syntax import AggFunc, AggregateAtom, BodyElement, Comparison, Literal, Program
+from .interp import (
+    Interpretation,
+    InterpretationPair,
+    _interval_free_atoms,
+    enumerate_interval,
+)
+from .syntax import AggFunc, AggregateAtom, BodyElement, Literal, Program
 
 __all__ = [
     "AggValue",
@@ -67,9 +74,6 @@ class AggValue:
     def __str__(self) -> str:
         return str(self.value) if self.defined else "undefined"
 
-    def compare(self, cmp: Comparison, bound: int) -> bool:
-        return self.defined and cmp.holds(self.value, bound)
-
 
 AggValue.UNDEFINED = AggValue(False)
 
@@ -84,26 +88,32 @@ def eval_multiset(entries: Sequence[tuple[int, Literal]], i: Interpretation) -> 
     return tuple([w for w, lit in entries if (lit.atom in atoms) != lit.negated])
 
 
-def aggregate_value(func: AggFunc, multiset: Sequence[int]) -> AggValue:
+def _value(func: AggFunc, multiset: Sequence[int]) -> int | Fraction | None:
+    """The aggregate's value, None when it is undefined."""
     if func is AggFunc.SUM:
-        return AggValue.of(checked_int(sum(multiset), "sum"))
+        return checked_int(sum(multiset), "sum")
     if func is AggFunc.CARD:
-        return AggValue.of(len(multiset))
+        return len(multiset)
     if func is AggFunc.PROD:
-        return AggValue.of(checked_product(multiset))
+        return checked_product(multiset)
     if not multiset:
-        return AggValue.UNDEFINED
+        return None
     if func is AggFunc.MIN:
-        return AggValue.of(min(multiset))
+        return min(multiset)
     if func is AggFunc.MAX:
-        return AggValue.of(max(multiset))
+        return max(multiset)
     # avg: exact rational, no rounding
-    return AggValue.of(Fraction(checked_int(sum(multiset), "sum"), len(multiset)))
+    return Fraction(checked_int(sum(multiset), "sum"), len(multiset))
+
+
+def aggregate_value(func: AggFunc, multiset: Sequence[int]) -> AggValue:
+    value = _value(func, multiset)
+    return AggValue.UNDEFINED if value is None else AggValue.of(value)
 
 
 def eval_aggregate(atom: AggregateAtom, i: Interpretation) -> bool:
-    value = aggregate_value(atom.func, eval_multiset(atom.entries, i))
-    return value.compare(atom.cmp, atom.bound)
+    value = _value(atom.func, eval_multiset(atom.entries, i))
+    return value is not None and atom.cmp.holds(value, atom.bound)
 
 
 def sat2_element(element: BodyElement, i: Interpretation) -> bool:
@@ -142,8 +152,121 @@ def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) ->
     atoms are irrelevant to its value.
     """
     pair.require_consistent()
-    relevant = frozenset(atom.condition_atoms)
-    return all(
-        eval_aggregate(atom, z)
-        for z in enumerate_interval(pair.lower, pair.upper, restrict=relevant)
-    )
+    return _interval_sweep(atom, pair, True) is True
+
+
+# ---------------------------------------------------------------------------
+# The interval sweep shared by ult's truth function and certain truth
+# ---------------------------------------------------------------------------
+
+
+def _interval_sweep(
+    atom: AggregateAtom, pair: InterpretationPair, expected: bool | None
+) -> bool | None:
+    """The truth the atom has at every member of the pair's interval that
+    varies only its condition atoms, or None when the members disagree.
+
+    Members are taken in the order of `interp.extensions` and the sweep
+    stops at the first whose truth differs from `expected` (from the
+    first member's when `expected` is None), so a value outside the
+    signed 64-bit range raises only when a member before that stop has
+    it.  Counts one interval expansion.
+    """
+    for truth in _member_truths(atom, pair):
+        if truth is not expected:
+            if expected is not None:
+                return None
+            expected = truth
+    return expected
+
+
+def _member_truths(atom: AggregateAtom, pair: InterpretationPair) -> Iterator[bool]:
+    """The atom's truth at each member of the sweep, in order.
+
+    prod walks the members.  The other functions build none: the free
+    condition atoms split, as in `extensions`, into a low and a high
+    half, each with a table of the partial value of every choice of its
+    atoms (the fixed atoms' part is folded into the high table), and
+    each member's value is one high entry joined with one low entry.
+    """
+    restrict = frozenset(atom.condition_atoms)
+    if atom.func is AggFunc.PROD:
+        members = enumerate_interval(pair.lower, pair.upper, restrict=restrict)
+        return (eval_aggregate(atom, z) for z in members)
+    free = _interval_free_atoms(pair.lower, pair.upper, restrict)
+    branches = atom._branch_weights
+    lower, varied = pair.lower.atoms, set(free)
+    fixed = [w for a, ws in branches.items() if a not in varied for w in ws[a in lower]]
+    measure, join, truths = _COMPILED[atom.func]
+    half = len(free) // 2
+    low = _choice_table(measure(()), [branches[a] for a in free[:half]], measure, join)
+    high = _choice_table(measure(fixed), [branches[a] for a in free[half:]], measure, join)
+    return truths(atom, high, low)
+
+
+def _choice_table(
+    start, parts: list[tuple[tuple[int, ...], tuple[int, ...]]], measure: Callable, join: Callable
+) -> list:
+    """`start` joined with the measure of every choice of one branch of
+    each part, taken in the bit order of `extensions` (bit k set: the
+    true branch of part k)."""
+    table = [start]
+    for off, on in parts:
+        choices = (measure(off), measure(on))
+        table = [join(t, c) for c in choices for t in table]
+    return table
+
+
+def _sum_truths(atom: AggregateAtom, high: list, low: list) -> Iterator[bool]:
+    """sum and card: a member's value is its high entry plus its low entry."""
+    holds, bound, checked = atom.cmp.holds, atom.bound, atom.func is AggFunc.SUM
+    for hv in high:
+        for lv in low:
+            value = hv + lv
+            if checked and not INT64_MIN <= value <= INT64_MAX:
+                checked_int(value, "sum")
+            yield holds(value, bound)
+
+
+def _avg_truths(atom: AggregateAtom, high: list, low: list) -> Iterator[bool]:
+    """avg: entries are (sum, count).  A count of 0 is the empty multiset,
+    whose average is undefined, so false; otherwise the checked sum is
+    compared with the bound times the count, which for a positive count
+    is the exact comparison of the average."""
+    holds, bound = atom.cmp.holds, atom.bound
+    for high_sum, high_count in high:
+        for low_sum, low_count in low:
+            count = high_count + low_count
+            if not count:
+                yield False
+                continue
+            total = high_sum + low_sum
+            if not INT64_MIN <= total <= INT64_MAX:
+                checked_int(total, "sum")
+            yield holds(total, bound * count)
+
+
+def _extreme_truths(atom: AggregateAtom, high: list, low: list) -> Iterator[bool]:
+    """min and max: entries are extremes, with an infinity for none, which
+    no weight reaches; a member with none is undefined, so false."""
+    holds, bound = atom.cmp.holds, atom.bound
+    pick, empty = (min, inf) if atom.func is AggFunc.MIN else (max, -inf)
+    for hv in high:
+        for lv in low:
+            value = pick(hv, lv)
+            yield value != empty and holds(value, bound)
+
+
+# per function: the partial value of some weights, the join of two
+# partial values, and the member truths from the joined half tables
+_COMPILED = {
+    AggFunc.SUM: (sum, operator.add, _sum_truths),
+    AggFunc.CARD: (len, operator.add, _sum_truths),
+    AggFunc.AVG: (
+        lambda ws: (sum(ws), len(ws)),
+        lambda p, q: (p[0] + q[0], p[1] + q[1]),
+        _avg_truths,
+    ),
+    AggFunc.MIN: (lambda ws: min(ws, default=inf), min, _extreme_truths),
+    AggFunc.MAX: (lambda ws: max(ws, default=-inf), max, _extreme_truths),
+}

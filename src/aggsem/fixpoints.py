@@ -82,13 +82,16 @@ def _step(holds, sem: SemanticsId | str, program: ProgramLike, pair: Interpretat
     """The heads whose bodies pass the row's test `holds`, once gl has
     rejected an aggregate program and the pair has been checked."""
     sem = SemanticsId.from_tag(sem)
-    entries = program.entries
-    elements = (e for _, bodies in entries for body in bodies for e in body)
+    _reject_gl_aggregates(sem, program)
+    pair.require_consistent()
+    fired = {head for head, bodies in program.entries if holds(sem, bodies, pair)}
+    return Interpretation(program.universe, frozenset(fired))
+
+
+def _reject_gl_aggregates(sem: SemanticsId, program: ProgramLike) -> None:
+    elements = (e for _, bodies in program.entries for body in bodies for e in body)
     if sem is SemanticsId.GL and any(isinstance(e, AggregateAtom) for e in elements):
         raise CapabilityError("gl handles aggregate-free programs only")
-    pair.require_consistent()
-    fired = {head for head, bodies in entries if holds(sem, bodies, pair)}
-    return Interpretation(program.universe, frozenset(fired))
 
 
 _State = TypeVar("_State")
@@ -130,12 +133,14 @@ def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -
 def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) -> bool:
     """Is y a stable model (answer set) of the program under the relation?
 
-    Every relation first asks that y be a supported model; a candidate
-    that passes lies in the box `stable_enumerate` searches.  Then y must
-    be the least fixpoint of X -> lower(X, y), or, for a relation
-    without a monotone lower operator, pass the minimal-model check.
+    gl rejects an aggregate program first, as the operators do.  Every
+    relation then asks that y be a supported model; a candidate that
+    passes lies in the box `stable_enumerate` searches.  Then y must be
+    the least fixpoint of X -> lower(X, y), or, for a relation without a
+    monotone lower operator, pass the minimal-model check.
     """
     sem = SemanticsId.from_tag(sem)
+    _reject_gl_aggregates(sem, program)
     if not is_supported_model(program, y):
         return False
     if not sem.monotone_lower_operator:

@@ -178,15 +178,24 @@ def enumerate_interval(
     value-irrelevant atoms out of aggregate evaluations.  Each call counts
     one interval expansion.
     """
+    return extensions(x, _interval_free_atoms(x, y, restrict))
+
+
+def _interval_free_atoms(
+    x: Interpretation, y: Interpretation, restrict: frozenset[str] | set[str] | None
+) -> list[str]:
+    """The free atoms of `enumerate_interval`, in universe order, after
+    its checks; counts one interval expansion.  A sweep that evaluates the
+    interval without building its members starts here."""
     global _interval_expansions
     _require_same_universe(x, y)
     if not x.atoms <= y.atoms:
         raise InconsistentPairError(f"{x} is not a subset of {y}")
-    free = [a for a in x.universe if a in y.atoms and a not in x.atoms]
+    free = y.atoms - x.atoms
     if restrict is not None:
-        free = [a for a in free if a in restrict]
+        free = free.intersection(restrict)
     _interval_expansions += 1
-    return extensions(x, free)
+    return [a for a in x.universe if a in free] if free else []
 
 
 def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretation]:

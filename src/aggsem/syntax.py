@@ -102,6 +102,19 @@ class AggregateAtom:
         """Distinct atoms occurring in conditions, first occurrence first."""
         return tuple(dict.fromkeys(lit.atom for _, lit in self.entries))
 
+    @cached_property
+    def _branch_weights(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per condition atom, first occurrence first: the weights of the
+        entries whose condition holds when the atom is false (index 0)
+        and when it is true (index 1), each in entry order.  The compiled
+        interval sweep of `eval2` reads them."""
+        branches: dict[str, tuple[list[int], list[int]]] = {
+            a: ([], []) for a in self.condition_atoms
+        }
+        for weight, lit in self.entries:
+            branches[lit.atom][not lit.negated].append(weight)
+        return {a: (tuple(off), tuple(on)) for a, (off, on) in branches.items()}
+
 
 BodyElement = Union[Literal, AggregateAtom]
 

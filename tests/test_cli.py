@@ -182,6 +182,15 @@ def test_gl_on_aggregates_is_capability_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [["models"], ["check", "--model", "p"]])
+def test_gl_rejects_aggregates_with_no_stable_model(tmp_path, capsys, command):
+    path = tmp_path / "odd.lp"
+    path.write_text("p :- not p, sum{1:q} >= 0.\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:], "--semantics", "gl")
+    assert code == 3 and out == ""
+    assert "gl handles aggregate-free programs only" in err
+
+
 def test_unknown_semantics_tag(capsys):
     code, _, err = run_cli(
         capsys, "models", program_path("tautology_pair.lp"), "--semantics", "nope"

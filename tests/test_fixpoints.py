@@ -108,6 +108,15 @@ def test_stable_check_rejects_unsupported(tautology_pair):
     assert not stable_check("ultimate", tautology_pair, interp(tautology_pair.universe))
 
 
+@pytest.mark.parametrize("model", ["", "p", "q", "p,q"])
+def test_gl_rejects_aggregates_before_the_support_test(model):
+    # {p} and {q} are not supported, {} and {p, q} are
+    program = parse_program("p :- sum{1:q} > 0. q :- p.")
+    y = interp(program.universe, [a for a in model.split(",") if a])
+    with pytest.raises(CapabilityError, match="gl handles aggregate-free programs only"):
+        stable_check("gl", program, y)
+
+
 # ---------------------------------------------------------------------------
 # stable_enumerate
 # ---------------------------------------------------------------------------
@@ -286,6 +295,15 @@ def test_flp_reduct_drops_unsatisfied_bodies():
 # ---------------------------------------------------------------------------
 # Kripke-Kleene and well-founded fixpoints
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sem", [s for s in SemanticsId if not s.has_truth_function])
+@pytest.mark.parametrize("text", ["a0.", "a0. a0 :- a1."])
+def test_upper_step_needs_a_truth_function(sem, text):
+    program = parse_program(text)
+    least = InterpretationPair.least_precise(program.universe)
+    with pytest.raises(CapabilityError, match="no three-valued truth function"):
+        fixpoints.upper_step(sem, program, least)
 
 
 def test_kk_classic_negation_loop():
