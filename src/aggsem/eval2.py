@@ -142,7 +142,18 @@ def is_model(program: Program, i: Interpretation) -> bool:
 
 
 def is_supported_model(program: Program, i: Interpretation) -> bool:
-    return tp(program, i).atoms == i.atoms
+    """Is i a fixpoint of `tp`?  Heads are tested one at a time, in the
+    order of `program.entries`, and the test stops at the first head
+    whose membership in i differs from "some body holds at i", so a body
+    after that head is never evaluated.  Every atom of i must be a head."""
+    atoms = i.atoms
+    heads_in_i = 0
+    for head, bodies in program.entries:
+        holds = head in atoms
+        if holds is not sat2_disjunction(bodies, i):
+            return False
+        heads_in_i += holds
+    return heads_in_i == len(atoms)
 
 
 def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) -> bool:

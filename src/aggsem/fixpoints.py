@@ -10,8 +10,15 @@ disjunction of bodies the relation's row finds certainly true; for the
 semantics with truth functions the upper operator collects the heads
 with a possibly true body.  Both take rules grouped per head, from either
 program form.  Y is a stable model when it is a supported model and the
-least fixpoint of X -> lower(X, Y) (for flp, which has no monotone lower
-operator: a supported model that no proper subset of Y is closed under).
+least fixpoint of X -> lower(X, Y).  flp's lower operator is monotone
+only when every aggregate of the program is convex; there it coincides
+with ult's and Y is checked the same way.  On other programs an flp
+candidate Y is stable when no proper subset X of Y is closed under it,
+that is, contains lower(X, Y) (the minimal-model walk).
+
+The checks cost little per candidate: the support test stops at the
+first head it refutes, and the least fixpoint is semi-naive (a head
+already derived is not tested again) and stops as soon as it reaches Y.
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
@@ -74,7 +81,11 @@ def lower_step(sem: SemanticsId | str, program: ProgramLike, pair: Interpretatio
 
 
 def upper_step(sem: SemanticsId | str, program: ProgramLike, pair: InterpretationPair) -> Interpretation:
-    """Heads with a possibly true body (truth-function semantics)."""
+    """Heads with a possibly true body; raises for a relation without a
+    truth function, whatever the program."""
+    sem = SemanticsId.from_tag(sem)
+    if not sem.has_truth_function:
+        raise CapabilityError(f"{sem.value} has no three-valued truth function")
     return _step(SemanticsId.bodies_possible, sem, program, pair)
 
 
@@ -123,11 +134,34 @@ def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -
         raise CapabilityError(
             f"{sem.value} has no monotone lower operator; use its minimal-model check"
         )
-    return _kleene(
-        lambda x: lower_step(sem, program, InterpretationPair(x, y)),
-        Interpretation.empty(program.universe),
-        len(program.universe) + 1,
-    )[0]
+    return _least_fixpoint(sem, program, y, stop_at_y=False)
+
+
+def _least_fixpoint(
+    sem: SemanticsId, program: ProgramLike, y: Interpretation, stop_at_y: bool
+) -> Interpretation:
+    """The Kleene chain of X -> lower(X, y) from bottom, semi-naive.  The
+    caller sees to it that the operator is monotone in X on [bottom, y],
+    so the chain only grows and a head already derived is not tested
+    again; the chain of X's is that of plain iteration, and an X that
+    leaves [bottom, y] raises InconsistentPairError as there.  With
+    `stop_at_y` the chain ends when X reaches y, which for a supported
+    model y is its last element: at (y, y) certain truth implies
+    two-valued truth, so lower(y, y) adds nothing."""
+    pair = InterpretationPair(Interpretation.empty(program.universe), y)
+    _reject_gl_aggregates(sem, program)
+    waiting = program.entries
+    while True:
+        pair.require_consistent()
+        fired, rest = [], []
+        for entry in waiting:
+            (fired if sem.bodies_certain(entry[1], pair) else rest).append(entry)
+        if not fired:
+            return pair.lower
+        x = pair.lower.union(head for head, _ in fired)
+        if stop_at_y and x.atoms == y.atoms:
+            return x
+        pair, waiting = InterpretationPair(x, y), rest
 
 
 def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) -> bool:
@@ -136,16 +170,26 @@ def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) ->
     gl rejects an aggregate program first, as the operators do.  Every
     relation then asks that y be a supported model; a candidate that
     passes lies in the box `stable_enumerate` searches.  Then y must be
-    the least fixpoint of X -> lower(X, y), or, for a relation without a
-    monotone lower operator, pass the minimal-model check.
+    the least fixpoint of X -> lower(X, y).  A relation without a
+    monotone lower operator has one on a program whose aggregates are
+    all convex, and takes that path there; on other programs it must
+    pass the minimal-model check.
     """
     sem = SemanticsId.from_tag(sem)
     _reject_gl_aggregates(sem, program)
     if not is_supported_model(program, y):
         return False
-    if not sem.monotone_lower_operator:
+    if not (sem.monotone_lower_operator or _all_convex(program)):
         return _minimal_model_check(sem, program, y)
-    return lfp_lower(sem, program, y).atoms == y.atoms
+    return _least_fixpoint(sem, program, y, stop_at_y=True).atoms == y.atoms
+
+
+def _all_convex(program: Program) -> bool:
+    """Do all the program's aggregates pass `is_convex`?  A convex atom
+    that holds at X and at y holds at every interpretation between them,
+    so flp's relation is ult's, whose lower operator is monotone.  An
+    atom `is_convex` cannot decide counts as not convex."""
+    return all(atom._convex for atom in program.aggregate_atoms())
 
 
 def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) -> bool:

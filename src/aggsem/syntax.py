@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
-from .errors import ParseError, UniverseMismatchError
+from .errors import ArithmeticOverflowError, ParseError, TooLargeError, UniverseMismatchError
 
 __all__ = [
     "AggFunc",
@@ -114,6 +114,18 @@ class AggregateAtom:
         for weight, lit in self.entries:
             branches[lit.atom][not lit.negated].append(weight)
         return {a: (tuple(off), tuple(on)) for a, (off, on) in branches.items()}
+
+    @cached_property
+    def _convex(self) -> bool:
+        """`ternary.is_convex` of the atom, False when that raises: above
+        `MAX_CONVEXITY_ATOMS` condition atoms, or when some value leaves
+        the signed 64-bit range.  The flp stable check reads it."""
+        from .ternary import is_convex
+
+        try:
+            return is_convex(self)
+        except (TooLargeError, ArithmeticOverflowError):
+            return False
 
 
 BodyElement = Union[Literal, AggregateAtom]

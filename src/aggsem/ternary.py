@@ -222,9 +222,7 @@ class SemanticsId(Enum):
 
     def bodies_possible(self, bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
         """Has one of the head's bodies no false element at the consistent
-        pair?  Raises for a relation without a truth function."""
-        if self._truth is None:
-            raise CapabilityError(f"{self.value} has no three-valued truth function")
+        pair?  For a row with a truth function, which the caller checks."""
         truth, false = self._element_truth, TruthValue.FALSE
         return any(all(truth(e, pair) is not false for e in body) for body in bodies)
 

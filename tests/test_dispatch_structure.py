@@ -1,6 +1,6 @@
 """The choice of semantics has one dispatch point: outside the rows of the
-`SemanticsId` table, no main-path module singles out `ultimate`.  The
-oracle, which is not on the main path, may."""
+`SemanticsId` table, no main-path module singles out `ultimate` or `flp`.
+The oracle, which is not on the main path, may."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,12 @@ MAIN_PATH = sorted(path for path in PACKAGE.glob("*.py") if path.stem != "oracle
 def _ultimate_references(path):
     """Line numbers of `SemanticsId.ULTIMATE` outside the class body that
     defines `SemanticsId`."""
+    return _member_references(path, "ULTIMATE")
+
+
+def _member_references(path, member):
+    """Line numbers of `SemanticsId.<member>` outside the class body that
+    defines `SemanticsId`."""
     found = []
 
     class Visitor(ast.NodeVisitor):
@@ -24,7 +30,7 @@ def _ultimate_references(path):
         def visit_Attribute(self, node):
             owner = node.value
             if isinstance(owner, ast.Name) and owner.id == "SemanticsId":
-                if node.attr == "ULTIMATE":
+                if node.attr == member:
                     found.append(node.lineno)
             self.generic_visit(node)
 
@@ -35,4 +41,11 @@ def _ultimate_references(path):
 def test_main_path_names_ultimate_only_in_its_row():
     assert {"ternary", "fixpoints", "cli"} <= {path.stem for path in MAIN_PATH}
     found = {path.stem: lines for path in MAIN_PATH if (lines := _ultimate_references(path))}
+    assert found == {}
+
+
+def test_main_path_names_flp_only_in_its_row():
+    """flp's stable check keys on its row's flag and on the program's
+    convexity, not on the tag."""
+    found = {path.stem: lines for path in MAIN_PATH if (lines := _member_references(path, "FLP"))}
     assert found == {}

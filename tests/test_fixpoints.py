@@ -306,6 +306,14 @@ def test_upper_step_needs_a_truth_function(sem, text):
         fixpoints.upper_step(sem, program, least)
 
 
+@pytest.mark.parametrize("sem", [s for s in SemanticsId if not s.has_truth_function])
+def test_upper_step_needs_a_truth_function_without_rules(sem):
+    program = parse_program("#atoms a0.")
+    least = InterpretationPair.least_precise(program.universe)
+    with pytest.raises(CapabilityError, match="no three-valued truth function"):
+        fixpoints.upper_step(sem, program, least)
+
+
 def test_kk_classic_negation_loop():
     program = parse_program("p :- not q.  q :- not p.")
     result = kripke_kleene("gl", program)
