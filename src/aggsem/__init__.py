@@ -45,7 +45,6 @@ from .syntax import (
     AggFunc,
     AggregateAtom,
     Comparison,
-    DisjunctiveBodyProgram,
     Literal,
     Program,
     Rule,
@@ -77,7 +76,6 @@ __all__ = [
     "Bounds",
     "CapabilityError",
     "Comparison",
-    "DisjunctiveBodyProgram",
     "InconsistentPairError",
     "Interpretation",
     "InterpretationPair",

@@ -30,7 +30,6 @@ from .eval2 import (
     checked_int,
     checked_product,
     eval_multiset,
-    literal_holds,
 )
 from .interp import InterpretationPair, extensions
 from .syntax import AggFunc, AggregateAtom, Comparison
@@ -52,31 +51,23 @@ class Bounds:
         return f"[{self.lb}, {self.ub}]"
 
 
-def _split_entries(atom: AggregateAtom, pair: InterpretationPair):
-    """Fixed weights plus per-undefined-atom (true-branch, false-branch) weights."""
-    fixed: list[int] = []
-    branches: dict[str, tuple[list[int], list[int]]] = {}
-    lower, upper = pair.lower, pair.upper
-    for weight, lit in atom.entries:
-        defined = lit.atom in lower.atoms or lit.atom not in upper.atoms
-        if defined:
-            if literal_holds(lit, lower):
-                fixed.append(weight)
-        else:
-            true_branch, false_branch = branches.setdefault(lit.atom, ([], []))
-            (false_branch if lit.negated else true_branch).append(weight)
-    return fixed, branches
-
-
 def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     """Exact min/max of the aggregate value over every Z in the pair's interval."""
     pair.require_consistent()
-    fixed, branches = _split_entries(atom, pair)
+    lower, upper = pair.lower.atoms, pair.upper.atoms
+    # the weights of the certainly true conditions, in entry order, and
+    # per undefined condition atom its (false-branch, true-branch) weights
+    fixed = [
+        w
+        for w, lit in atom.entries
+        if (lit.atom not in upper if lit.negated else lit.atom in lower)
+    ]
+    branches = {
+        a: weights for a, weights in atom._branch_weights.items() if a in upper and a not in lower
+    }
 
     empty_certain = not fixed and not branches
-    empty_possible = not fixed and all(
-        not bt or not bf for bt, bf in branches.values()
-    )
+    empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
 
     func = atom.func
     if func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
@@ -86,7 +77,7 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
             measure = (lambda ws: checked_int(sum(ws), "sum")) if func is AggFunc.SUM else len
             combine, context = operator.add, "sum"
         lo = hi = measure(fixed)
-        for bt, bf in branches.values():
+        for bf, bt in branches.values():
             vt, vf = measure(bt), measure(bf)
             values = (combine(lo, vt), combine(lo, vf), combine(hi, vt), combine(hi, vf))
             # every combination lies between these two, so checking them

@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze",
         "convexity, well-behavedness and precision reports",
         # every tag but gl, which rejects the aggregates analyze is about
-        ",".join(s.value for s in SemanticsId if s is not SemanticsId.GL),
+        ",".join(s.value for s in SemanticsId if s.handles_aggregates),
     )
     verify = add_command("verify", "cross-check against brute-force oracles")
     verify.add_argument(

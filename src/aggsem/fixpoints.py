@@ -8,17 +8,19 @@ evaluation and subset walk.
 The lower operator is per head: it maps (X, Y) to the heads whose
 disjunction of bodies the relation's row finds certainly true; for the
 semantics with truth functions the upper operator collects the heads
-with a possibly true body.  Both take rules grouped per head, from either
-program form.  Y is a stable model when it is a supported model and the
-least fixpoint of X -> lower(X, Y).  flp's lower operator is monotone
-only when every aggregate of the program is convex; there it coincides
-with ult's and Y is checked the same way.  On other programs an flp
-candidate Y is stable when no proper subset X of Y is closed under it,
-that is, contains lower(X, Y) (the minimal-model walk).
+with a possibly true body.  Both take the rules grouped per head, as the
+program caches them.  Y is a stable model when it is a supported model
+and the least fixpoint of X -> lower(X, Y).  flp's lower operator is
+monotone only when every aggregate of the program is convex; there it
+coincides with ult's and Y is checked the same way.  On other programs
+an flp candidate Y is stable when no proper subset X of Y is closed
+under it, that is, contains lower(X, Y) (the minimal-model walk).
 
 The checks cost little per candidate: the support test stops at the
 first head it refutes, and the least fixpoint is semi-naive (a head
 already derived is not tested again) and stops as soon as it reaches Y.
+The well-founded upper bound, the least fixpoint of the upper operator,
+runs through the same loop.
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
@@ -37,19 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, TypeVar, Union
+from typing import Callable, TypeVar
 
 from .errors import ArithmeticOverflowError, CapabilityError, check_universe_size
 from .eval2 import is_supported_model
 from .interp import Interpretation, InterpretationPair, extensions
-from .syntax import (
-    AggregateAtom,
-    DisjunctiveBodyProgram,
-    Literal,
-    Program,
-    Rule,
-)
-from .ternary import SemanticsId
+from .syntax import Literal, Program, Rule
+from .ternary import DisjunctiveBody, SemanticsId
 
 __all__ = [
     "WellFoundedResult",
@@ -72,15 +68,12 @@ class WellFoundedResult:
     iterations: int
 
 
-ProgramLike = Union[Program, DisjunctiveBodyProgram]
-
-
-def lower_step(sem: SemanticsId | str, program: ProgramLike, pair: InterpretationPair) -> Interpretation:
+def lower_step(sem: SemanticsId | str, program: Program, pair: InterpretationPair) -> Interpretation:
     """Heads whose disjunction of bodies is certainly true in the pair."""
     return _step(SemanticsId.bodies_certain, sem, program, pair)
 
 
-def upper_step(sem: SemanticsId | str, program: ProgramLike, pair: InterpretationPair) -> Interpretation:
+def upper_step(sem: SemanticsId | str, program: Program, pair: InterpretationPair) -> Interpretation:
     """Heads with a possibly true body; raises for a relation without a
     truth function, whatever the program."""
     sem = SemanticsId.from_tag(sem)
@@ -89,7 +82,7 @@ def upper_step(sem: SemanticsId | str, program: ProgramLike, pair: Interpretatio
     return _step(SemanticsId.bodies_possible, sem, program, pair)
 
 
-def _step(holds, sem: SemanticsId | str, program: ProgramLike, pair: InterpretationPair):
+def _step(holds, sem: SemanticsId | str, program: Program, pair: InterpretationPair):
     """The heads whose bodies pass the row's test `holds`, once gl has
     rejected an aggregate program and the pair has been checked."""
     sem = SemanticsId.from_tag(sem)
@@ -99,9 +92,8 @@ def _step(holds, sem: SemanticsId | str, program: ProgramLike, pair: Interpretat
     return Interpretation(program.universe, frozenset(fired))
 
 
-def _reject_gl_aggregates(sem: SemanticsId, program: ProgramLike) -> None:
-    elements = (e for _, bodies in program.entries for body in bodies for e in body)
-    if sem is SemanticsId.GL and any(isinstance(e, AggregateAtom) for e in elements):
+def _reject_gl_aggregates(sem: SemanticsId, program: Program) -> None:
+    if not (sem.handles_aggregates or program.is_aggregate_free):
         raise CapabilityError("gl handles aggregate-free programs only")
 
 
@@ -122,7 +114,7 @@ def _kleene(
     raise AssertionError(f"Kleene iteration failed to reach a fixpoint in {limit} steps")
 
 
-def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -> Interpretation:
+def lfp_lower(sem: SemanticsId | str, program: Program, y: Interpretation) -> Interpretation:
     """Least fixpoint of X -> lower(X, y), by Kleene iteration from bottom.
 
     The iteration stays inside [bottom, y] whenever y is a supported
@@ -134,34 +126,41 @@ def lfp_lower(sem: SemanticsId | str, program: ProgramLike, y: Interpretation) -
         raise CapabilityError(
             f"{sem.value} has no monotone lower operator; use its minimal-model check"
         )
-    return _least_fixpoint(sem, program, y, stop_at_y=False)
+    return _least_fixpoint(
+        SemanticsId.bodies_certain, sem, program, lambda x: InterpretationPair(x, y), False
+    )
 
 
 def _least_fixpoint(
-    sem: SemanticsId, program: ProgramLike, y: Interpretation, stop_at_y: bool
+    holds: Callable[[SemanticsId, DisjunctiveBody, InterpretationPair], bool],
+    sem: SemanticsId,
+    program: Program,
+    pair_at: Callable[[Interpretation], InterpretationPair],
+    stop_at_upper: bool,
 ) -> Interpretation:
-    """The Kleene chain of X -> lower(X, y) from bottom, semi-naive.  The
-    caller sees to it that the operator is monotone in X on [bottom, y],
-    so the chain only grows and a head already derived is not tested
-    again; the chain of X's is that of plain iteration, and an X that
-    leaves [bottom, y] raises InconsistentPairError as there.  With
-    `stop_at_y` the chain ends when X reaches y, which for a supported
-    model y is its last element: at (y, y) certain truth implies
-    two-valued truth, so lower(y, y) adds nothing."""
-    pair = InterpretationPair(Interpretation.empty(program.universe), y)
+    """The Kleene chain from bottom of X -> the heads whose bodies pass the
+    row's test `holds` at `pair_at(X)`, semi-naive.  The caller sees to
+    it that this map is monotone in X, so the chain only grows and a
+    head already derived is not tested again; the chain of X's is that
+    of plain iteration, and a pair that is inconsistent raises
+    InconsistentPairError as there.  With `stop_at_upper` the chain ends
+    when X reaches the upper set of its pair: for the lower operator at
+    a supported model y that is its last element, as at (y, y) certain
+    truth implies two-valued truth, so lower(y, y) adds nothing."""
     _reject_gl_aggregates(sem, program)
-    waiting = program.entries
+    x, waiting = Interpretation.empty(program.universe), program.entries
     while True:
+        pair = pair_at(x)
         pair.require_consistent()
         fired, rest = [], []
         for entry in waiting:
-            (fired if sem.bodies_certain(entry[1], pair) else rest).append(entry)
+            (fired if holds(sem, entry[1], pair) else rest).append(entry)
         if not fired:
-            return pair.lower
-        x = pair.lower.union(head for head, _ in fired)
-        if stop_at_y and x.atoms == y.atoms:
             return x
-        pair, waiting = InterpretationPair(x, y), rest
+        x = x.union(head for head, _ in fired)
+        if stop_at_upper and x.atoms == pair.upper.atoms:
+            return x
+        waiting = rest
 
 
 def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) -> bool:
@@ -181,7 +180,10 @@ def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) ->
         return False
     if not (sem.monotone_lower_operator or _all_convex(program)):
         return _minimal_model_check(sem, program, y)
-    return _least_fixpoint(sem, program, y, stop_at_y=True).atoms == y.atoms
+    lower = _least_fixpoint(
+        SemanticsId.bodies_certain, sem, program, lambda x: InterpretationPair(x, y), True
+    )
+    return lower.atoms == y.atoms
 
 
 def _all_convex(program: Program) -> bool:
@@ -317,14 +319,18 @@ def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
 
 
 def _lfp_upper(sem: SemanticsId, program: Program, x: Interpretation) -> Interpretation:
-    """Least fixpoint of Z -> upper(x, Z), iterated from bottom.
+    """Least fixpoint of Z -> upper(x, Z), semi-naive from bottom: the
+    upper operator of a row with a truth function is monotone in Z, so a
+    head already possible is not tested again.
 
     The upper slot is seeded with x: atoms already certain are possible,
     which keeps every evaluated pair consistent and computes the same
     least fixpoint (the seed is contained in it).
     """
-    return _kleene(
-        lambda z: upper_step(sem, program, InterpretationPair(x, z.union(x.atoms))),
-        Interpretation.empty(program.universe),
-        len(program.universe) + 1,
-    )[0]
+    return _least_fixpoint(
+        SemanticsId.bodies_possible,
+        sem,
+        program,
+        lambda z: InterpretationPair(x, z.union(x.atoms)),
+        False,
+    )

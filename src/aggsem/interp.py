@@ -86,9 +86,6 @@ class Interpretation:
     def difference(self, atoms: Iterable[str]) -> "Interpretation":
         return Interpretation(self.universe, self.atoms - frozenset(atoms))
 
-    def intersection(self, atoms: Iterable[str]) -> "Interpretation":
-        return Interpretation(self.universe, self.atoms & frozenset(atoms))
-
 
 def _require_in_universe(atoms: Iterable[str], universe: tuple[str, ...]) -> None:
     unknown = frozenset(atoms).difference(universe)

@@ -32,7 +32,6 @@ __all__ = [
     "BodyElement",
     "Rule",
     "Program",
-    "DisjunctiveBodyProgram",
     "parse_program",
     "parse_interpretation",
     "combine_rules_per_head",
@@ -107,7 +106,7 @@ class AggregateAtom:
         """Per condition atom, first occurrence first: the weights of the
         entries whose condition holds when the atom is false (index 0)
         and when it is true (index 1), each in entry order.  The compiled
-        interval sweep of `eval2` reads them."""
+        interval sweep of `eval2` and `bounds.exact_bounds` read them."""
         branches: dict[str, tuple[list[int], list[int]]] = {
             a: ([], []) for a in self.condition_atoms
         }
@@ -201,35 +200,21 @@ class Program:
 
     @cached_property  # outside the fields, like AggregateAtom.conditions
     def entries(self) -> tuple[tuple[str, tuple[tuple[BodyElement, ...], ...]], ...]:
-        """The rule bodies grouped per head, as `DisjunctiveBodyProgram.entries`."""
+        """The rule bodies grouped per head: one entry per head atom, first
+        occurrence first, with the bodies of all its rules in source order."""
         grouped: dict[str, list[tuple[BodyElement, ...]]] = {}
         for rule in self.rules:
             grouped.setdefault(rule.head, []).append(rule.body)
         return tuple((head, tuple(bodies)) for head, bodies in grouped.items())
 
-
-@dataclass(frozen=True)
-class DisjunctiveBodyProgram:
-    """One entry per head atom; each entry collects the bodies of all its rules."""
-
-    universe: tuple[str, ...]
-    entries: tuple[tuple[str, tuple[tuple[BodyElement, ...], ...]], ...]
-
     @property
     def by_head(self) -> dict[str, tuple[tuple[BodyElement, ...], ...]]:
         return dict(self.entries)
 
-    def __str__(self) -> str:
-        lines = []
-        for head, bodies in self.entries:
-            rendered = [", ".join(str(e) for e in body) if body else "true" for body in bodies]
-            lines.append(f"{head} :- {' | '.join(rendered)}.")
-        return "\n".join(lines)
 
-
-def combine_rules_per_head(program: Program) -> DisjunctiveBodyProgram:
-    """Group rule bodies by head atom, preserving source order."""
-    return DisjunctiveBodyProgram(universe=program.universe, entries=program.entries)
+def combine_rules_per_head(program: Program) -> Program:
+    """The program itself, whose per-head grouping is cached as `entries`."""
+    return program
 
 
 # ---------------------------------------------------------------------------

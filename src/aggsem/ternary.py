@@ -204,6 +204,10 @@ class SemanticsId(Enum):
     def is_elementwise(self) -> bool:
         return self._certain is not None
 
+    @property
+    def handles_aggregates(self) -> bool:
+        return self._truth is not _aggregate_free_only
+
     def _element_truth(self, element: BodyElement, pair: InterpretationPair) -> TruthValue:
         if isinstance(element, Literal):
             return _literal_truth(element, pair)

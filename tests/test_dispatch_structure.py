@@ -49,3 +49,43 @@ def test_main_path_names_flp_only_in_its_row():
     convexity, not on the tag."""
     found = {path.stem: lines for path in MAIN_PATH if (lines := _member_references(path, "FLP"))}
     assert found == {}
+
+
+def _member_references_by_function(path):
+    """(enclosing function, member) of each `SemanticsId.<member>` outside
+    the class body that defines `SemanticsId`."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        function = None
+
+        def visit_ClassDef(self, node):
+            if node.name != "SemanticsId":
+                self.generic_visit(node)
+
+        def visit_FunctionDef(self, node):
+            outer, self.function = self.function, node.name
+            self.generic_visit(node)
+            self.function = outer
+
+        def visit_Attribute(self, node):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "SemanticsId":
+                if node.attr in ternary.SemanticsId.__members__:
+                    found.append((self.function, node.attr))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_main_path_names_only_bnd_and_only_for_the_box():
+    """gl's aggregate check reads its row's `handles_aggregates` flag, so
+    outside the table the main path names one member: `bnd`, with which
+    `fixpoints._supported_box` builds the search box by design."""
+    found = [
+        (path.stem, function, member)
+        for path in MAIN_PATH
+        for function, member in _member_references_by_function(path)
+    ]
+    assert found == [("fixpoints", "_supported_box", "BND")]
