@@ -10,6 +10,7 @@ exhaustive-size caps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -71,6 +72,7 @@ def emit_json(result: dict, out=None) -> None:
     print(json.dumps(result, separators=(", ", ": ")), file=out or sys.stdout)
 
 
+@functools.cache  # built once per process: parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aggsem",

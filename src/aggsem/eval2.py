@@ -6,6 +6,11 @@ max and avg are undefined and any comparison on an undefined value is
 false.  Aggregate values must stay inside the signed 64-bit range;
 leaving it raises ArithmeticOverflowError instead of silently wrapping
 or silently using big integers.
+
+Each aggregate atom is evaluated by a function of the set of true atoms
+that `aggregate_evaluator` builds once per atom, over its (weight, atom,
+negated) entries; the atom caches it.  The rule-level tests below take
+literals inline and stop at the first false element of a body.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import ArithmeticOverflowError
@@ -112,33 +117,133 @@ def aggregate_value(func: AggFunc, multiset: Sequence[int]) -> AggValue:
 
 
 def eval_aggregate(atom: AggregateAtom, i: Interpretation) -> bool:
-    value = _value(atom.func, eval_multiset(atom.entries, i))
-    return value is not None and atom.cmp.holds(value, atom.bound)
+    return atom._holds(i.atoms)
+
+
+def aggregate_evaluator(atom: AggregateAtom) -> Callable[[frozenset[str]], bool]:
+    """The atom's two-valued test as a function of the set of true atoms,
+    which `AggregateAtom._holds` caches.  It takes the entries in order
+    and raises ArithmeticOverflowError as `_value` does: sum and avg on
+    the total, prod after every factor."""
+    triples = tuple((w, lit.atom, lit.negated) for w, lit in atom.entries)
+    holds, bound, func = atom.cmp.holds, atom.bound, atom.func
+    lowest, highest = INT64_MIN, INT64_MAX
+
+    if func in (AggFunc.SUM, AggFunc.CARD):
+        if func is AggFunc.CARD:
+            # the count is the sum of weight 1 per entry, far inside the range
+            triples = tuple((1, a, negated) for _, a, negated in triples)
+
+        def sum_holds(atoms: frozenset[str]) -> bool:
+            total = 0
+            for w, a, negated in triples:
+                if (a in atoms) != negated:
+                    total += w
+            if not lowest <= total <= highest:
+                checked_int(total, "sum")
+            return holds(total, bound)
+
+        return sum_holds
+
+    if func is AggFunc.AVG:
+
+        def avg_holds(atoms: frozenset[str]) -> bool:
+            # for a count above 0, comparing the total with the bound
+            # times the count is the exact comparison of the average
+            total = count = 0
+            for w, a, negated in triples:
+                if (a in atoms) != negated:
+                    total += w
+                    count += 1
+            if not count:
+                return False
+            if not lowest <= total <= highest:
+                checked_int(total, "sum")
+            return holds(total, bound * count)
+
+        return avg_holds
+
+    if func is AggFunc.PROD:
+        if prod(max(abs(w), 1) for w, _, _ in triples) <= highest:
+            # no product of some of the weights can leave the range
+
+            def prod_holds(atoms: frozenset[str]) -> bool:
+                product = 1
+                for w, a, negated in triples:
+                    if (a in atoms) != negated:
+                        product *= w
+                return holds(product, bound)
+
+            return prod_holds
+
+        def checked_prod_holds(atoms: frozenset[str]) -> bool:
+            chosen = [w for w, a, negated in triples if (a in atoms) != negated]
+            return holds(checked_product(chosen), bound)
+
+        return checked_prod_holds
+
+    is_min = func is AggFunc.MIN
+
+    def extreme_holds(atoms: frozenset[str]) -> bool:
+        # min and max: undefined, so false, when no entry holds; a weight
+        # replaces the value so far when it is below it (min) or not (max)
+        value = None
+        for w, a, negated in triples:
+            if (a in atoms) != negated and (value is None or (w < value) is is_min):
+                value = w
+        return value is not None and holds(value, bound)
+
+    return extreme_holds
+
+
+def _body_holds(body: Sequence[BodyElement], atoms: frozenset[str]) -> bool:
+    """Does every element hold?  Elements are tested left to right and the
+    test stops at the first false one, so an aggregate after it is never
+    evaluated."""
+    for element in body:
+        if isinstance(element, Literal):
+            if (element.atom in atoms) == element.negated:
+                return False
+        elif not element._holds(atoms):
+            return False
+    return True
+
+
+def _some_body_holds(bodies: Iterable[Sequence[BodyElement]], atoms: frozenset[str]) -> bool:
+    for body in bodies:
+        if _body_holds(body, atoms):
+            return True
+    return False
 
 
 def sat2_element(element: BodyElement, i: Interpretation) -> bool:
     if isinstance(element, Literal):
-        return literal_holds(element, i)
-    return eval_aggregate(element, i)
+        return (element.atom in i.atoms) != element.negated
+    return element._holds(i.atoms)
 
 
 def sat2(body: Sequence[BodyElement], i: Interpretation) -> bool:
     """A body (conjunction) holds iff every element holds."""
-    return all(sat2_element(e, i) for e in body)
+    return _body_holds(body, i.atoms)
 
 
 def sat2_disjunction(bodies: Iterable[Sequence[BodyElement]], i: Interpretation) -> bool:
-    return any(sat2(body, i) for body in bodies)
+    return _some_body_holds(bodies, i.atoms)
 
 
 def tp(program: Program, i: Interpretation) -> Interpretation:
     """Immediate consequence operator: heads of rules whose body holds in i."""
-    fired = {rule.head for rule in program.rules if sat2(rule.body, i)}
+    atoms = i.atoms
+    fired = {rule.head for rule in program.rules if _body_holds(rule.body, atoms)}
     return i.with_atoms(fired)
 
 
 def is_model(program: Program, i: Interpretation) -> bool:
-    return all(rule.head in i.atoms or not sat2(rule.body, i) for rule in program.rules)
+    atoms = i.atoms
+    for rule in program.rules:
+        if rule.head not in atoms and _body_holds(rule.body, atoms):
+            return False
+    return True
 
 
 def is_supported_model(program: Program, i: Interpretation) -> bool:
@@ -150,7 +255,7 @@ def is_supported_model(program: Program, i: Interpretation) -> bool:
     heads_in_i = 0
     for head, bodies in program.entries:
         holds = head in atoms
-        if holds is not sat2_disjunction(bodies, i):
+        if holds is not _some_body_holds(bodies, atoms):
             return False
         heads_in_i += holds
     return heads_in_i == len(atoms)

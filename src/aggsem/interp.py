@@ -39,7 +39,7 @@ def reset_interval_expansions() -> None:
     _interval_expansions = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Interpretation:
     universe: tuple[str, ...]
     atoms: frozenset[str]
@@ -72,6 +72,12 @@ class Interpretation:
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.sorted_atoms) + "}"
+
+    def __repr__(self) -> str:
+        """The dataclass format with the atoms in universe order, so equal
+        interpretations print alike whatever order their sets were built in."""
+        atoms = f"frozenset({{{', '.join(map(repr, self))}}})" if self.atoms else "frozenset()"
+        return f"Interpretation(universe={self.universe!r}, atoms={atoms})"
 
     @property
     def sorted_atoms(self) -> tuple[str, ...]:

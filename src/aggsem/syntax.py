@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import ArithmeticOverflowError, ParseError, TooLargeError, UniverseMismatchError
 
@@ -113,6 +113,20 @@ class AggregateAtom:
         for weight, lit in self.entries:
             branches[lit.atom][not lit.negated].append(weight)
         return {a: (tuple(off), tuple(on)) for a, (off, on) in branches.items()}
+
+    def __reduce__(self):
+        """Pickle the fields only: the cached evaluator is a closure, which
+        pickle cannot carry, and every cached value is built again on
+        first use."""
+        return AggregateAtom, (self.func, self.entries, self.cmp, self.bound)
+
+    @cached_property
+    def _holds(self) -> Callable[[frozenset[str]], bool]:
+        """The atom's two-valued truth as a function of the set of true
+        atoms, built once by `eval2.aggregate_evaluator`."""
+        from .eval2 import aggregate_evaluator
+
+        return aggregate_evaluator(self)
 
     @cached_property
     def _convex(self) -> bool:

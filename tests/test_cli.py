@@ -645,3 +645,32 @@ def test_negative_max_atoms_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --max-atoms: a universe-size cap is at least 0, not -1" in captured.err
+
+
+def test_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch):
+    import aggsem.cli as cli
+
+    loop = program_path("nonconvex_loop.lp")
+    argvs = [
+        ["models"],  # no input: a usage error
+        ["models", loop, "--semantics", "mr,ult"],
+        ["verify", loop, "--semantics", "mr,bnd"],
+    ]
+
+    def outcomes():
+        found = []
+        for argv in argvs:
+            try:
+                code = run(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+            captured = capsys.readouterr()
+            found.append((code, captured.out, captured.err))
+        return found
+
+    cached = outcomes()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == cached
+    assert [code for code, _, _ in cached] == [2, 0, 0]
+    assert "the following arguments are required: input" in cached[0][2]

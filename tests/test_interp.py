@@ -176,3 +176,22 @@ def test_interval_deterministic_order():
 def test_interpretation_rejects_foreign_atoms():
     with pytest.raises(UniverseMismatchError):
         Interpretation.of(("p",), ("q",))
+
+
+def test_repr_lists_atoms_in_universe_order():
+    universe = tuple(f"a{k}" for k in range(40))
+    chosen = universe[::3]
+    built = [
+        Interpretation.of(universe, chosen),
+        Interpretation.of(universe, reversed(chosen)),
+        Interpretation.full(universe).difference(a for a in universe if a not in chosen),
+    ]
+    expected = (
+        f"Interpretation(universe={universe!r}, "
+        f"atoms=frozenset({{{', '.join(map(repr, chosen))}}}))"
+    )
+    assert [repr(i) for i in built] == [expected] * 3
+    assert eval(expected, {"Interpretation": Interpretation}) == built[0]
+    empty = Interpretation.empty(("q", "p"))
+    assert repr(empty) == "Interpretation(universe=('q', 'p'), atoms=frozenset())"
+    assert eval(repr(empty), {"Interpretation": Interpretation}) == empty

@@ -14,6 +14,8 @@ from aggsem.oracle import (
     minimal_model_check,
     random_aggregate_atom,
     random_program,
+    reduct_stable_models,
+    ultimate_operator_bruteforce,
     verify_program,
 )
 from aggsem import sat3
@@ -198,6 +200,49 @@ def test_verify_enumerates_each_semantics_once(nonconvex_loop, monkeypatch):
     assert report.ok
     assert len(calls) == 3
     assert list(report.stable_models) == ["gz", "flp", "ult"]
+
+
+def test_verify_describes_mismatches_as_before(nonconvex_loop, monkeypatch):
+    """Main functions made wrong mismatch at every check, with the
+    descriptors, main values and oracle values of this format."""
+    import aggsem.oracle as oracle_module
+
+    monkeypatch.setattr(oracle_module, "exact_bounds", lambda atom, p: "wrong bounds")
+    monkeypatch.setattr(oracle_module, "sat3", lambda sem, atom, p: "wrong truth")
+    monkeypatch.setattr(oracle_module, "stable_enumerate", lambda sem, program: ["wrong model"])
+    monkeypatch.setattr(oracle_module, "lower_step", lambda sem, program, p: "wrong heads")
+    program = nonconvex_loop
+    report = verify_program(program, ["ult", "gz", "ultimate"])
+
+    pairs = all_consistent_pairs(program.universe)
+    atoms = program.aggregate_atoms()
+    expected = [
+        (f"bounds of {atom} at {p}", "wrong bounds", str(brute_bounds(atom, p)))
+        for atom in atoms
+        for p in pairs
+    ]
+    expected += [
+        (f"ult: {atom} at {p}", "wrong truth", str(brute_sat_ult(atom, p)))
+        for atom in atoms
+        for p in pairs
+    ]
+    expected.append(
+        (
+            "stable models under gz: relation path vs reduct path",
+            "['wrong model']",
+            str([str(m) for m in reduct_stable_models("gz", program)]),
+        )
+    )
+    expected += [
+        (
+            f"most-precise lower operator at {p}",
+            "wrong heads",
+            str(ultimate_operator_bruteforce(program, p).lower),
+        )
+        for p in pairs
+    ]
+    assert report.mismatches == expected
+    assert (report.checked, report.skipped) == (len(expected), 0)
 
 
 def test_verify_random_programs_have_no_mismatches():
