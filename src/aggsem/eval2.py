@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, prod
+from math import inf
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import ArithmeticOverflowError
@@ -164,23 +164,17 @@ def aggregate_evaluator(atom: AggregateAtom) -> Callable[[frozenset[str]], bool]
         return avg_holds
 
     if func is AggFunc.PROD:
-        if prod(max(abs(w), 1) for w, _, _ in triples) <= highest:
-            # no product of some of the weights can leave the range
 
-            def prod_holds(atoms: frozenset[str]) -> bool:
-                product = 1
-                for w, a, negated in triples:
-                    if (a in atoms) != negated:
-                        product *= w
-                return holds(product, bound)
+        def prod_holds(atoms: frozenset[str]) -> bool:
+            product = 1
+            for w, a, negated in triples:
+                if (a in atoms) != negated:
+                    product *= w
+                    if not lowest <= product <= highest:
+                        checked_int(product, "product")
+            return holds(product, bound)
 
-            return prod_holds
-
-        def checked_prod_holds(atoms: frozenset[str]) -> bool:
-            chosen = [w for w, a, negated in triples if (a in atoms) != negated]
-            return holds(checked_product(chosen), bound)
-
-        return checked_prod_holds
+        return prod_holds
 
     is_min = func is AggFunc.MIN
 
@@ -196,10 +190,17 @@ def aggregate_evaluator(atom: AggregateAtom) -> Callable[[frozenset[str]], bool]
     return extreme_holds
 
 
-def _body_holds(body: Sequence[BodyElement], atoms: frozenset[str]) -> bool:
-    """Does every element hold?  Elements are tested left to right and the
-    test stops at the first false one, so an aggregate after it is never
-    evaluated."""
+def sat2_element(element: BodyElement, i: Interpretation) -> bool:
+    if isinstance(element, Literal):
+        return (element.atom in i.atoms) != element.negated
+    return element._holds(i.atoms)
+
+
+def sat2(body: Sequence[BodyElement], i: Interpretation) -> bool:
+    """A body (conjunction) holds iff every element holds.  Elements are
+    tested left to right and the test stops at the first false one, so
+    an aggregate after it is never evaluated."""
+    atoms = i.atoms
     for element in body:
         if isinstance(element, Literal):
             if (element.atom in atoms) == element.negated:
@@ -209,39 +210,23 @@ def _body_holds(body: Sequence[BodyElement], atoms: frozenset[str]) -> bool:
     return True
 
 
-def _some_body_holds(bodies: Iterable[Sequence[BodyElement]], atoms: frozenset[str]) -> bool:
+def sat2_disjunction(bodies: Iterable[Sequence[BodyElement]], i: Interpretation) -> bool:
     for body in bodies:
-        if _body_holds(body, atoms):
+        if sat2(body, i):
             return True
     return False
 
 
-def sat2_element(element: BodyElement, i: Interpretation) -> bool:
-    if isinstance(element, Literal):
-        return (element.atom in i.atoms) != element.negated
-    return element._holds(i.atoms)
-
-
-def sat2(body: Sequence[BodyElement], i: Interpretation) -> bool:
-    """A body (conjunction) holds iff every element holds."""
-    return _body_holds(body, i.atoms)
-
-
-def sat2_disjunction(bodies: Iterable[Sequence[BodyElement]], i: Interpretation) -> bool:
-    return _some_body_holds(bodies, i.atoms)
-
-
 def tp(program: Program, i: Interpretation) -> Interpretation:
     """Immediate consequence operator: heads of rules whose body holds in i."""
-    atoms = i.atoms
-    fired = {rule.head for rule in program.rules if _body_holds(rule.body, atoms)}
+    fired = {rule.head for rule in program.rules if sat2(rule.body, i)}
     return i.with_atoms(fired)
 
 
 def is_model(program: Program, i: Interpretation) -> bool:
     atoms = i.atoms
     for rule in program.rules:
-        if rule.head not in atoms and _body_holds(rule.body, atoms):
+        if rule.head not in atoms and sat2(rule.body, i):
             return False
     return True
 
@@ -255,7 +240,7 @@ def is_supported_model(program: Program, i: Interpretation) -> bool:
     heads_in_i = 0
     for head, bodies in program.entries:
         holds = head in atoms
-        if holds is not _some_body_holds(bodies, atoms):
+        if holds is not sat2_disjunction(bodies, i):
             return False
         heads_in_i += holds
     return heads_in_i == len(atoms)
