@@ -16,11 +16,24 @@ coincides with ult's and Y is checked the same way.  On other programs
 an flp candidate Y is stable when no proper subset X of Y is closed
 under it, that is, contains lower(X, Y) (the minimal-model walk).
 
+The Kleene loops are driven by dependencies.  A row's test of a head
+reads the pair only on the atoms its bodies mention, and its answer, or
+the error it raises, is a function of the pair restricted to them.  The
+program caches the dependency index `dependents`: per atom, the heads
+whose bodies mention it (an aggregate mentions its condition atoms).
+So after its first step a loop tests again only the heads that mention
+an atom the last step changed; every other head would give its last
+answer again.  The loops walk the chains of plain iteration and raise
+the same first error.
+
 The checks cost little per candidate: the support test stops at the
 first head it refutes, and the least fixpoint is semi-naive (a head
-already derived is not tested again) and stops as soon as it reaches Y.
+already derived is not tested again, and a waiting head only when an
+atom of its bodies was just added) and stops as soon as it reaches Y.
 The well-founded upper bound, the least fixpoint of the upper operator,
-runs through the same loop.
+runs through the same loop.  A well-founded round computes its lower
+(upper) set again only when the upper (lower) set it is computed from
+differs from the last round's.
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
@@ -38,8 +51,9 @@ head atoms) itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import ArithmeticOverflowError, CapabilityError, check_universe_size
 from .eval2 import is_supported_model
@@ -140,27 +154,40 @@ def _least_fixpoint(
 ) -> Interpretation:
     """The Kleene chain from bottom of X -> the heads whose bodies pass the
     row's test `holds` at `pair_at(X)`, semi-naive.  The caller sees to
-    it that this map is monotone in X, so the chain only grows and a
-    head already derived is not tested again; the chain of X's is that
-    of plain iteration, and a pair that is inconsistent raises
-    InconsistentPairError as there.  With `stop_at_upper` the chain ends
-    when X reaches the upper set of its pair: for the lower operator at
-    a supported model y that is its last element, as at (y, y) certain
+    it that this map is monotone in X and that `pair_at(X)` changes only
+    on the atoms added to X, so the chain only grows: a head already
+    derived is not tested again, and after the first round a waiting head
+    is tested only when its bodies mention an atom the last round added,
+    as the row's test reads the pair on those atoms alone.  The chain of
+    X's is that of plain iteration, and a pair that is inconsistent
+    raises InconsistentPairError as there.  With `stop_at_upper` the chain
+    ends when X reaches the upper set of its pair: for the lower operator
+    at a supported model y that is its last element, as at (y, y) certain
     truth implies two-valued truth, so lower(y, y) adds nothing."""
     _reject_gl_aggregates(sem, program)
-    x, waiting = Interpretation.empty(program.universe), program.entries
+    entries = program.entries
+    x, waiting = Interpretation.empty(program.universe), range(len(entries))
     while True:
         pair = pair_at(x)
         pair.require_consistent()
-        fired, rest = [], []
-        for entry in waiting:
-            (fired if holds(sem, entry[1], pair) else rest).append(entry)
+        fired = [entries[i][0] for i in waiting if holds(sem, entries[i][1], pair)]
         if not fired:
             return x
-        x = x.union(head for head, _ in fired)
+        x = x.union(fired)
         if stop_at_upper and x.atoms == pair.upper.atoms:
             return x
-        waiting = rest
+        waiting = [i for i in _entries_reading(program, fired) if entries[i][0] not in x.atoms]
+
+
+def _entries_reading(program: Program, changed: Iterable[str]) -> list[int]:
+    """The positions in `entries` of the heads whose bodies mention one of
+    the changed atoms, ascending: the heads a Kleene loop tests again
+    after a step that changed those atoms.  A row's test of a head reads
+    the pair on the atoms of the head's bodies alone, and its answer, or
+    the error it raises, is a function of them, so another head's test
+    would give its last answer again."""
+    dependents = program.dependents
+    return sorted({i for atom in changed for i in dependents.get(atom, ())})
 
 
 def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) -> bool:
@@ -289,14 +316,39 @@ def _kripke_kleene_from(
     sem: SemanticsId, program: Program, start: InterpretationPair
 ) -> InterpretationPair:
     """Kleene iteration of the approximator from `start`, which the
-    approximator must map to an equally or more precise pair."""
-    return _kleene(
-        lambda pair: InterpretationPair(
-            lower_step(sem, program, pair), upper_step(sem, program, pair)
-        ),
-        start,
-        2 * len(program.universe) + 2,
-    )[0]
+    approximator must map to an equally or more precise pair.
+
+    The first step tests every head.  Each later step tests only the heads
+    whose bodies mention an atom the last step changed in either set, its
+    lower tests first and then its upper tests, each in `entries` order;
+    every other head keeps its last answers.  The iteration ends at the
+    first step that changes no atom.  It walks the chain of pairs of
+    `lower_step` and `upper_step` iterated together, raises the first
+    error they would raise, and keeps their limit of steps."""
+    _reject_gl_aggregates(sem, program)
+    universe, entries = program.universe, program.entries
+    limit = 2 * len(universe) + 2
+    lower: set[str] = set()
+    upper: set[str] = set()
+    tests = ((lower, SemanticsId.bodies_certain), (upper, SemanticsId.bodies_possible))
+    pair, tested = start, range(len(entries))
+    for _ in range(limit):
+        pair.require_consistent()
+        for heads, holds in tests:
+            for i in tested:
+                head, bodies = entries[i]
+                if holds(sem, bodies, pair):
+                    heads.add(head)
+                else:
+                    heads.discard(head)
+        nxt = InterpretationPair(
+            Interpretation(universe, frozenset(lower)), Interpretation(universe, frozenset(upper))
+        )
+        changed = (pair.lower.atoms ^ nxt.lower.atoms) | (pair.upper.atoms ^ nxt.upper.atoms)
+        if not changed:
+            return pair
+        pair, tested = nxt, _entries_reading(program, changed)
+    raise AssertionError(f"Kleene iteration failed to reach a fixpoint in {limit} steps")
 
 
 def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
@@ -305,9 +357,13 @@ def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
     sem = SemanticsId.from_tag(sem)
     _require_truth_function(sem)
 
+    # a round whose upper (lower) set equals the last round's reuses its x (y)
+    lower_at = lru_cache(maxsize=1)(lambda upper: lfp_lower(sem, program, upper))
+    upper_at = lru_cache(maxsize=1)(lambda lower: _lfp_upper(sem, program, lower))
+
     def refine(pair: InterpretationPair) -> InterpretationPair:
-        x = lfp_lower(sem, program, pair.upper)
-        y = _lfp_upper(sem, program, pair.lower)
+        x = lower_at(pair.upper)
+        y = upper_at(pair.lower)
         if not x.atoms <= y.atoms:
             raise AssertionError("well-founded refinement left the consistent pairs")
         return InterpretationPair(x, y)

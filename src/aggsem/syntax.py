@@ -221,6 +221,20 @@ class Program:
             grouped.setdefault(rule.head, []).append(rule.body)
         return tuple((head, tuple(bodies)) for head, bodies in grouped.items())
 
+    @cached_property
+    def dependents(self) -> dict[str, tuple[int, ...]]:
+        """The dependency index: per atom, the positions in `entries` of
+        the heads whose bodies mention it, ascending.  A literal mentions
+        its atom and an aggregate its condition atoms, negated or not; an
+        atom no body mentions has no key."""
+        found: dict[str, dict[int, None]] = {}
+        for position, (_, bodies) in enumerate(self.entries):
+            for body in bodies:
+                for element in body:
+                    for atom in _element_atoms(element):
+                        found.setdefault(atom, {})[position] = None
+        return {atom: tuple(positions) for atom, positions in found.items()}
+
     @property
     def by_head(self) -> dict[str, tuple[tuple[BodyElement, ...], ...]]:
         return dict(self.entries)

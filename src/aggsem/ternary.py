@@ -336,6 +336,13 @@ class WellBehavedCounterexample:
         )
 
 
+def _formula_atoms(formula: Formula) -> tuple[str, ...]:
+    """The atoms a body element, or a disjunction of bodies, mentions."""
+    if isinstance(formula, tuple):
+        return _atoms_of(element for body in formula for element in body)
+    return _atoms_of((formula,))
+
+
 def _format_formula(formula: Formula) -> str:
     if isinstance(formula, tuple):
         return " | ".join(", ".join(str(e) for e in body) for body in formula)
@@ -398,11 +405,12 @@ class _PairIndex:
     for universe[k]), the indexes of the exact pairs, and each pair's
     single-step refinements as indexes: for every undefined atom in
     universe order, the pair that makes it true, then the pair that makes
-    it false."""
+    it false.  `restrictions` numbers the pairs' restrictions to a set of
+    atoms."""
 
     def __init__(self, universe: tuple[str, ...]):
         self.pairs = all_consistent_pairs(universe)
-        bit = {a: 1 << k for k, a in enumerate(universe)}
+        self._bit = bit = {a: 1 << k for k, a in enumerate(universe)}
         self.masks = [
             (sum(bit[a] for a in p.lower.atoms), sum(bit[a] for a in p.upper.atoms))
             for p in self.pairs
@@ -418,24 +426,43 @@ class _PairIndex:
             ]
             for lo, up in self.masks
         ]
+        self._restrictions: dict[int, list[int]] = {}
+
+    def restrictions(self, atoms: Iterable[str]) -> list[int]:
+        """Per pair, the number of its restriction to the distinct `atoms`,
+        the restrictions numbered in the order the pairs first reach them;
+        built once per set of atoms."""
+        mask = sum(self._bit[a] for a in atoms)
+        numbers = self._restrictions.get(mask)
+        if numbers is None:
+            seen: dict[tuple[int, int], int] = {}
+            numbers = self._restrictions[mask] = [
+                seen.setdefault((lo & mask, up & mask), len(seen)) for lo, up in self.masks
+            ]
+        return numbers
 
 
 class _Table:
-    """One relation's certain-truth of each formula at each indexed pair,
-    as rows[formula][pair], evaluated on first read (None until then),
-    with the two-valued truth of its formulas as `holds`."""
+    """One relation's certain-truth of each formula at the indexed pairs,
+    with the two-valued truth of its formulas as `holds`.  The relation
+    reads a pair only on the formula's atoms, and its answer, or the
+    error it raises, is a function of the pair restricted to them.  So
+    each formula has one row with one value per restriction of the pairs
+    to its atoms (None until read), filled on the first read of a
+    restriction by evaluating at the pair being read."""
 
     def __init__(self, sem: SemanticsId, source, index: _PairIndex):
         self.sem = sem
         self.formulas, self.certain, self.holds = _formulas_of(sem, source)
         self.index = index
-        self.rows: list[list[bool | None]] = [[None] * len(index.pairs) for _ in self.formulas]
+        self.restriction = [index.restrictions(_formula_atoms(f)) for f in self.formulas]
+        self.rows: list[list[bool | None]] = [[None] * (max(r) + 1) for r in self.restriction]
 
     def __call__(self, fi: int, pi: int) -> bool:
-        value = self.rows[fi][pi]
+        row, ri = self.rows[fi], self.restriction[fi][pi]
+        value = row[ri]
         if value is None:
-            pair = self.index.pairs[pi]
-            value = self.rows[fi][pi] = self.certain(self.sem, self.formulas[fi], pair)
+            value = row[ri] = self.certain(self.sem, self.formulas[fi], self.index.pairs[pi])
         return value
 
 
@@ -445,10 +472,13 @@ class Analysis:
 
     Each relation has one table of its certain-truth at every (formula,
     consistent pair), filled on first read and shared by every check
-    that reads it, so one Analysis evaluates a relation at most once per
-    (formula, pair).  Every check reads its table in the order of its own
-    loops, so an evaluation that raises is reached on the same input as
-    by a check that evaluates afresh.
+    that reads it.  A formula's row holds one value per restriction of
+    the pairs to the formula's atoms, so one Analysis evaluates a
+    relation at most once per (formula, restricted pair).  Every check
+    reads its table in the order of its own loops, and the first read of
+    a restriction evaluates at the pair being read, so an evaluation that
+    raises is reached at the same read, with the same message, as by a
+    check that evaluates afresh.
     """
 
     def __init__(

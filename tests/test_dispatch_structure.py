@@ -89,3 +89,21 @@ def test_main_path_names_only_bnd_and_only_for_the_box():
         for function, member in _member_references_by_function(path)
     ]
     assert found == [("fixpoints", "_supported_box", "BND")]
+
+
+def test_kripke_kleene_loop_calls_neither_step():
+    """`_kripke_kleene_from` re-tests only the heads that mention a changed
+    atom, so it calls neither full step: plain iteration of `lower_step`
+    and `upper_step` cannot survive beside it."""
+    path = PACKAGE / "fixpoints.py"
+    (loop,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_kripke_kleene_from"
+    ]
+    called = {
+        node.func.id
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not called & {"lower_step", "upper_step"}, called
