@@ -180,59 +180,85 @@ def brute_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
 def brute_sat_ult(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """Interval-universal satisfaction by unrestricted enumeration over all
     undefined atoms of the pair, not just the aggregate's conditions."""
-    return all(_brute_holds(atom, z) for z in _interval(pair))
+    return _AtomReferences(atom).sat_ult(pair)
 
 
 def brute_sat_ult_upper(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """Interval-existential satisfaction by unrestricted enumeration."""
-    return any(_brute_holds(atom, z) for z in _interval(pair))
+    return _AtomReferences(atom).sat_ult_upper(pair)
 
 
 def brute_sat_triv(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """Condition-stability satisfaction straight from its definition: the
     upper set satisfies the atom and the set of conditions true in the
     lower set equals the set true in the upper set."""
-    pair.require_consistent()
-    if not _brute_holds(atom, pair.upper.atoms):
-        return False
-    conditions = {lit for _, lit in atom.entries}
-    lower_true = {c for c in conditions if (c.atom in pair.lower.atoms) != c.negated}
-    upper_true = {c for c in conditions if (c.atom in pair.upper.atoms) != c.negated}
-    return lower_true == upper_true
+    return _AtomReferences(atom).sat_triv(pair)
 
 
 def brute_sat_mr(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """Witness-subset satisfaction with subsets of the whole lower set."""
-    pair.require_consistent()
-    if not _brute_holds(atom, pair.upper.atoms):
-        return False
-    return any(_brute_holds(atom, z) for z in _subsets(frozenset(), tuple(pair.lower)))
+    return _AtomReferences(atom).sat_mr(pair)
 
 
 def brute_bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     """Bound-based truth recomputed from brute-force bounds."""
-    if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
-        if brute_sat_ult(atom, pair):
+    return _AtomReferences(atom).bnd_truth(pair)
+
+
+class _AtomReferences:
+    """The per-pair references of one aggregate atom.  They read the
+    atom's truth at a whole interpretation through `holds`: `_brute_holds`
+    itself, or within one `verify_program` call a memo of it."""
+
+    def __init__(self, atom: AggregateAtom, holds=None):
+        self.atom = atom
+        self.holds = partial(_brute_holds, atom) if holds is None else holds
+
+    def sat_ult(self, pair: InterpretationPair) -> bool:
+        return all(map(self.holds, _interval(pair)))
+
+    def sat_ult_upper(self, pair: InterpretationPair) -> bool:
+        return any(map(self.holds, _interval(pair)))
+
+    def sat_triv(self, pair: InterpretationPair) -> bool:
+        pair.require_consistent()
+        if not self.holds(pair.upper.atoms):
+            return False
+        conditions = {lit for _, lit in self.atom.entries}
+        lower_true = {c for c in conditions if (c.atom in pair.lower.atoms) != c.negated}
+        upper_true = {c for c in conditions if (c.atom in pair.upper.atoms) != c.negated}
+        return lower_true == upper_true
+
+    def sat_mr(self, pair: InterpretationPair) -> bool:
+        pair.require_consistent()
+        if not self.holds(pair.upper.atoms):
+            return False
+        return any(map(self.holds, _subsets(frozenset(), tuple(pair.lower))))
+
+    def bnd_truth(self, pair: InterpretationPair) -> TruthValue:
+        atom = self.atom
+        if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
+            if self.sat_ult(pair):
+                return TruthValue.TRUE
+            if not self.sat_ult_upper(pair):
+                return TruthValue.FALSE
+            return TruthValue.UNDEFINED
+        bounds = brute_bounds(atom, pair)
+        lb, ub, w = bounds.lb.value, bounds.ub.value, atom.bound
+        table = {
+            Comparison.EQ: (lb == w == ub, lb > w or ub < w),
+            Comparison.NE: (lb > w or ub < w, lb == w == ub),
+            Comparison.GE: (lb >= w, ub < w),
+            Comparison.GT: (lb > w, ub <= w),
+            Comparison.LE: (ub <= w, lb > w),
+            Comparison.LT: (ub < w, lb >= w),
+        }
+        is_true, is_false = table[atom.cmp]
+        if is_true:
             return TruthValue.TRUE
-        if not brute_sat_ult_upper(atom, pair):
+        if is_false:
             return TruthValue.FALSE
         return TruthValue.UNDEFINED
-    bounds = brute_bounds(atom, pair)
-    lb, ub, w = bounds.lb.value, bounds.ub.value, atom.bound
-    table = {
-        Comparison.EQ: (lb == w == ub, lb > w or ub < w),
-        Comparison.NE: (lb > w or ub < w, lb == w == ub),
-        Comparison.GE: (lb >= w, ub < w),
-        Comparison.GT: (lb > w, ub <= w),
-        Comparison.LE: (ub <= w, lb > w),
-        Comparison.LT: (ub < w, lb >= w),
-    }
-    is_true, is_false = table[atom.cmp]
-    if is_true:
-        return TruthValue.TRUE
-    if is_false:
-        return TruthValue.FALSE
-    return TruthValue.UNDEFINED
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +295,18 @@ def flp_reduct(program: Program, i: Interpretation) -> Program:
 def ultimate_operator_bruteforce(program: Program, pair: InterpretationPair) -> InterpretationPair:
     """Most precise approximator of the consequence operator, computed by
     intersecting and uniting its images over the whole interval."""
-    images = (_consequences(program, z) for z in _interval(pair, MAX_BRUTE_ATOMS))
+    return _most_precise(partial(_consequences, program), program.universe, pair)
+
+
+def _most_precise(
+    consequences, universe: tuple[str, ...], pair: InterpretationPair
+) -> InterpretationPair:
+    """`ultimate_operator_bruteforce` with the image of a whole
+    interpretation read through `consequences`."""
+    images = map(consequences, _interval(pair, MAX_BRUTE_ATOMS))
     lower = upper = next(images)
     for image in images:
         lower, upper = lower & image, upper | image
-    universe = program.universe
     return InterpretationPair(Interpretation(universe, lower), Interpretation(universe, upper))
 
 
@@ -355,10 +388,14 @@ class VerificationReport:
         return not self.mismatches
 
 
+# universes of at most this many atoms are verified at every consistent pair
+ALL_PAIRS_ATOMS = 6
+
+
 def _sample_pairs(
     program: Program, seed: int = 0, limit: int = 800
 ) -> list[InterpretationPair]:
-    if len(program.universe) <= 6:
+    if len(program.universe) <= ALL_PAIRS_ATOMS:
         return all_consistent_pairs(program.universe)
     rng = random.Random(seed)
     universe = program.universe
@@ -370,6 +407,13 @@ def _sample_pairs(
     return pairs
 
 
+def _kept(evaluate):
+    """`evaluate`, a function of one whole interpretation, with each value
+    kept for the life of the returned function; a call that raises keeps
+    nothing."""
+    return cache(evaluate)
+
+
 def verify_program(
     program: Program, sems: Sequence[SemanticsId | str], seed: int = 0
 ) -> VerificationReport:
@@ -377,7 +421,14 @@ def verify_program(
     reduct constructions, and report the stable models per semantics.
 
     Universes of at most six atoms are checked over every consistent
-    pair; larger ones over a seeded sample of pairs.  Individual checks
+    pair; larger ones over a seeded sample of pairs.  The main path is
+    evaluated afresh at every pair.  Over all pairs of n atoms, the
+    references walk 4^n interval members but meet only 2^n
+    interpretations, so for the length of the call they keep each
+    aggregate atom's truth, and the program's consequences, by whole
+    interpretation: each is evaluated once per interpretation.  An
+    evaluation that raises is not kept, nor are a reduct's
+    consequences, and a sampled run keeps nothing.  Individual checks
     whose oracle exceeds its enumeration bound, or whose main-path or
     reference value leaves the signed 64-bit range, are counted as
     skipped.
@@ -389,6 +440,9 @@ def verify_program(
         sems = [sem for sem in sems if sem is not SemanticsId.GL]
     pairs = _sample_pairs(program, seed)
     aggregates = program.aggregate_atoms()
+    keep = _kept if len(program.universe) <= ALL_PAIRS_ATOMS else lambda evaluate: evaluate
+    references = [_AtomReferences(atom, keep(partial(_brute_holds, atom))) for atom in aggregates]
+    consequences = keep(partial(_consequences, program))
 
     @cache  # one enumeration serves both the reduct comparison and the report
     def stable_models(sem: SemanticsId) -> list[Interpretation]:
@@ -407,11 +461,11 @@ def verify_program(
 
     # (main, reference) per tag whose aggregate atoms are checked one by one
     per_atom_oracles = {
-        SemanticsId.ULT: (partial(sat3, SemanticsId.ULT), brute_sat_ult),
-        SemanticsId.LPST: (partial(sat3, SemanticsId.LPST), brute_sat_ult),
-        SemanticsId.BND: (bnd_truth, brute_bnd_truth),
-        SemanticsId.MR: (partial(sat3, SemanticsId.MR), brute_sat_mr),
-        SemanticsId.TRIV: (partial(sat3, SemanticsId.TRIV), brute_sat_triv),
+        SemanticsId.ULT: (partial(sat3, SemanticsId.ULT), _AtomReferences.sat_ult),
+        SemanticsId.LPST: (partial(sat3, SemanticsId.LPST), _AtomReferences.sat_ult),
+        SemanticsId.BND: (bnd_truth, _AtomReferences.bnd_truth),
+        SemanticsId.MR: (partial(sat3, SemanticsId.MR), _AtomReferences.sat_mr),
+        SemanticsId.TRIV: (partial(sat3, SemanticsId.TRIV), _AtomReferences.sat_triv),
     }
 
     for atom in aggregates:
@@ -421,11 +475,10 @@ def verify_program(
     for sem in sems:
         if sem in per_atom_oracles:
             main_fn, reference_fn = per_atom_oracles[sem]
-            for atom in aggregates:
+            for atom, atom_references in zip(aggregates, references):
+                main, reference = partial(main_fn, atom), partial(reference_fn, atom_references)
                 for pair in pairs:
-                    compare(
-                        lambda: f"{sem.value}: {atom} at {pair}", main_fn, reference_fn, atom, pair
-                    )
+                    compare(lambda: f"{sem.value}: {atom} at {pair}", main, reference, pair)
         elif sem in (SemanticsId.GL, SemanticsId.GZ, SemanticsId.FLP):
             compare(
                 lambda: f"stable models under {sem.value}: relation path vs reduct path",
@@ -437,7 +490,7 @@ def verify_program(
                 compare(
                     lambda: f"most-precise lower operator at {pair}",
                     partial(lower_step, sem, program),
-                    lambda p: ultimate_operator_bruteforce(program, p).lower,
+                    lambda p: _most_precise(consequences, program.universe, p).lower,
                     pair,
                 )
 

@@ -401,45 +401,109 @@ def compare_precision(
 
 class _PairIndex:
     """The consistent pairs of one universe, in `all_consistent_pairs`
-    order, with each pair's lower and upper sets as bitmasks (bit k stands
-    for universe[k]), the indexes of the exact pairs, and each pair's
-    single-step refinements as indexes: for every undefined atom in
-    universe order, the pair that makes it true, then the pair that makes
-    it false.  `restrictions` numbers the pairs' restrictions to a set of
-    atoms."""
+    order, as (lower, upper) bitmasks, bit k standing for universe[k],
+    with the indexes of the exact pairs.  The `InterpretationPair` of a
+    pair is built when a relation is evaluated at it or a report names
+    it, and kept.  `restrictions(atoms)` numbers the pairs' restrictions
+    to a set of atoms, built once per set."""
 
     def __init__(self, universe: tuple[str, ...]):
-        self.pairs = all_consistent_pairs(universe)
-        self._bit = bit = {a: 1 << k for k, a in enumerate(universe)}
-        self.masks = [
-            (sum(bit[a] for a in p.lower.atoms), sum(bit[a] for a in p.upper.atoms))
-            for p in self.pairs
+        self.universe = universe
+        self.bit = {a: 1 << k for k, a in enumerate(universe)}
+        # the subsets in `_ordered_subsets` order: by size, then by positions
+        subsets = [
+            sum(1 << k for k in positions)
+            for size in range(len(universe) + 1)
+            for positions in combinations(range(len(universe)), size)
         ]
-        at = {mask: i for i, mask in enumerate(self.masks)}
+        self.masks = [(lo, up) for up in subsets for lo in subsets if lo & up == lo]
+        # a pair's position is that of its upper set's, then its lower set's, subset
+        self.rank = {mask: position for position, mask in enumerate(subsets)}
         self.exact = [i for i, (lo, up) in enumerate(self.masks) if lo == up]
-        self.refinements = [
-            [
-                at[step]
-                for b in bit.values()
-                if (lo ^ up) & b
-                for step in ((lo | b, up), (lo, up ^ b))
-            ]
-            for lo, up in self.masks
-        ]
-        self._restrictions: dict[int, list[int]] = {}
+        self._pairs: list[InterpretationPair | None] = [None] * len(self.masks)
+        self._sets: dict[int, Interpretation] = {}
+        self._restrictions: dict[int, _Restrictions] = {}
 
-    def restrictions(self, atoms: Iterable[str]) -> list[int]:
-        """Per pair, the number of its restriction to the distinct `atoms`,
-        the restrictions numbered in the order the pairs first reach them;
-        built once per set of atoms."""
-        mask = sum(self._bit[a] for a in atoms)
-        numbers = self._restrictions.get(mask)
-        if numbers is None:
-            seen: dict[tuple[int, int], int] = {}
-            numbers = self._restrictions[mask] = [
-                seen.setdefault((lo & mask, up & mask), len(seen)) for lo, up in self.masks
+    def pair(self, pi: int) -> InterpretationPair:
+        pair = self._pairs[pi]
+        if pair is None:
+            lo, up = self.masks[pi]
+            pair = self._pairs[pi] = InterpretationPair(self._set(lo), self._set(up))
+        return pair
+
+    def _set(self, mask: int) -> Interpretation:
+        interpretation = self._sets.get(mask)
+        if interpretation is None:
+            atoms = frozenset(a for a, bit in self.bit.items() if mask & bit)
+            interpretation = self._sets[mask] = Interpretation(self.universe, atoms)
+        return interpretation
+
+    def restrictions(self, atoms: Iterable[str]) -> "_Restrictions":
+        mask = sum(self.bit[a] for a in atoms)
+        restrictions = self._restrictions.get(mask)
+        if restrictions is None:
+            restrictions = self._restrictions[mask] = _Restrictions(self, mask)
+        return restrictions
+
+
+class _Restrictions:
+    """The restrictions of an index's pairs to the atoms of `mask`,
+    numbered in the order the pairs first reach them: `restricted[r]` is
+    restriction r as (lower, upper) masks, `number[pi]` the number of
+    pair pi's restriction, `first[r]` the first pair that reaches r,
+    `exact` the first exact pair that reaches each exact restriction, in
+    pair order, and `steps[r]` the restrictions one step more precise
+    than r: for every atom undefined in r, in universe order, the
+    restriction that makes it true, then the one that makes it false."""
+
+    def __init__(self, index: _PairIndex, mask: int):
+        self.index = index
+        seen: dict[tuple[int, int], int] = {}
+        self.number: list[int] = []
+        self.first: list[int] = []
+        for pi, (lo, up) in enumerate(index.masks):
+            restricted = lo & mask, up & mask
+            r = seen.get(restricted)
+            if r is None:
+                r = seen[restricted] = len(self.first)
+                self.first.append(pi)
+            self.number.append(r)
+        self._seen = seen
+        self.restricted = list(seen)
+        exact: dict[int, int] = {}
+        for pi in index.exact:
+            exact.setdefault(self.number[pi], pi)
+        self.exact = list(exact.values())
+        self.bits = [bit for bit in index.bit.values() if mask & bit]
+        self.steps = [
+            [
+                seen[step]
+                for bit in self.bits
+                if (lo ^ up) & bit
+                for step in ((lo | bit, up), (lo, up ^ bit))
             ]
-        return numbers
+            for lo, up in self.restricted
+        ]
+
+    def refinements(self, r: int) -> list[int]:
+        """The restrictions at least as precise as r, in the order of the
+        pairs that make their atoms outside the mask false.
+
+        A scan visits restriction r first at its widest pair, which
+        leaves every atom outside the mask undefined.  Among the pairs
+        refining that one, the first to reach a restriction (lower,
+        upper) is the one with the smallest upper set: (lower, upper)
+        itself, with the atoms outside the mask false.  So the
+        refinements of the widest pair reach the restrictions in this
+        order."""
+        lo, up = self.restricted[r]
+        refined = [(lo, up)]
+        for bit in self.bits:
+            if (lo ^ up) & bit:
+                refined = [s for l, u in refined for s in ((l, u), (l | bit, u), (l, u ^ bit))]
+        rank = self.index.rank
+        refined.sort(key=lambda s: (rank[s[1]], rank[s[0]]))
+        return [self._seen[s] for s in refined]
 
 
 class _Table:
@@ -449,21 +513,43 @@ class _Table:
     error it raises, is a function of the pair restricted to them.  So
     each formula has one row with one value per restriction of the pairs
     to its atoms (None until read), filled on the first read of a
-    restriction by evaluating at the pair being read."""
+    restriction by evaluating at the pair being read.
+
+    The same fact lets a scan visit, per formula, only the first pair of
+    its own order that reaches each restriction.  What a scan finds at a
+    pair, a witness or the error an evaluation raises, is a function of
+    the pair's restriction, so no earlier pair shares the restriction of
+    the first pair with a finding: it reaches its restriction first.
+    Visiting the first-reaching pairs alone, in the same order, meets
+    the same first finding, so reports the same witness and raises the
+    same first error."""
 
     def __init__(self, sem: SemanticsId, source, index: _PairIndex):
         self.sem = sem
         self.formulas, self.certain, self.holds = _formulas_of(sem, source)
         self.index = index
-        self.restriction = [index.restrictions(_formula_atoms(f)) for f in self.formulas]
-        self.rows: list[list[bool | None]] = [[None] * (max(r) + 1) for r in self.restriction]
+        self.restrictions = [index.restrictions(_formula_atoms(f)) for f in self.formulas]
+        self.rows: list[list[bool | None]] = [[None] * len(r.first) for r in self.restrictions]
 
     def __call__(self, fi: int, pi: int) -> bool:
-        row, ri = self.rows[fi], self.restriction[fi][pi]
+        row, ri = self.rows[fi], self.restrictions[fi].number[pi]
         value = row[ri]
         if value is None:
-            value = row[ri] = self.certain(self.sem, self.formulas[fi], self.index.pairs[pi])
+            value = row[ri] = self.certain(self.sem, self.formulas[fi], self.index.pair(pi))
         return value
+
+    def reader(self, fi: int):
+        """Formula fi's value by restriction number, read from the table
+        at most once per restriction, at the first pair reaching it."""
+        first, values = self.restrictions[fi].first, {}
+
+        def read(ri: int) -> bool:
+            value = values.get(ri)
+            if value is None:
+                value = values[ri] = self(fi, first[ri])
+            return value
+
+        return read
 
 
 class Analysis:
@@ -475,10 +561,13 @@ class Analysis:
     that reads it.  A formula's row holds one value per restriction of
     the pairs to the formula's atoms, so one Analysis evaluates a
     relation at most once per (formula, restricted pair).  Every check
-    reads its table in the order of its own loops, and the first read of
-    a restriction evaluates at the pair being read, so an evaluation that
-    raises is reached at the same read, with the same message, as by a
-    check that evaluates afresh.
+    visits, per formula, only the first pair of its own order that
+    reaches each restriction (see `_Table`), and reads each restriction
+    at most once per scan.  The first read of a restriction evaluates at the pair
+    being read, so an evaluation that raises is reached at the same
+    read, with the same message, as by a check that evaluates afresh at
+    every pair, and every witness and counterexample is the one that
+    check finds.
     """
 
     def __init__(
@@ -506,36 +595,51 @@ class Analysis:
         """See `check_well_behaved`."""
         sem = SemanticsId.from_tag(sem)
         sat = self._table(sem)
-        index = sat.index
-        pairs, formulas = index.pairs, sat.formulas
+        index, formulas = sat.index, sat.formulas
+        # the exact scan: each exact restriction at the first exact pair reaching it
         for fi, formula in enumerate(formulas):
-            for pi in index.exact:
-                if sat(fi, pi) != sat.holds(formula, pairs[pi].lower):
+            for pi in sat.restrictions[fi].exact:
+                pair = index.pair(pi)
+                if sat(fi, pi) != sat.holds(formula, pair.lower):
                     return WellBehavedReport(
-                        False, WellBehavedCounterexample("exact", formula, pairs[pi])
+                        False, WellBehavedCounterexample("exact", formula, pair)
                     )
 
-        violated = any(
-            sat(fi, pi) and not all(sat(fi, ri) for ri in steps)
-            for fi in range(len(formulas))
-            for pi, steps in enumerate(index.refinements)
-        )
-        if not violated:
+        # the one-step scan: a refinement by an atom the formula does not
+        # mention reaches the pair's own restriction, so only `steps` can fail
+        for fi, restrictions in enumerate(sat.restrictions):
+            read = sat.reader(fi)
+            steps = enumerate(restrictions.steps)
+            if any(read(ri) and not all(map(read, refined)) for ri, refined in steps):
+                break
+        else:
             return WellBehavedReport(True)
 
+        # the counterexample scan: the pairs from the least precise, each
+        # with its refinements in pair order.  What it finds for a formula
+        # at a pair is a function of the pair's restriction, so a formula
+        # is tested at the first, widest, pair of each restriction only.
         masks = index.masks
         widths = [(lo ^ up).bit_count() for lo, up in masks]
-        for pi in sorted(range(len(pairs)), key=lambda i: -widths[i]):
-            lo, up = masks[pi]
+        readers = [sat.reader(fi) for fi in range(len(formulas))]
+        visited: list[set[int]] = [set() for _ in formulas]
+        for pi in sorted(range(len(masks)), key=lambda i: -widths[i]):
             for fi, formula in enumerate(formulas):
-                if not sat(fi, pi):
+                restrictions, read = sat.restrictions[fi], readers[fi]
+                ri = restrictions.number[pi]
+                if ri in visited[fi]:
                     continue
-                # ri == pi never matches, since sat holds at pi
-                for ri, (refined_lo, refined_up) in enumerate(masks):
-                    if lo & refined_lo == lo and refined_up & up == refined_up and not sat(fi, ri):
+                visited[fi].add(ri)
+                if not read(ri):
+                    continue
+                for refined in restrictions.refinements(ri):
+                    if not read(refined):
+                        refined_pi = masks.index(restrictions.restricted[refined])
                         return WellBehavedReport(
                             False,
-                            WellBehavedCounterexample("monotone", formula, pairs[pi], pairs[ri]),
+                            WellBehavedCounterexample(
+                                "monotone", formula, index.pair(pi), index.pair(refined_pi)
+                            ),
                         )
         raise AssertionError("single-step violation had no two-pair witness")
 
@@ -545,14 +649,15 @@ class Analysis:
         if not (sem_a.is_elementwise and sem_b.is_elementwise):
             raise CapabilityError("precision comparison covers element-wise relations only")
         sat_a, sat_b = self._table(sem_a), self._table(sem_b)
+        pair = sat_a.index.pair
         only_a = only_b = None
         for fi, element in enumerate(sat_a.formulas):
-            for pi, pair in enumerate(sat_a.index.pairs):
+            for pi in sat_a.restrictions[fi].first:
                 a, b = sat_a(fi, pi), sat_b(fi, pi)
                 if a and not b and only_a is None:
-                    only_a = (element, pair)
+                    only_a = (element, pair(pi))
                 if b and not a and only_b is None:
-                    only_b = (element, pair)
+                    only_b = (element, pair(pi))
         if only_a is None and only_b is None:
             order = PrecisionOrder.EQUAL
         elif only_a is None:

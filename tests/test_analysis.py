@@ -1,7 +1,7 @@
 """`ternary.Analysis`, which shares one table per relation between the
 well-behavedness and precision checks, against references evaluated
 straight from `sat3` over `all_consistent_pairs`, and the number of
-relation evaluations one `analyze` run makes."""
+relation evaluations and table reads one `analyze` run makes."""
 
 import dataclasses
 import random
@@ -12,12 +12,13 @@ from aggsem import AggsemError, oracle, ternary
 from aggsem.cli import run
 from aggsem.eval2 import sat2_disjunction, sat2_element
 from aggsem.interp import InterpretationPair, leq_precision
-from aggsem.syntax import AggregateAtom, Program, Rule, combine_rules_per_head
+from aggsem.syntax import AggregateAtom, Program, Rule, combine_rules_per_head, parse_program
 from aggsem.ternary import (
     Analysis,
     PrecisionOrder,
     SemanticsId,
     WellBehavedCounterexample,
+    _formula_atoms,
     all_consistent_pairs,
     sat3,
     sat3_body,
@@ -142,11 +143,27 @@ class Reference:
         return order, only_a, only_b
 
 
+def narrow_formula_programs(rng, count):
+    """Seeded programs of five or six atoms in which every formula, a body
+    element or a head's disjunction of bodies, mentions at most three
+    atoms: each formula then has at most 27 restrictions of the 243 or
+    729 consistent pairs, so the scans visit far fewer pairs than a fresh
+    scan does."""
+    found = []
+    while len(found) < count:
+        program = oracle.random_program(rng, max_atoms=6, max_rules=6, max_body=2)
+        formulas = [*program.body_elements(), *(bodies for _, bodies in program.entries)]
+        if len(program.universe) >= 5 and all(len(_formula_atoms(f)) <= 3 for f in formulas):
+            found.append(program)
+    return found
+
+
 def test_shared_tables_match_fresh_references():
     rng = random.Random(9)
+    programs = [oracle.random_program(rng, max_atoms=4, max_rules=3) for _ in range(150)]
+    programs += narrow_formula_programs(random.Random(2), 16)
     seen = Counter()
-    for _ in range(150):
-        program = oracle.random_program(rng, max_atoms=4, max_rules=3)
+    for program in programs:
         for variant in (program, with_big_weights(program)):
             analysis, reference = Analysis(variant), Reference(variant)
             for sem in SemanticsId:
@@ -181,3 +198,70 @@ def test_analyze_evaluates_each_relation_once_per_element_and_pair(monkeypatch, 
     assert "precision: mr vs flp: second <=p first" in capsys.readouterr().out
     assert {sem for sem, _, _ in calls} == set(ELEMENTWISE) - {SemanticsId.GL}
     assert max(calls.values()) == 1, calls.most_common(1)
+
+
+# six atoms, each formula mentions at most three; mr and flp are not
+# well-behaved on it, so their checks run the counterexample scan too
+SIX_ATOMS = """
+s :- sum{1:p, -1:q} >= 0.
+q :- sum{1:s} > 0.
+p :- sum{1:q} > 0.
+a :- not b.
+b :- not a.
+c :- sum{1:a, -1:b, 1:s} >= 1.
+"""
+
+
+def test_each_scan_reads_each_restriction_once(monkeypatch, tmp_path):
+    """The table reads of each `well_behaved` and `precision` call of one
+    `analyze` run, per (relation, formula, restriction): one for a
+    precision comparison, one plus one per exact restriction for a
+    well-behaved relation (the one-step and the exact scan), and at most
+    three for one that is not (the counterexample scan too)."""
+    calls = []
+    read = ternary._Table.__call__
+
+    def counting_read(table, fi, pi):
+        calls[-1][2][table.sem, fi, table.restrictions[fi].number[pi]] += 1
+        return read(table, fi, pi)
+
+    def counting(method):
+        def call(analysis, *sems):
+            calls.append((method.__name__, [SemanticsId.from_tag(s) for s in sems], Counter()))
+            return method(analysis, *sems)
+
+        return call
+
+    monkeypatch.setattr(ternary._Table, "__call__", counting_read)
+    monkeypatch.setattr(Analysis, "well_behaved", counting(Analysis.well_behaved))
+    monkeypatch.setattr(Analysis, "precision", counting(Analysis.precision))
+    path = tmp_path / "six.lp"
+    path.write_text(SIX_ATOMS, encoding="utf-8")
+    assert run(["analyze", str(path)]) == 0
+    monkeypatch.undo()
+
+    program = parse_program(SIX_ATOMS)
+    index = ternary._PairIndex(program.universe)
+    assert len(index.masks) == 3**6
+
+    def restrictions(sem):
+        """Each (relation, formula, restriction) of the relation's table,
+        with whether the restriction is exact."""
+        table = ternary._Table(sem, program, index)
+        return {
+            (sem, fi, r): lo == up
+            for fi, numbering in enumerate(table.restrictions)
+            for r, (lo, up) in enumerate(numbering.restricted)
+        }
+
+    assert [name for name, _, _ in calls] == ["well_behaved"] * 8 + ["precision"] * 21
+    for name, sems, reads in calls:
+        if name == "precision":
+            expected = {key: 1 for sem in sems for key in restrictions(sem)}
+            assert reads == expected, sems
+        elif Analysis(program).well_behaved(sems[0]).holds:
+            expected = {key: 1 + exact for key, exact in restrictions(sems[0]).items()}
+            assert reads == expected, sems
+        else:
+            assert sems[0] in (SemanticsId.MR, SemanticsId.FLP)
+            assert set(reads) <= set(restrictions(sems[0])) and max(reads.values()) <= 3

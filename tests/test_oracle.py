@@ -1,11 +1,14 @@
 """Brute-force oracles and the cross-verification report."""
 
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
-from aggsem import TooLargeError, gl_reduct, parse_program
+from aggsem import TooLargeError, gl_reduct, oracle, parse_program
 from aggsem.oracle import (
+    brute_bnd_truth,
     brute_bounds,
     brute_sat_mr,
     brute_sat_triv,
@@ -19,10 +22,13 @@ from aggsem.oracle import (
     verify_program,
 )
 from aggsem import sat3
-from aggsem.ternary import all_consistent_pairs
+from aggsem.ternary import SemanticsId, all_consistent_pairs
 
 from .conftest import interp, pair
+from .test_analysis import SIX_ATOMS, outcome, with_big_weights
 from .test_eval2 import agg
+
+ALL_TAGS = [sem.value for sem in SemanticsId]
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +259,92 @@ def test_verify_random_programs_have_no_mismatches():
             program, ["triv", "gz", "ult", "lpst", "bnd", "mr", "flp", "ultimate"]
         )
         assert report.ok, (str(program), report.mismatches[:3])
+
+
+# ---------------------------------------------------------------------------
+# evaluations kept by verify over every consistent pair
+# ---------------------------------------------------------------------------
+
+
+def test_kept_references_match_the_public_ones(monkeypatch):
+    """The references as `verify_program` builds them over every pair,
+    keeping each evaluation by whole interpretation, against the public
+    ones at every consistent pair: same value, or same error.  Then the
+    whole report under every tag, gz and flp with the new programs their
+    reducts make among them, with and without kept evaluations."""
+    rng = random.Random(17)
+    programs = [random_program(rng, max_atoms=6, max_rules=5) for _ in range(8)]
+    assert max(len(p.universe) for p in programs) == 6
+    seen = Counter()
+    for program in programs:
+        for variant in (program, with_big_weights(program)):
+            universe = variant.universe
+            kept = [
+                (a, oracle._AtomReferences(a, oracle._kept(partial(oracle._brute_holds, a))))
+                for a in variant.aggregate_atoms()
+            ]
+            consequences = oracle._kept(partial(oracle._consequences, variant))
+            for p in all_consistent_pairs(universe):
+                for atom, references in kept:
+                    assert references.sat_ult(p) == brute_sat_ult(atom, p)
+                    assert references.sat_ult_upper(p) == brute_sat_ult_upper(atom, p)
+                    assert references.sat_mr(p) == brute_sat_mr(atom, p)
+                    assert references.sat_triv(p) == brute_sat_triv(atom, p)
+                    assert references.bnd_truth(p) == brute_bnd_truth(atom, p)
+                expected = outcome(lambda: ultimate_operator_bruteforce(variant, p))
+                kept_outcome = outcome(lambda: oracle._most_precise(consequences, universe, p))
+                assert kept_outcome == expected, (str(variant), str(p))
+                seen["operator", isinstance(expected, tuple)] += 1
+            report = outcome(lambda: verify_program(variant, ALL_TAGS))
+            with monkeypatch.context() as fresh:
+                fresh.setattr(oracle, "_kept", lambda evaluate: evaluate)
+                assert outcome(lambda: verify_program(variant, ALL_TAGS)) == report, str(variant)
+            seen["report", isinstance(report, tuple)] += 1
+    # values and errors (an overflow on a ±2^62 variant) of both
+    assert len(seen) == 4, seen
+
+
+def _counting_evaluations(monkeypatch, program):
+    """Count `_brute_holds` calls per (atom, interpretation) and
+    `_consequences` calls on `program` per interpretation."""
+    holds, images = Counter(), Counter()
+    brute_holds, consequences = oracle._brute_holds, oracle._consequences
+
+    def counting_holds(atom, true_atoms):
+        holds[atom, true_atoms] += 1
+        return brute_holds(atom, true_atoms)
+
+    def counting_consequences(of, true_atoms):
+        if of is program:
+            images[true_atoms] += 1
+        return consequences(of, true_atoms)
+
+    monkeypatch.setattr(oracle, "_brute_holds", counting_holds)
+    monkeypatch.setattr(oracle, "_consequences", counting_consequences)
+    return holds, images
+
+
+def test_all_pairs_verify_evaluates_once_per_interpretation(monkeypatch):
+    program = parse_program(SIX_ATOMS)
+    holds, images = _counting_evaluations(monkeypatch, program)
+    assert verify_program(program, ALL_TAGS).ok
+    interpretations = {p.lower.atoms for p in all_consistent_pairs(program.universe)}
+    assert len(interpretations) == 2**6
+    assert images == Counter(interpretations)
+    assert holds == Counter((a, z) for a in program.aggregate_atoms() for z in interpretations)
+
+
+def test_sampled_verify_keeps_nothing(monkeypatch):
+    program = parse_program(SIX_ATOMS + "d :- not c.")
+    assert len(program.universe) == oracle.ALL_PAIRS_ATOMS + 1
+
+    def no_keeping(evaluate):
+        raise AssertionError("a sampled verify keeps evaluations")
+
+    monkeypatch.setattr(oracle, "_kept", no_keeping)
+    holds, images = _counting_evaluations(monkeypatch, program)
+    assert verify_program(program, ["ult", "ultimate"]).ok
+    assert max(holds.values()) > 1 and max(images.values()) > 1
 
 
 # ---------------------------------------------------------------------------
