@@ -8,32 +8,26 @@ its positive-condition weights (atom chosen true) or its
 negative-condition weights (atom chosen false), never a mix.  Naive
 per-entry bounds would get [1:p, 1:not p] wrong.
 
-sum, card and prod share one loop, which `exact_bounds` and `bnd_truth`
-both run.  Each undefined atom has one value per branch (the count, sum
-or product of that branch's weights), and the running (min, max) pair of
-the fixed value becomes the min and max of its four combinations with
-the two branch values, by + or *; keeping both extremes makes sign flips
-of a product exact.  `bnd_truth` reads the two ints and builds no value
-objects.  min/max/avg fall back to enumerating the branch combinations,
-which is exponential in the number of undefined condition atoms;
-acceptable at desk scale.
+The value rules are `eval2`'s rows (`_RULES`): this module states none.
+sum, card and prod share one hull loop, which `exact_bounds` and
+`bnd_truth` both run.  Each undefined atom has one value per branch (the
+sum, count or product of that branch's weights), and the running (min,
+max) pair of the fixed value becomes the min and max of its four joins
+with the two branch values; keeping both extremes makes sign flips of a
+product exact.  `bnd_truth` reads the two ints and builds no value
+objects.  For min/max/avg, `exact_bounds` takes the least and the
+greatest value of every branch combination from the half tables of
+`ult`'s interval sweep, which is exponential in the number of undefined
+condition atoms; acceptable at desk scale.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .eval2 import (
-    AggValue,
-    _interval_sweep,
-    aggregate_value,
-    checked_int,
-    checked_product,
-    eval_multiset,
-)
-from .interp import InterpretationPair, extensions
+from .eval2 import _RULES, AggValue, _fixed_weights, _half_tables, _interval_sweep
+from .interp import InterpretationPair
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
 
@@ -59,28 +53,10 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     fixed, branches = _split(atom, pair)
     empty_certain = not fixed and not branches
     empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
-
-    func = atom.func
-    if func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
-        lo, hi = _hull(func, fixed, branches)
-        return Bounds(AggValue.of(lo), AggValue.of(hi), empty_possible, empty_certain)
-
-    # min/max/avg: evaluate every branch combination, that is every member
-    # of the interval that varies the undefined condition atoms only
-    atoms = list(branches)
-    if len(atoms) > MAX_BRANCH_ATOMS:
-        raise TooLargeError(
-            f"{len(atoms)} undefined condition atoms exceed the "
-            f"branch-enumeration bound of {MAX_BRANCH_ATOMS}"
-        )
-    lb = ub = None
-    for z in extensions(pair.lower, atoms):
-        multiset = eval_multiset(atom.entries, z)
-        if not multiset:
-            continue
-        value = aggregate_value(func, multiset).value
-        lb = value if lb is None else min(lb, value)
-        ub = value if ub is None else max(ub, value)
+    if atom.func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
+        lb, ub = _hull(atom.func, fixed, branches)
+    else:
+        lb, ub = _value_range(atom, fixed, list(branches))
     if lb is None:
         return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, empty_possible, empty_certain)
     return Bounds(AggValue.of(lb), AggValue.of(ub), empty_possible, empty_certain)
@@ -90,36 +66,50 @@ def _split(
     atom: AggregateAtom, pair: InterpretationPair
 ) -> tuple[list[int], dict[str, tuple[tuple[int, ...], tuple[int, ...]]]]:
     """The weights of the certainly true conditions, in entry order, and
-    per undefined condition atom its (false-branch, true-branch) weights."""
+    per undefined condition atom, first occurrence first, its
+    (false-branch, true-branch) weights."""
     lower, upper = pair.lower.atoms, pair.upper.atoms
-    fixed = [
-        w
-        for w, lit in atom.entries
-        if (lit.atom not in upper if lit.negated else lit.atom in lower)
-    ]
     branches = {
         a: weights for a, weights in atom._branch_weights.items() if a in upper and a not in lower
     }
-    return fixed, branches
+    return _fixed_weights(atom, pair), branches
 
 
 def _hull(func: AggFunc, fixed: list[int], branches: dict) -> tuple[int, int]:
     """The least and the greatest value of sum, card or prod over the
     branch choices, from `_split`'s parts."""
-    if func is AggFunc.PROD:
-        measure, combine, context = checked_product, operator.mul, "product"
-    else:
-        measure = (lambda ws: checked_int(sum(ws), "sum")) if func is AggFunc.SUM else len
-        combine, context = operator.add, "sum"
-    lo = hi = measure(fixed)
+    measure, join, value, _ = _RULES[func]
+    lo = hi = value(measure(fixed))
     for bf, bt in branches.values():
-        vt, vf = measure(bt), measure(bf)
-        values = (combine(lo, vt), combine(lo, vf), combine(hi, vt), combine(hi, vf))
+        vt, vf = value(measure(bt)), value(measure(bf))
+        values = (join(lo, vt), join(lo, vf), join(hi, vt), join(hi, vf))
         # every combination lies between these two, so checking them
         # catches any overflow
-        lo = checked_int(min(values), context)
-        hi = checked_int(max(values), context)
+        lo, hi = value(min(values)), value(max(values))
     return lo, hi
+
+
+def _value_range(atom: AggregateAtom, fixed: list[int], free: list[str]) -> tuple:
+    """The least and the greatest defined value of min, max or avg over
+    the members that vary the undefined condition atoms `free`, or
+    (None, None) when no member has one.  Members are taken in the order
+    of `extensions` over `free`, so an avg total that leaves the signed
+    64-bit range raises at the first member that has one."""
+    if len(free) > MAX_BRANCH_ATOMS:
+        raise TooLargeError(
+            f"{len(free)} undefined condition atoms exceed the "
+            f"branch-enumeration bound of {MAX_BRANCH_ATOMS}"
+        )
+    _, join, value, _ = _RULES[atom.func]
+    high, low = _half_tables(atom, free, fixed)
+    lb = ub = None
+    for h in high:
+        for partial in low:
+            v = value(join(h, partial))
+            if v is not None:
+                lb = v if lb is None else min(lb, v)
+                ub = v if ub is None else max(ub, v)
+    return lb, ub
 
 
 def interval_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:

@@ -256,7 +256,7 @@ def _cmd_analyze(args, program: Program, sems: list[SemanticsId]) -> int:
 
 
 def _cmd_verify(args, program: Program, sems: list[SemanticsId]) -> int:
-    report = oracle.verify_program(program, sems, seed=args.seed)
+    report = oracle.verify_program(program, sems, seed=args.seed, max_atoms=args.max_atoms)
     if args.json:
         emit_json(
             {

@@ -7,6 +7,14 @@ false.  Aggregate values must stay inside the signed 64-bit range;
 leaving it raises ArithmeticOverflowError instead of silently wrapping
 or silently using big integers.
 
+`_RULES` states these rules once, one row per function: the partial
+value (measure) of some weights, the join of two partial values, the
+value of a partial value with its int64 check, and the member truths of
+`ult`'s interval sweep.  `aggregate_value`, the sweep's half tables and
+the `bounds` module read the rows.  The per-atom evaluators and the
+sweep's truth loops restate a row's test inline, as their callers run
+them once per interpretation or member.
+
 Each aggregate atom is evaluated by a function of the set of true atoms
 that `aggregate_evaluator` builds once per atom, over its (weight, atom,
 negated) entries; the atom caches it.  The rule-level tests below take
@@ -19,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArithmeticOverflowError
 from .interp import (
@@ -95,20 +103,8 @@ def eval_multiset(entries: Sequence[tuple[int, Literal]], i: Interpretation) -> 
 
 def _value(func: AggFunc, multiset: Sequence[int]) -> int | Fraction | None:
     """The aggregate's value, None when it is undefined."""
-    if func is AggFunc.SUM:
-        return checked_int(sum(multiset), "sum")
-    if func is AggFunc.CARD:
-        return len(multiset)
-    if func is AggFunc.PROD:
-        return checked_product(multiset)
-    if not multiset:
-        return None
-    if func is AggFunc.MIN:
-        return min(multiset)
-    if func is AggFunc.MAX:
-        return max(multiset)
-    # avg: exact rational, no rounding
-    return Fraction(checked_int(sum(multiset), "sum"), len(multiset))
+    rule = _RULES[func]
+    return rule.value(rule.measure(multiset))
 
 
 def aggregate_value(func: AggFunc, multiset: Sequence[int]) -> AggValue:
@@ -284,25 +280,44 @@ def _interval_sweep(
 def _member_truths(atom: AggregateAtom, pair: InterpretationPair) -> Iterator[bool]:
     """The atom's truth at each member of the sweep, in order.
 
-    prod walks the members.  The other functions build none: the free
-    condition atoms split, as in `extensions`, into a low and a high
-    half, each with a table of the partial value of every choice of its
-    atoms (the fixed atoms' part is folded into the high table), and
-    each member's value is one high entry joined with one low entry.
+    prod walks the members.  The other functions build none: each
+    member's value is one entry of `_half_tables` over the free condition
+    atoms joined with another.
     """
     restrict = frozenset(atom.condition_atoms)
     if atom.func is AggFunc.PROD:
         members = enumerate_interval(pair.lower, pair.upper, restrict=restrict)
         return (eval_aggregate(atom, z) for z in members)
     free = _interval_free_atoms(pair.lower, pair.upper, restrict)
+    high, low = _half_tables(atom, free, _fixed_weights(atom, pair))
+    return _RULES[atom.func].truths(atom, high, low)
+
+
+def _fixed_weights(atom: AggregateAtom, pair: InterpretationPair) -> list[int]:
+    """The weights of the conditions the pair makes certainly true, in
+    entry order."""
+    lower, upper = pair.lower.atoms, pair.upper.atoms
+    return [
+        w
+        for w, lit in atom.entries
+        if (lit.atom not in upper if lit.negated else lit.atom in lower)
+    ]
+
+
+def _half_tables(atom: AggregateAtom, free: Sequence[str], fixed: list[int]) -> tuple[list, list]:
+    """The high and the low table of the members that vary the condition
+    atoms `free` and hold the `fixed` weights.  `free` splits, as in
+    `extensions`, into a low and a high half, each with a table of the
+    partial value of every choice of its atoms; the fixed weights' part
+    is folded into the high table.  The member `extensions` yields at
+    mask j << len(free) // 2 | i has the partial value
+    join(high[j], low[i])."""
+    measure, join = _RULES[atom.func][:2]
     branches = atom._branch_weights
-    lower, varied = pair.lower.atoms, set(free)
-    fixed = [w for a, ws in branches.items() if a not in varied for w in ws[a in lower]]
-    measure, join, truths = _COMPILED[atom.func]
     half = len(free) // 2
     low = _choice_table(measure(()), [branches[a] for a in free[:half]], measure, join)
     high = _choice_table(measure(fixed), [branches[a] for a in free[half:]], measure, join)
-    return truths(atom, high, low)
+    return high, low
 
 
 def _choice_table(
@@ -358,16 +373,35 @@ def _extreme_truths(atom: AggregateAtom, high: list, low: list) -> Iterator[bool
             yield value != empty and holds(value, bound)
 
 
-# per function: the partial value of some weights, the join of two
-# partial values, and the member truths from the joined half tables
-_COMPILED = {
-    AggFunc.SUM: (sum, operator.add, _sum_truths),
-    AggFunc.CARD: (len, operator.add, _sum_truths),
-    AggFunc.AVG: (
+def _avg_value(partial: tuple[int, int]) -> Fraction | None:
+    """avg: the exact rational, no rounding; undefined for a count of 0."""
+    total, count = partial
+    return Fraction(checked_int(total, "sum"), count) if count else None
+
+
+class _Rule(NamedTuple):
+    """One aggregate function's value rules."""
+
+    measure: Callable  # the partial value of some weights
+    join: Callable  # the partial value of two parts together
+    value: Callable  # the value of a partial value, int64-checked; None: undefined
+    truths: Callable | None  # the sweep's member truths; None: the sweep walks members
+
+
+_RULES = {
+    AggFunc.SUM: _Rule(sum, operator.add, lambda total: checked_int(total, "sum"), _sum_truths),
+    AggFunc.CARD: _Rule(len, operator.add, lambda count: count, _sum_truths),
+    AggFunc.PROD: _Rule(checked_product, operator.mul, lambda p: checked_int(p, "product"), None),
+    AggFunc.AVG: _Rule(
         lambda ws: (sum(ws), len(ws)),
         lambda p, q: (p[0] + q[0], p[1] + q[1]),
+        _avg_value,
         _avg_truths,
     ),
-    AggFunc.MIN: (lambda ws: min(ws, default=inf), min, _extreme_truths),
-    AggFunc.MAX: (lambda ws: max(ws, default=-inf), max, _extreme_truths),
+    AggFunc.MIN: _Rule(
+        lambda ws: min(ws, default=inf), min, lambda m: None if m == inf else m, _extreme_truths
+    ),
+    AggFunc.MAX: _Rule(
+        lambda ws: max(ws, default=-inf), max, lambda m: None if m == -inf else m, _extreme_truths
+    ),
 }

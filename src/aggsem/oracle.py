@@ -415,7 +415,10 @@ def _kept(evaluate):
 
 
 def verify_program(
-    program: Program, sems: Sequence[SemanticsId | str], seed: int = 0
+    program: Program,
+    sems: Sequence[SemanticsId | str],
+    seed: int = 0,
+    max_atoms: int | None = None,
 ) -> VerificationReport:
     """Cross-check main-path results against the brute-force oracles and
     reduct constructions, and report the stable models per semantics.
@@ -431,7 +434,8 @@ def verify_program(
     consequences, and a sampled run keeps nothing.  Individual checks
     whose oracle exceeds its enumeration bound, or whose main-path or
     reference value leaves the signed 64-bit range, are counted as
-    skipped.
+    skipped.  `max_atoms`, when given, is the universe cap of the
+    stable-model enumeration; `stable_enumerate`'s default otherwise.
     """
     report = VerificationReport()
     sems = [SemanticsId.from_tag(s) for s in sems]
@@ -443,10 +447,11 @@ def verify_program(
     keep = _kept if len(program.universe) <= ALL_PAIRS_ATOMS else lambda evaluate: evaluate
     references = [_AtomReferences(atom, keep(partial(_brute_holds, atom))) for atom in aggregates]
     consequences = keep(partial(_consequences, program))
+    cap = () if max_atoms is None else (max_atoms,)
 
     @cache  # one enumeration serves both the reduct comparison and the report
     def stable_models(sem: SemanticsId) -> list[Interpretation]:
-        return stable_enumerate(sem, program)
+        return stable_enumerate(sem, program, *cap)
 
     def compare(describe, main_fn, reference_fn, *args):
         """One check; `describe()` gives its descriptor, which only a

@@ -535,6 +535,27 @@ def test_max_atoms_covers_every_command_but_parse(tmp_path, capsys, argv):
     assert run_cli(capsys, "parse", str(path))[0] == 0
 
 
+def test_verify_reads_max_atoms(tmp_path, capsys):
+    # a 22-atom chain: above the default cap of 20, within --max-atoms 22
+    path = tmp_path / "chain.lp"
+    path.write_text("a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(21)), encoding="utf-8")
+    model = "{" + ", ".join(sorted(f"a{i}" for i in range(22))) + "}"
+    code, out, err = run_cli(capsys, "models", str(path), "--semantics", "gl", "--max-atoms", "22")
+    assert (code, out, err) == (0, model + "\n", "")
+    code, out, err = run_cli(
+        capsys, "verify", str(path), "--semantics", "gl,ult", "--max-atoms", "22"
+    )
+    # the reduct oracle refuses 22 free atoms, so its comparison is skipped
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "checked: 0",
+        "skipped: 1 (oracle bounds or 64-bit overflow)",
+        f"gl: {model}",
+        f"ult: {model}",
+        "ok",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
