@@ -18,7 +18,8 @@ product exact.  `bnd_truth` reads the two ints and builds no value
 objects.  For min/max/avg, `exact_bounds` takes the least and the
 greatest value of every branch combination from the half tables of
 `ult`'s interval sweep, which is exponential in the number of undefined
-condition atoms; acceptable at desk scale.
+condition atoms; acceptable at desk scale.  avg compares the (sum,
+count) entries by cross-multiplication and builds only two fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .eval2 import _RULES, AggValue, _fixed_weights, _half_tables, _interval_sweep
+from .eval2 import _RULES, AggValue, _avg_range, _fixed_weights, _half_tables, _interval_sweep
 from .interp import InterpretationPair
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
@@ -94,14 +95,17 @@ def _value_range(atom: AggregateAtom, fixed: list[int], free: list[str]) -> tupl
     the members that vary the undefined condition atoms `free`, or
     (None, None) when no member has one.  Members are taken in the order
     of `extensions` over `free`, so an avg total that leaves the signed
-    64-bit range raises at the first member that has one."""
+    64-bit range raises at the first member that has one; avg's members
+    are compared in `eval2._avg_range`."""
     if len(free) > MAX_BRANCH_ATOMS:
         raise TooLargeError(
             f"{len(free)} undefined condition atoms exceed the "
             f"branch-enumeration bound of {MAX_BRANCH_ATOMS}"
         )
-    _, join, value, _ = _RULES[atom.func]
     high, low = _half_tables(atom, free, fixed)
+    if atom.func is AggFunc.AVG:
+        return _avg_range(high, low)
+    _, join, value, _ = _RULES[atom.func]
     lb = ub = None
     for h in high:
         for partial in low:

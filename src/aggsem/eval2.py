@@ -11,9 +11,9 @@ or silently using big integers.
 value (measure) of some weights, the join of two partial values, the
 value of a partial value with its int64 check, and the member truths of
 `ult`'s interval sweep.  `aggregate_value`, the sweep's half tables and
-the `bounds` module read the rows.  The per-atom evaluators and the
-sweep's truth loops restate a row's test inline, as their callers run
-them once per interpretation or member.
+the `bounds` module read the rows.  The per-atom evaluators, the
+sweep's truth loops and avg's value range restate a row's test inline,
+as their callers run them once per interpretation or member.
 
 Each aggregate atom is evaluated by a function of the set of true atoms
 that `aggregate_evaluator` builds once per atom, over its (weight, atom,
@@ -371,6 +371,32 @@ def _extreme_truths(atom: AggregateAtom, high: list, low: list) -> Iterator[bool
         for lv in low:
             value = pick(hv, lv)
             yield value != empty and holds(value, bound)
+
+
+def _avg_range(high: list, low: list) -> tuple[Fraction | None, Fraction | None]:
+    """avg: the least and the greatest value over the members of the
+    half tables of (sum, count) entries, or (None, None) when every
+    member is empty.  Members compare by cross-multiplication, exact for
+    positive counts, so only the two results become fractions; each
+    member's sum is checked as the sweep checks it, in the same order."""
+    lo_sum = lo_count = hi_sum = hi_count = None
+    for high_sum, high_count in high:
+        for low_sum, low_count in low:
+            count = high_count + low_count
+            if not count:
+                continue
+            total = high_sum + low_sum
+            if not INT64_MIN <= total <= INT64_MAX:
+                checked_int(total, "sum")
+            if lo_count is None:
+                lo_sum, lo_count = hi_sum, hi_count = total, count
+            elif total * lo_count < lo_sum * count:
+                lo_sum, lo_count = total, count
+            elif total * hi_count > hi_sum * count:
+                hi_sum, hi_count = total, count
+    if lo_count is None:
+        return None, None
+    return _avg_value((lo_sum, lo_count)), _avg_value((hi_sum, hi_count))
 
 
 def _avg_value(partial: tuple[int, int]) -> Fraction | None:

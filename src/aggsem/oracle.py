@@ -15,9 +15,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import accumulate
-from operator import mul
+from operator import and_, mul, or_
 from typing import Iterator, Sequence
 
 from .bounds import Bounds, bnd_truth, exact_bounds
@@ -165,16 +165,35 @@ def brute_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     pair.require_consistent()
     fixed = frozenset(a for a in atom.condition_atoms if a in pair.lower.atoms)
     free = [a for a in atom.condition_atoms if a in pair.upper.atoms and a not in fixed]
-    empty, values = [], []
-    for trace in _subsets(fixed, free):
-        weights = _weights(atom, trace)
-        empty.append(not weights)
-        value = _brute_value(atom.func, weights)
-        if value is not None:
-            values.append(value)
-    if not values:
-        return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, any(empty), all(empty))
-    return Bounds(AggValue.of(min(values)), AggValue.of(max(values)), any(empty), all(empty))
+    traces = _subsets(fixed, free)
+    return _as_bounds(reduce(_join_bounds, map(partial(_value_bounds, atom), traces)))
+
+
+def _value_bounds(atom: AggregateAtom, true_atoms: frozenset[str]) -> tuple:
+    """(least value, greatest value, empty possible, empty certain) of
+    the aggregate at one whole interpretation; the values are None when
+    it is undefined."""
+    weights = _weights(atom, true_atoms)
+    value = _brute_value(atom.func, weights)
+    return value, value, not weights, not weights
+
+
+def _join_bounds(x: tuple, y: tuple) -> tuple:
+    """`_value_bounds` of the union of two sets of interpretations."""
+    if x[0] is None:
+        lb, ub = y[0], y[1]
+    elif y[0] is None:
+        lb, ub = x[0], x[1]
+    else:
+        lb, ub = min(x[0], y[0]), max(x[1], y[1])
+    return lb, ub, x[2] or y[2], x[3] and y[3]
+
+
+def _as_bounds(joined: tuple) -> Bounds:
+    lb, ub, empty_possible, empty_certain = joined
+    if lb is None:
+        return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, empty_possible, empty_certain)
+    return Bounds(AggValue.of(lb), AggValue.of(ub), empty_possible, empty_certain)
 
 
 def brute_sat_ult(atom: AggregateAtom, pair: InterpretationPair) -> bool:
@@ -235,6 +254,9 @@ class _AtomReferences:
             return False
         return any(map(self.holds, _subsets(frozenset(), tuple(pair.lower))))
 
+    def bounds(self, pair: InterpretationPair) -> Bounds:
+        return brute_bounds(self.atom, pair)
+
     def bnd_truth(self, pair: InterpretationPair) -> TruthValue:
         atom = self.atom
         if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
@@ -243,22 +265,104 @@ class _AtomReferences:
             if not self.sat_ult_upper(pair):
                 return TruthValue.FALSE
             return TruthValue.UNDEFINED
-        bounds = brute_bounds(atom, pair)
-        lb, ub, w = bounds.lb.value, bounds.ub.value, atom.bound
-        table = {
-            Comparison.EQ: (lb == w == ub, lb > w or ub < w),
-            Comparison.NE: (lb > w or ub < w, lb == w == ub),
-            Comparison.GE: (lb >= w, ub < w),
-            Comparison.GT: (lb > w, ub <= w),
-            Comparison.LE: (ub <= w, lb > w),
-            Comparison.LT: (ub < w, lb >= w),
-        }
-        is_true, is_false = table[atom.cmp]
+        bounds = self.bounds(pair)
+        is_true, is_false = _HULL_RULES[atom.cmp](bounds.lb.value, bounds.ub.value, atom.bound)
         if is_true:
             return TruthValue.TRUE
         if is_false:
             return TruthValue.FALSE
         return TruthValue.UNDEFINED
+
+
+# per comparison, from the value bounds lb, ub and the bound w: whether
+# it certainly holds, and whether it certainly fails
+_HULL_RULES = {
+    Comparison.EQ: lambda lb, ub, w: (lb == w == ub, lb > w or ub < w),
+    Comparison.NE: lambda lb, ub, w: (lb > w or ub < w, lb == w == ub),
+    Comparison.GE: lambda lb, ub, w: (lb >= w, ub < w),
+    Comparison.GT: lambda lb, ub, w: (lb > w, ub <= w),
+    Comparison.LE: lambda lb, ub, w: (ub <= w, lb > w),
+    Comparison.LT: lambda lb, ub, w: (ub < w, lb >= w),
+}
+
+
+class _PairTables:
+    """Every consistent pair over one universe as an index into flat
+    tables, and the fold that fills such a table from one value per
+    whole interpretation.
+
+    The index of a pair has one base-3 digit per atom, the first atom
+    of the universe lowest: 0 false, 1 true, 2 undefined.  The whole
+    interpretations are the members of `_subsets` over the universe, the
+    one at position `mask` having the atoms of `mask`'s bits; the exact
+    pair at it has index `mask`'s binary digits read in base 3."""
+
+    def __init__(self, universe: tuple[str, ...]):
+        self.members = list(_subsets(frozenset(), universe))
+        self.mask = {z: mask for mask, z in enumerate(self.members)}
+        self.exact = {z: int(f"{mask:b}", 3) for z, mask in self.mask.items()}
+
+    def index(self, pair: InterpretationPair) -> int:
+        exact = self.exact
+        return 2 * exact[pair.upper.atoms] - exact[pair.lower.atoms]
+
+    def fold(self, leaves: list, join) -> list:
+        """Per pair, `join` over the leaves, one per member, of its
+        interval.  A pair splits on its lowest undefined atom a, as
+        [L, U] is the disjoint union of [L, U minus a] and [L plus a, U]:
+        one join per pair that is not exact."""
+        if len(leaves) == 1:
+            return leaves
+        false, true = self.fold(leaves[::2], join), self.fold(leaves[1::2], join)
+        table = []
+        for f, t in zip(false, true):
+            table += (f, t, join(f, t))
+        return table
+
+
+class _AtomTables(_AtomReferences):
+    """`_AtomReferences` at every consistent pair of one universe: `ult`,
+    its existential form, `mr` and the bounds read tables that one fold
+    of the whole interpretations fills at first use; `triv` stays per
+    pair."""
+
+    def __init__(self, atom: AggregateAtom, holds, pairs: _PairTables):
+        super().__init__(atom, holds)
+        self.pairs = pairs
+
+    @cached_property
+    def _truths(self) -> list[bool]:
+        return list(map(self.holds, self.pairs.members))
+
+    @cached_property
+    def _everywhere(self) -> list[bool]:
+        return self.pairs.fold(self._truths, and_)
+
+    @cached_property
+    def _somewhere(self) -> list[bool]:
+        return self.pairs.fold(self._truths, or_)
+
+    @cached_property
+    def _bounds(self) -> list[Bounds]:
+        leaves = list(map(partial(_value_bounds, self.atom), self.pairs.members))
+        # pairs with equal bounds share one object
+        return list(map(cache(_as_bounds), self.pairs.fold(leaves, _join_bounds)))
+
+    def sat_ult(self, pair: InterpretationPair) -> bool:
+        return self._everywhere[self.pairs.index(pair)]
+
+    def sat_ult_upper(self, pair: InterpretationPair) -> bool:
+        return self._somewhere[self.pairs.index(pair)]
+
+    def sat_mr(self, pair: InterpretationPair) -> bool:
+        # holds at (U, U) and somewhere in (empty set, L)
+        exact = self.pairs.exact
+        return self._everywhere[exact[pair.upper.atoms]] and self._somewhere[
+            2 * exact[pair.lower.atoms]
+        ]
+
+    def bounds(self, pair: InterpretationPair) -> Bounds:
+        return self._bounds[self.pairs.index(pair)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +412,49 @@ def _most_precise(
     for image in images:
         lower, upper = lower & image, upper | image
     return InterpretationPair(Interpretation(universe, lower), Interpretation(universe, upper))
+
+
+class _Overflow:
+    """The error of the consequences at the whole interpretation `mask`."""
+
+    def __init__(self, mask: int, error: ArithmeticOverflowError):
+        self.mask, self.error = mask, error
+
+
+def _join_lower(x, y):
+    """The intersection of two sets of heads, as masks.  An overflow
+    wins, and of two the one at the lower mask, which the interval walk
+    of `_most_precise` meets first."""
+    if isinstance(x, _Overflow) or isinstance(y, _Overflow):
+        overflows = [e for e in (x, y) if isinstance(e, _Overflow)]
+        return min(overflows, key=lambda e: e.mask)
+    return x & y
+
+
+class _MostPreciseTable:
+    """`_most_precise(consequences, universe, pair).lower` at every
+    consistent pair of `pairs`, read from a table that one fold of the
+    consequences of the whole interpretations fills at first use."""
+
+    def __init__(self, consequences, universe: tuple[str, ...], pairs: _PairTables):
+        self.consequences, self.universe, self.pairs = consequences, universe, pairs
+
+    def _heads(self, mask: int, z: frozenset[str]):
+        try:
+            return self.pairs.mask[self.consequences(z)]
+        except ArithmeticOverflowError as error:
+            return _Overflow(mask, error)
+
+    @cached_property
+    def _lower(self) -> list:
+        members = self.pairs.members
+        return self.pairs.fold(list(map(self._heads, range(len(members)), members)), _join_lower)
+
+    def lower(self, pair: InterpretationPair) -> Interpretation:
+        heads = self._lower[self.pairs.index(pair)]
+        if isinstance(heads, _Overflow):
+            raise heads.error.with_traceback(None)
+        return Interpretation(self.universe, self.pairs.members[heads])
 
 
 def minimal_model_check(program: Program, i: Interpretation) -> bool:
@@ -425,17 +572,22 @@ def verify_program(
 
     Universes of at most six atoms are checked over every consistent
     pair; larger ones over a seeded sample of pairs.  The main path is
-    evaluated afresh at every pair.  Over all pairs of n atoms, the
-    references walk 4^n interval members but meet only 2^n
-    interpretations, so for the length of the call they keep each
-    aggregate atom's truth, and the program's consequences, by whole
-    interpretation: each is evaluated once per interpretation.  An
-    evaluation that raises is not kept, nor are a reduct's
-    consequences, and a sampled run keeps nothing.  Individual checks
-    whose oracle exceeds its enumeration bound, or whose main-path or
+    evaluated afresh at every pair.  Over all pairs, the references are
+    read from tables over the pairs that the call builds once, at first
+    use, by folding values of whole interpretations: per aggregate atom,
+    its truth (for `ult`, `lpst`, `mr` and `bnd`) and its value bounds;
+    per program, the lower bound of the most precise approximator.  Each
+    aggregate atom's truth and the program's consequences are evaluated
+    once per interpretation for the length of the call, and `triv` reads
+    the kept truth at each pair's upper set.  A sampled run walks each
+    pair's interval afresh and keeps nothing.  Individual checks whose
+    oracle exceeds its enumeration bound, or whose main-path or
     reference value leaves the signed 64-bit range, are counted as
-    skipped.  `max_atoms`, when given, is the universe cap of the
-    stable-model enumeration; `stable_enumerate`'s default otherwise.
+    skipped; over all pairs, an overflow of the consequences at one
+    interpretation skips the operator check at every pair whose interval
+    holds it.
+    `max_atoms`, when given, is the universe cap of the stable-model
+    enumeration; `stable_enumerate`'s default otherwise.
     """
     report = VerificationReport()
     sems = [SemanticsId.from_tag(s) for s in sems]
@@ -444,60 +596,77 @@ def verify_program(
         sems = [sem for sem in sems if sem is not SemanticsId.GL]
     pairs = _sample_pairs(program, seed)
     aggregates = program.aggregate_atoms()
-    keep = _kept if len(program.universe) <= ALL_PAIRS_ATOMS else lambda evaluate: evaluate
-    references = [_AtomReferences(atom, keep(partial(_brute_holds, atom))) for atom in aggregates]
-    consequences = keep(partial(_consequences, program))
+    consequences = partial(_consequences, program)
+    if len(program.universe) <= ALL_PAIRS_ATOMS:
+        tables = _PairTables(program.universe)
+        # kept, as `triv` reads the truth at each pair's upper set again
+        references = [
+            _AtomTables(atom, _kept(partial(_brute_holds, atom)), tables) for atom in aggregates
+        ]
+        most_precise_lower = _MostPreciseTable(consequences, program.universe, tables).lower
+    else:
+        references = [_AtomReferences(atom) for atom in aggregates]
+        most_precise_lower = lambda p: _most_precise(consequences, program.universe, p).lower
     cap = () if max_atoms is None else (max_atoms,)
 
     @cache  # one enumeration serves both the reduct comparison and the report
     def stable_models(sem: SemanticsId) -> list[Interpretation]:
         return stable_enumerate(sem, program, *cap)
 
-    def compare(describe, main_fn, reference_fn, *args):
-        """One check; `describe()` gives its descriptor, which only a
-        mismatch needs."""
-        try:
-            main, reference = main_fn(*args), reference_fn(*args)
-        except (TooLargeError, ArithmeticOverflowError):
-            report.skipped += 1
-            return
-        ok = main == reference
-        report.record(ok, "" if ok else describe(), main, reference)
+    def compare(describe, main_fn, reference_fn, cases):
+        """One check per case, a tuple of arguments; `describe(*case)`
+        gives its descriptor, which only a mismatch needs."""
+        for case in cases:
+            try:
+                main, reference = main_fn(*case), reference_fn(*case)
+            except (TooLargeError, ArithmeticOverflowError):
+                report.skipped += 1
+                continue
+            ok = main == reference
+            report.record(ok, "" if ok else describe(*case), main, reference)
 
-    # (main, reference) per tag whose aggregate atoms are checked one by one
+    # (main, name of the reference) per tag whose aggregate atoms are checked one by one
     per_atom_oracles = {
-        SemanticsId.ULT: (partial(sat3, SemanticsId.ULT), _AtomReferences.sat_ult),
-        SemanticsId.LPST: (partial(sat3, SemanticsId.LPST), _AtomReferences.sat_ult),
-        SemanticsId.BND: (bnd_truth, _AtomReferences.bnd_truth),
-        SemanticsId.MR: (partial(sat3, SemanticsId.MR), _AtomReferences.sat_mr),
-        SemanticsId.TRIV: (partial(sat3, SemanticsId.TRIV), _AtomReferences.sat_triv),
+        SemanticsId.ULT: (partial(sat3, SemanticsId.ULT), "sat_ult"),
+        SemanticsId.LPST: (partial(sat3, SemanticsId.LPST), "sat_ult"),
+        SemanticsId.BND: (bnd_truth, "bnd_truth"),
+        SemanticsId.MR: (partial(sat3, SemanticsId.MR), "sat_mr"),
+        SemanticsId.TRIV: (partial(sat3, SemanticsId.TRIV), "sat_triv"),
     }
+    at_pairs = [(pair,) for pair in pairs]
 
-    for atom in aggregates:
-        for pair in pairs:
-            compare(lambda: f"bounds of {atom} at {pair}", exact_bounds, brute_bounds, atom, pair)
+    for atom, atom_references in zip(aggregates, references):
+        compare(
+            lambda pair: f"bounds of {atom} at {pair}",
+            partial(exact_bounds, atom),
+            atom_references.bounds,
+            at_pairs,
+        )
 
     for sem in sems:
         if sem in per_atom_oracles:
-            main_fn, reference_fn = per_atom_oracles[sem]
+            main_fn, reference_name = per_atom_oracles[sem]
             for atom, atom_references in zip(aggregates, references):
-                main, reference = partial(main_fn, atom), partial(reference_fn, atom_references)
-                for pair in pairs:
-                    compare(lambda: f"{sem.value}: {atom} at {pair}", main, reference, pair)
+                compare(
+                    lambda pair: f"{sem.value}: {atom} at {pair}",
+                    partial(main_fn, atom),
+                    getattr(atom_references, reference_name),
+                    at_pairs,
+                )
         elif sem in (SemanticsId.GL, SemanticsId.GZ, SemanticsId.FLP):
             compare(
                 lambda: f"stable models under {sem.value}: relation path vs reduct path",
                 lambda: [str(m) for m in stable_models(sem)],
                 lambda: [str(m) for m in reduct_stable_models(sem, program)],
+                [()],
             )
         elif sem is SemanticsId.ULTIMATE:
-            for pair in pairs:
-                compare(
-                    lambda: f"most-precise lower operator at {pair}",
-                    partial(lower_step, sem, program),
-                    lambda p: _most_precise(consequences, program.universe, p).lower,
-                    pair,
-                )
+            compare(
+                lambda pair: f"most-precise lower operator at {pair}",
+                partial(lower_step, sem, program),
+                most_precise_lower,
+                at_pairs,
+            )
 
     for sem in sems:
         report.stable_models[sem.value] = stable_models(sem)
