@@ -19,7 +19,13 @@ objects.  For min/max/avg, `exact_bounds` takes the least and the
 greatest value of every branch combination from the half tables of
 `ult`'s interval sweep, which is exponential in the number of undefined
 condition atoms; acceptable at desk scale.  avg compares the (sum,
-count) entries by cross-multiplication and builds only two fractions.
+count) entries by cross-multiplication and builds only two fractions;
+min and max compare the members' extremes in one pass.
+
+An atom with a kernel (see `eval2`) takes its bounds, and `bnd_truth`
+its sum/card hull, from the values its kernel holds at the members of
+the pair's interval: no value of such an atom leaves the range, so the
+least and the greatest are those of the hull and the half tables.
 """
 
 from __future__ import annotations
@@ -27,7 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .eval2 import _RULES, AggValue, _avg_range, _fixed_weights, _half_tables, _interval_sweep
+from .eval2 import (
+    _RULES,
+    AggValue,
+    _avg_range,
+    _extreme_range,
+    _fixed_weights,
+    _half_tables,
+    _interval_sweep,
+    _kernel_members,
+)
 from .interp import InterpretationPair
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
@@ -51,16 +66,31 @@ class Bounds:
 def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     """Exact min/max of the aggregate value over every Z in the pair's interval."""
     pair.require_consistent()
-    fixed, branches = _split(atom, pair)
-    empty_certain = not fixed and not branches
-    empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
-    if atom.func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
-        lb, ub = _hull(atom.func, fixed, branches)
+    if atom._kernels is not None:
+        lb, ub, empty = _kernel_range(atom, pair)
+        empty_possible, empty_certain = any(empty), all(empty)
     else:
-        lb, ub = _value_range(atom, fixed, list(branches))
+        fixed, branches = _split(atom, pair)
+        empty_certain = not fixed and not branches
+        empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
+        if atom.func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
+            lb, ub = _hull(atom.func, fixed, branches)
+        else:
+            lb, ub = _value_range(atom, fixed, list(branches))
     if lb is None:
         return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, empty_possible, empty_certain)
     return Bounds(AggValue.of(lb), AggValue.of(ub), empty_possible, empty_certain)
+
+
+def _kernel_range(atom: AggregateAtom, pair: InterpretationPair) -> tuple:
+    """For an atom with a kernel: the least and the greatest defined
+    value over the members of the pair's interval, (None, None) when no
+    member has one, and whether no condition holds, per member."""
+    kernel = atom._kernels.over(atom, pair.lower.universe)
+    members = _kernel_members(kernel.cm, *pair.masks)
+    values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
+    lb, ub = (min(values), max(values)) if values else (None, None)
+    return lb, ub, [kernel.empty[key] for key in members]
 
 
 def _split(
@@ -105,15 +135,7 @@ def _value_range(atom: AggregateAtom, fixed: list[int], free: list[str]) -> tupl
     high, low = _half_tables(atom, free, fixed)
     if atom.func is AggFunc.AVG:
         return _avg_range(high, low)
-    _, join, value, _ = _RULES[atom.func]
-    lb = ub = None
-    for h in high:
-        for partial in low:
-            v = value(join(h, partial))
-            if v is not None:
-                lb = v if lb is None else min(lb, v)
-                ub = v if ub is None else max(ub, v)
-    return lb, ub
+    return _extreme_range(atom.func, high, low)
 
 
 def interval_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
@@ -137,7 +159,10 @@ def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
         return interval_truth(atom, pair)
 
-    lb, ub = _hull(atom.func, *_split(atom, pair))
+    if atom._kernels is not None:
+        lb, ub, _ = _kernel_range(atom, pair)
+    else:
+        lb, ub = _hull(atom.func, *_split(atom, pair))
     w = atom.bound
     cmp, holds = atom.cmp, atom.cmp.holds
     outside = w < lb or w > ub

@@ -19,6 +19,20 @@ Each aggregate atom is evaluated by a function of the set of true atoms
 that `aggregate_evaluator` builds once per atom, over its (weight, atom,
 negated) entries; the atom caches it.  The rule-level tests below take
 literals inline and stop at the first false element of a body.
+
+Small aggregate atoms and heads also get a bitmask kernel, built once
+per universe and kept on the atom (`AggregateAtom._kernels`) or on the
+head's `Bodies`: a table of the truth at every choice of their own
+atoms, and for an atom also the value and whether no condition holds,
+keyed by the true atoms as universe bits.  A relation call reads the
+members of a pair's interval as `table[(lower & cm) | s]`, for `s` over
+the submasks of the pair's free bits of `cm`.  An atom gets one when it
+is not prod, has at most `KERNEL_ATOMS` condition atoms and its absolute
+weights sum within int64, so that no value leaves the range and no
+answer depends on the order of the members; a head when its bodies
+mention at most `KERNEL_ATOMS` atoms and no evaluation at a choice of
+them leaves the range.  Everything else takes the ordered sweeps, with
+their first errors.
 """
 
 from __future__ import annotations
@@ -33,10 +47,11 @@ from .errors import ArithmeticOverflowError
 from .interp import (
     Interpretation,
     InterpretationPair,
+    _interval_check,
     _interval_free_atoms,
     enumerate_interval,
 )
-from .syntax import AggFunc, AggregateAtom, BodyElement, Literal, Program
+from .syntax import AggFunc, AggregateAtom, Bodies, BodyElement, Literal, Program, _element_atoms
 
 __all__ = [
     "AggValue",
@@ -267,8 +282,14 @@ def _interval_sweep(
     stops at the first whose truth differs from `expected` (from the
     first member's when `expected` is None), so a value outside the
     signed 64-bit range raises only when a member before that stop has
-    it.  Counts one interval expansion.
+    it.  Counts one interval expansion.  An atom with a kernel reads the
+    members' truths from it: none of its values leaves the range, so the
+    answer does not depend on the order.
     """
+    kernels = atom._kernels
+    if kernels is not None:
+        _interval_check(pair.lower, pair.upper)
+        return _kernel_sweep(kernels.over(atom, pair.lower.universe), pair, expected)
     for truth in _member_truths(atom, pair):
         if truth is not expected:
             if expected is not None:
@@ -399,6 +420,20 @@ def _avg_range(high: list, low: list) -> tuple[Fraction | None, Fraction | None]
     return _avg_value((lo_sum, lo_count)), _avg_value((hi_sum, hi_count))
 
 
+def _extreme_range(func: AggFunc, high: list, low: list) -> tuple[int | None, int | None]:
+    """min and max: the least and the greatest value over the members of
+    the half tables of extremes, or (None, None) when every member is
+    empty.  No value can leave the range, so the order does not matter."""
+    if func is AggFunc.MIN:
+        values = [hv if hv < lv else lv for hv in high for lv in low]
+        empty = inf
+    else:
+        values = [hv if hv > lv else lv for hv in high for lv in low]
+        empty = -inf
+    values = [v for v in values if v != empty]
+    return (min(values), max(values)) if values else (None, None)
+
+
 def _avg_value(partial: tuple[int, int]) -> Fraction | None:
     """avg: the exact rational, no rounding; undefined for a count of 0."""
     total, count = partial
@@ -431,3 +466,138 @@ _RULES = {
         lambda ws: max(ws, default=-inf), max, lambda m: None if m == -inf else m, _extreme_truths
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# Bitmask kernels: an aggregate atom's or a head's table over its own atoms
+# ---------------------------------------------------------------------------
+
+# The most condition atoms of an aggregate atom, or atoms of a head's
+# bodies, that get a kernel: a table of at most 64 entries.
+KERNEL_ATOMS = 6
+
+
+class Kernel(NamedTuple):
+    """Tables over the choices of some atoms in one universe: `cm` holds
+    their universe bits, and each table is keyed by the submask of `cm`
+    that is true.  `truth` is the atom's (or the head's disjunction's)
+    two-valued truth; an aggregate atom's kernel also holds its `value`
+    (None: undefined) and whether no condition holds (`empty`).  The
+    member of an interval that makes the atoms of `s` true reads key
+    `(lower & cm) | s`, for `s` a submask of the interval's free bits."""
+
+    cm: int
+    truth: dict[int, bool]
+    value: dict[int, int | Fraction | None] | None = None
+    empty: dict[int, bool] | None = None
+
+
+class KernelSlot:
+    """The kernel of one aggregate atom or one head, built by
+    `build(owner, universe)` for the universe of the pair that asks,
+    since its bits are universe positions; a pair over another universe
+    builds it again.  `built` is replaced whole, as (universe, kernel),
+    so a caller never reads one universe's kernel for another."""
+
+    __slots__ = ("build", "built")
+
+    def __init__(self, build: Callable):
+        self.build = build
+        self.built: tuple = (None, None)
+
+    def over(self, owner, universe: tuple[str, ...]) -> Kernel | None:
+        built_for, kernel = self.built
+        if universe is not built_for:
+            if universe != built_for:
+                kernel = self.build(owner, universe)
+            self.built = universe, kernel
+        return kernel
+
+
+def atom_kernels(atom: AggregateAtom) -> KernelSlot | None:
+    """The atom's kernel slot, or None for an atom that gets no kernel:
+    prod, which walks its members; more than `KERNEL_ATOMS` condition
+    atoms; or absolute weights summing beyond int64.  Below that bound no
+    partial value leaves the range, so no relation raises and none
+    depends on the order in which it takes the members."""
+    if (
+        atom.func is AggFunc.PROD
+        or len(atom.condition_atoms) > KERNEL_ATOMS
+        or sum(abs(w) for w, _ in atom.entries) > INT64_MAX
+    ):
+        return None
+    return KernelSlot(_atom_kernel)
+
+
+def _atom_kernel(atom: AggregateAtom, universe: tuple[str, ...]) -> Kernel:
+    """The atom's tables over its condition atoms in the universe, built
+    by `_choice_table` as the half tables are; a condition atom outside
+    the universe is false in every interval over it."""
+    bits = {a: 1 << k for k, a in enumerate(universe)}
+    branches = atom._branch_weights
+    inside = [a for a in atom.condition_atoms if a in bits]
+    fixed = [w for a in atom.condition_atoms if a not in bits for w in branches[a][0]]
+    parts = [branches[a] for a in inside]
+    measure, join, value, truths = _RULES[atom.func]
+    partials = _choice_table(measure(fixed), parts, measure, join)
+    counts = _choice_table(len(fixed), parts, len, operator.add)
+    keys = [0]
+    for a in inside:
+        keys += [key | bits[a] for key in keys]
+    return Kernel(
+        sum(bits[a] for a in inside),
+        dict(zip(keys, truths(atom, partials, [measure(())]))),
+        {key: value(partial) for key, partial in zip(keys, partials)},
+        {key: not count for key, count in zip(keys, counts)},
+    )
+
+
+def head_kernels(bodies: Bodies) -> KernelSlot | None:
+    """The kernel slot of one head's disjunction of bodies, None when the
+    bodies mention more than `KERNEL_ATOMS` atoms."""
+    return None if len(_bodies_atoms(bodies)) > KERNEL_ATOMS else KernelSlot(_head_kernel)
+
+
+def _bodies_atoms(bodies: Bodies) -> list[str]:
+    """The atoms the bodies mention, first occurrence first."""
+    return list(dict.fromkeys(a for body in bodies for e in body for a in _element_atoms(e)))
+
+
+def _head_kernel(bodies: Bodies, universe: tuple[str, ...]) -> Kernel | None:
+    """The disjunction's truth at every choice of its atoms in the
+    universe, or None when an evaluation leaves the signed 64-bit range:
+    which member of an interval raises first depends on the order, so
+    the sweep runs.  An atom outside the universe is false."""
+    bits = {a: 1 << k for k, a in enumerate(universe)}
+    keys, chosen = [0], [frozenset()]
+    for a in _bodies_atoms(bodies):
+        if a in bits:
+            keys += [key | bits[a] for key in keys]
+            chosen += [atoms | {a} for atoms in chosen]
+    try:
+        truth = [sat2_disjunction(bodies, Interpretation(universe, atoms)) for atoms in chosen]
+    except ArithmeticOverflowError:
+        return None
+    return Kernel(keys[-1], dict(zip(keys, truth)))
+
+
+def _kernel_members(cm: int, lower: int, upper: int) -> list[int]:
+    """The keys, in a kernel whose atoms have the bits of `cm`, of the
+    members of the interval between the masks `lower` and `upper`."""
+    base, free = lower & cm, upper & ~lower & cm
+    keys = [base | free]
+    s = free
+    while s:
+        s = (s - 1) & free
+        keys.append(base | s)
+    return keys
+
+
+def _kernel_sweep(kernel: Kernel, pair: InterpretationPair, expected: bool | None) -> bool | None:
+    """`_interval_sweep` read from a kernel: the truth every member has,
+    None when they disagree or differ from `expected`."""
+    truths = set(map(kernel.truth.__getitem__, _kernel_members(kernel.cm, *pair.masks)))
+    if len(truths) > 1:
+        return None
+    (truth,) = truths
+    return truth if expected is None or truth is expected else None

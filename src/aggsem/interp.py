@@ -4,12 +4,15 @@ enumeration over the powerset lattice of a fixed finite atom universe.
 Bottom is the empty set, top is the full universe.  A pair (lower, upper)
 stands for the three-valued interpretation that makes lower true,
 upper-minus-lower undefined and everything else false; it is consistent
-when lower is contained in upper.
+when lower is contained in upper.  A pair computes its two sets as
+bitmasks over the universe once, on first use (`masks`), for the
+bitmask kernels of `eval2`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentPairError, UniverseMismatchError
@@ -153,12 +156,28 @@ class InterpretationPair:
         free = self.upper.atoms - self.lower.atoms
         return tuple(a for a in self.universe if a in free)
 
+    # cached outside the fields, so eq, hash and repr are unchanged
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """The lower and the upper set as bitmasks, bit k standing for
+        universe[k]."""
+        return _mask(self.lower), _mask(self.upper)
+
     def require_consistent(self) -> None:
         if not self.is_consistent:
             raise InconsistentPairError(f"inconsistent pair ({self.lower}, {self.upper})")
 
     def __str__(self) -> str:
         return f"({self.lower}, {self.upper})"
+
+
+def _mask(interpretation: Interpretation) -> int:
+    atoms, mask, bit = interpretation.atoms, 0, 1
+    for a in interpretation.universe:
+        if a in atoms:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 def leq_precision(a: InterpretationPair, b: InterpretationPair) -> bool:
@@ -190,15 +209,21 @@ def _interval_free_atoms(
     """The free atoms of `enumerate_interval`, in universe order, after
     its checks; counts one interval expansion.  A sweep that evaluates the
     interval without building its members starts here."""
+    _interval_check(x, y)
+    free = y.atoms - x.atoms
+    if restrict is not None:
+        free = free.intersection(restrict)
+    return [a for a in x.universe if a in free] if free else []
+
+
+def _interval_check(x: Interpretation, y: Interpretation) -> None:
+    """The checks of `enumerate_interval`; counts one interval expansion.
+    A sweep that reads the interval's members from a table starts here."""
     global _interval_expansions
     _require_same_universe(x, y)
     if not x.atoms <= y.atoms:
         raise InconsistentPairError(f"{x} is not a subset of {y}")
-    free = y.atoms - x.atoms
-    if restrict is not None:
-        free = free.intersection(restrict)
     _interval_expansions += 1
-    return [a for a in x.universe if a in free] if free else []
 
 
 def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretation]:

@@ -549,7 +549,8 @@ def _sample_pairs(
     pairs = [InterpretationPair.least_precise(universe)]
     for _ in range(limit - 1):
         upper = frozenset(a for a in universe if rng.random() < 0.6)
-        lower = frozenset(a for a in upper if rng.random() < 0.5)
+        # in universe order, so the sample depends on the seed alone
+        lower = frozenset(a for a in universe if a in upper and rng.random() < 0.5)
         pairs.append(InterpretationPair.of(universe, lower, upper))
     return pairs
 

@@ -31,6 +31,7 @@ __all__ = [
     "AggregateAtom",
     "BodyElement",
     "Rule",
+    "Bodies",
     "Program",
     "parse_program",
     "parse_interpretation",
@@ -129,6 +130,14 @@ class AggregateAtom:
         return aggregate_evaluator(self)
 
     @cached_property
+    def _kernels(self):
+        """The atom's bitmask kernel slot (`eval2.atom_kernels`), None
+        for an atom that gets no kernel; decided once per atom."""
+        from .eval2 import atom_kernels
+
+        return atom_kernels(self)
+
+    @cached_property
     def _convex(self) -> bool:
         """`ternary.is_convex` of the atom, False when that raises: above
         `MAX_CONVEXITY_ATOMS` condition atoms, or when some value leaves
@@ -177,6 +186,23 @@ def _first_occurrence_universe(rules: Iterable[Rule]) -> tuple[str, ...]:
     return tuple(seen)
 
 
+class Bodies(tuple):
+    """One head's rule bodies, in source order: a tuple of bodies that
+    compares, hashes and prints as one.  Outside its items it keeps the
+    bitmask kernel of the disjunction (`eval2.head_kernels`), so every
+    `ultimate` test of the head through the program's `entries` reuses it."""
+
+    @cached_property
+    def _kernels(self):
+        from .eval2 import head_kernels
+
+        return head_kernels(self)
+
+    def __reduce__(self):
+        """Pickle the bodies only; the kernel is built again on first use."""
+        return Bodies, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class Program:
     rules: tuple[Rule, ...]
@@ -213,13 +239,13 @@ class Program:
         return tuple(e for e in self.body_elements() if isinstance(e, AggregateAtom))
 
     @cached_property  # outside the fields, like AggregateAtom.conditions
-    def entries(self) -> tuple[tuple[str, tuple[tuple[BodyElement, ...], ...]], ...]:
+    def entries(self) -> tuple[tuple[str, Bodies], ...]:
         """The rule bodies grouped per head: one entry per head atom, first
         occurrence first, with the bodies of all its rules in source order."""
         grouped: dict[str, list[tuple[BodyElement, ...]]] = {}
         for rule in self.rules:
             grouped.setdefault(rule.head, []).append(rule.body)
-        return tuple((head, tuple(bodies)) for head, bodies in grouped.items())
+        return tuple((head, Bodies(bodies)) for head, bodies in grouped.items())
 
     @cached_property
     def dependents(self) -> dict[str, tuple[int, ...]]:
@@ -236,7 +262,7 @@ class Program:
         return {atom: tuple(positions) for atom, positions in found.items()}
 
     @property
-    def by_head(self) -> dict[str, tuple[tuple[BodyElement, ...], ...]]:
+    def by_head(self) -> dict[str, Bodies]:
         return dict(self.entries)
 
 

@@ -26,6 +26,11 @@ Each `SemanticsId` member carries its row of this table, so adding a
 semantics is adding one row.  Every row says whether one head's
 disjunction of bodies is certainly true: an element-wise row by some
 body with every element certainly true, `ultimate` by its own sweep.
+
+`triv`, `ult`, `bnd` and `mr` read an aggregate atom's bitmask kernel
+when it has one, and `ultimate` the kernel of a program's `Bodies` (see
+`eval2`): the answer at a pair is then a few table reads at the pair's
+masks, restricted to the atom's or the head's own atoms.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from typing import Iterable, NoReturn, Sequence, Union
 from .bounds import bnd_truth, interval_truth
 from .errors import CapabilityError, TooLargeError, check_universe_size
 from .eval2 import (
+    _kernel_members,
+    _kernel_sweep,
     aggregate_holds_everywhere,
     eval_aggregate,
     literal_holds,
@@ -47,11 +54,13 @@ from .eval2 import (
 from .interp import (
     Interpretation,
     InterpretationPair,
+    _interval_check,
     enumerate_interval,
     extensions,
 )
 from .syntax import (
     AggregateAtom,
+    Bodies,
     BodyElement,
     Literal,
     Program,
@@ -101,6 +110,13 @@ def _aggregate_free_only(atom: AggregateAtom, pair: InterpretationPair) -> NoRet
 
 
 def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
+    kernels = atom._kernels
+    if kernels is not None:
+        kernel = kernels.over(atom, pair.lower.universe)
+        lower, upper = pair.masks
+        if (upper ^ lower) & kernel.cm:
+            return TruthValue.UNDEFINED
+        return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
     if all(a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms):
         return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
     return TruthValue.UNDEFINED
@@ -126,6 +142,12 @@ def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     Only the trace on the atom's condition atoms matters, so the subsets
     of lower restricted to those atoms cover all cases.
     """
+    kernels = atom._kernels
+    if kernels is not None:
+        kernel = kernels.over(atom, pair.lower.universe)
+        truth, cm = kernel.truth, kernel.cm
+        lower, upper = pair.masks
+        return truth[upper & cm] and any(map(truth.__getitem__, _kernel_members(cm, 0, lower)))
     if not eval_aggregate(atom, pair.upper):
         return False
     base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
@@ -144,7 +166,13 @@ def _atoms_of(elements: Iterable[BodyElement]) -> tuple[str, ...]:
 
 def _ultimate_certain(bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
     """The disjunction holds at every interpretation in the interval; only
-    the atoms occurring in the bodies vary."""
+    the atoms occurring in the bodies vary.  A program's `Bodies` read
+    the members' truths from their kernel when they have one."""
+    kernels = bodies._kernels if isinstance(bodies, Bodies) else None
+    kernel = kernels and kernels.over(bodies, pair.lower.universe)
+    if kernel is not None:
+        _interval_check(pair.lower, pair.upper)
+        return _kernel_sweep(kernel, pair, True) is True
     relevant = frozenset(_atoms_of(element for body in bodies for element in body))
     return all(
         sat2_disjunction(bodies, z)
@@ -252,7 +280,10 @@ def sat3_body(
     of bodies)."""
     sem = SemanticsId.from_tag(sem)
     pair.require_consistent()
-    bodies = (body,) if sem.is_elementwise else tuple(map(tuple, body))  # type: ignore[arg-type]
+    if sem.is_elementwise:
+        bodies = (body,)
+    else:  # a program's own `Bodies` keep their kernel
+        bodies = body if isinstance(body, Bodies) else tuple(map(tuple, body))
     return sem.bodies_certain(bodies, pair)  # type: ignore[arg-type]
 
 
