@@ -87,7 +87,7 @@ def _kernel_range(atom: AggregateAtom, pair: InterpretationPair) -> tuple:
     value over the members of the pair's interval, (None, None) when no
     member has one, and whether no condition holds, per member."""
     kernel = atom._kernels.over(atom, pair.lower.universe)
-    members = _kernel_members(kernel.cm, *pair.masks)
+    members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
     values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
     lb, ub = (min(values), max(values)) if values else (None, None)
     return lb, ub, [kernel.empty[key] for key in members]

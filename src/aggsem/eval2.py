@@ -24,9 +24,9 @@ Small aggregate atoms and heads also get a bitmask kernel, built once
 per universe and kept on the atom (`AggregateAtom._kernels`) or on the
 head's `Bodies`: a table of the truth at every choice of their own
 atoms, and for an atom also the value and whether no condition holds,
-keyed by the true atoms as universe bits.  A relation call reads the
-members of a pair's interval as `table[(lower & cm) | s]`, for `s` over
-the submasks of the pair's free bits of `cm`.  An atom gets one when it
+keyed by the true atoms' `Interpretation.mask`.  A relation call reads
+the members of a pair's interval as `table[(lower & cm) | s]`, for `s`
+over the submasks of the pair's free bits of `cm`.  An atom gets one when it
 is not prod, has at most `KERNEL_ATOMS` condition atoms and its absolute
 weights sum within int64, so that no value leaves the range and no
 answer depends on the order of the members; a head when its bodies
@@ -47,11 +47,13 @@ from .errors import ArithmeticOverflowError
 from .interp import (
     Interpretation,
     InterpretationPair,
+    _bit_index,
     _interval_check,
     _interval_free_atoms,
     enumerate_interval,
+    extensions,
 )
-from .syntax import AggFunc, AggregateAtom, Bodies, BodyElement, Literal, Program, _element_atoms
+from .syntax import AggFunc, AggregateAtom, Bodies, BodyElement, Literal, Program
 
 __all__ = [
     "AggValue",
@@ -533,7 +535,7 @@ def _atom_kernel(atom: AggregateAtom, universe: tuple[str, ...]) -> Kernel:
     """The atom's tables over its condition atoms in the universe, built
     by `_choice_table` as the half tables are; a condition atom outside
     the universe is false in every interval over it."""
-    bits = {a: 1 << k for k, a in enumerate(universe)}
+    bits = _bit_index(universe)
     branches = atom._branch_weights
     inside = [a for a in atom.condition_atoms if a in bits]
     fixed = [w for a in atom.condition_atoms if a not in bits for w in branches[a][0]]
@@ -555,12 +557,7 @@ def _atom_kernel(atom: AggregateAtom, universe: tuple[str, ...]) -> Kernel:
 def head_kernels(bodies: Bodies) -> KernelSlot | None:
     """The kernel slot of one head's disjunction of bodies, None when the
     bodies mention more than `KERNEL_ATOMS` atoms."""
-    return None if len(_bodies_atoms(bodies)) > KERNEL_ATOMS else KernelSlot(_head_kernel)
-
-
-def _bodies_atoms(bodies: Bodies) -> list[str]:
-    """The atoms the bodies mention, first occurrence first."""
-    return list(dict.fromkeys(a for body in bodies for e in body for a in _element_atoms(e)))
+    return None if len(bodies.atoms) > KERNEL_ATOMS else KernelSlot(_head_kernel)
 
 
 def _head_kernel(bodies: Bodies, universe: tuple[str, ...]) -> Kernel | None:
@@ -568,17 +565,15 @@ def _head_kernel(bodies: Bodies, universe: tuple[str, ...]) -> Kernel | None:
     universe, or None when an evaluation leaves the signed 64-bit range:
     which member of an interval raises first depends on the order, so
     the sweep runs.  An atom outside the universe is false."""
-    bits = {a: 1 << k for k, a in enumerate(universe)}
-    keys, chosen = [0], [frozenset()]
-    for a in _bodies_atoms(bodies):
-        if a in bits:
-            keys += [key | bits[a] for key in keys]
-            chosen += [atoms | {a} for atoms in chosen]
+    inside = [a for a in bodies.atoms if a in universe]
     try:
-        truth = [sat2_disjunction(bodies, Interpretation(universe, atoms)) for atoms in chosen]
+        truth = {
+            z.mask: sat2_disjunction(bodies, z)
+            for z in extensions(Interpretation(universe, frozenset()), inside)
+        }
     except ArithmeticOverflowError:
         return None
-    return Kernel(keys[-1], dict(zip(keys, truth)))
+    return Kernel(max(truth), truth)  # cm: the greatest key, every atom chosen
 
 
 def _kernel_members(cm: int, lower: int, upper: int) -> list[int]:
@@ -596,7 +591,8 @@ def _kernel_members(cm: int, lower: int, upper: int) -> list[int]:
 def _kernel_sweep(kernel: Kernel, pair: InterpretationPair, expected: bool | None) -> bool | None:
     """`_interval_sweep` read from a kernel: the truth every member has,
     None when they disagree or differ from `expected`."""
-    truths = set(map(kernel.truth.__getitem__, _kernel_members(kernel.cm, *pair.masks)))
+    members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
+    truths = set(map(kernel.truth.__getitem__, members))
     if len(truths) > 1:
         return None
     (truth,) = truths

@@ -4,9 +4,12 @@ enumeration over the powerset lattice of a fixed finite atom universe.
 Bottom is the empty set, top is the full universe.  A pair (lower, upper)
 stands for the three-valued interpretation that makes lower true,
 upper-minus-lower undefined and everything else false; it is consistent
-when lower is contained in upper.  A pair computes its two sets as
-bitmasks over the universe once, on first use (`masks`), for the
-bitmask kernels of `eval2`.
+when lower is contained in upper.
+
+This module owns the bit layout of masks: bit k stands for universe[k].
+Each universe has one bit index, kept in a bounded cache, which also
+checks every Interpretation against its universe; an Interpretation
+computes its atoms as a mask once, on first use (`mask`).
 """
 
 from __future__ import annotations
@@ -42,6 +45,26 @@ def reset_interval_expansions() -> None:
     _interval_expansions = 0
 
 
+# Each universe's bit index, built whole and stored in one assignment, so
+# a thread never reads one half built; cleared when it holds 64 universes.
+_bit_indexes: dict[tuple[str, ...], dict[str, int]] = {}
+
+
+def _bit_index(universe: tuple[str, ...]) -> dict[str, int]:
+    """The universe's bit layout: each atom with its bit, 1 << its
+    position.  A universe that repeats an atom raises
+    UniverseMismatchError."""
+    bits = _bit_indexes.get(universe)
+    if bits is None:
+        bits = {a: 1 << k for k, a in enumerate(universe)}
+        if len(bits) < len(universe):
+            raise UniverseMismatchError("universe contains duplicate atoms")
+        if len(_bit_indexes) >= 64:
+            _bit_indexes.clear()
+        _bit_indexes[universe] = bits
+    return bits
+
+
 @dataclass(frozen=True, repr=False)
 class Interpretation:
     universe: tuple[str, ...]
@@ -49,6 +72,17 @@ class Interpretation:
 
     def __post_init__(self) -> None:
         _require_in_universe(self.atoms, self.universe)
+
+    # cached outside the fields, so eq, hash, repr and pickles are unchanged
+    @cached_property
+    def mask(self) -> int:
+        """The atoms as a bitmask over the universe: bit k stands for
+        universe[k]."""
+        return sum(map(_bit_index(self.universe).__getitem__, self.atoms))
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only; the mask is computed again on first use."""
+        return {"universe": self.universe, "atoms": self.atoms}
 
     @staticmethod
     def of(universe: Iterable[str], atoms: Iterable[str] = ()) -> "Interpretation":
@@ -97,8 +131,9 @@ class Interpretation:
 
 
 def _require_in_universe(atoms: Iterable[str], universe: tuple[str, ...]) -> None:
-    unknown = frozenset(atoms).difference(universe)
-    if unknown:
+    known, atoms = _bit_index(universe).keys(), frozenset(atoms)
+    if not known >= atoms:
+        unknown = atoms.difference(known)
         raise UniverseMismatchError(f"atoms outside the universe: {', '.join(sorted(unknown))}")
 
 
@@ -156,12 +191,10 @@ class InterpretationPair:
         free = self.upper.atoms - self.lower.atoms
         return tuple(a for a in self.universe if a in free)
 
-    # cached outside the fields, so eq, hash and repr are unchanged
-    @cached_property
+    @property
     def masks(self) -> tuple[int, int]:
-        """The lower and the upper set as bitmasks, bit k standing for
-        universe[k]."""
-        return _mask(self.lower), _mask(self.upper)
+        """The lower and the upper set's `mask`."""
+        return self.lower.mask, self.upper.mask
 
     def require_consistent(self) -> None:
         if not self.is_consistent:
@@ -169,15 +202,6 @@ class InterpretationPair:
 
     def __str__(self) -> str:
         return f"({self.lower}, {self.upper})"
-
-
-def _mask(interpretation: Interpretation) -> int:
-    atoms, mask, bit = interpretation.atoms, 0, 1
-    for a in interpretation.universe:
-        if a in atoms:
-            mask |= bit
-        bit <<= 1
-    return mask
 
 
 def leq_precision(a: InterpretationPair, b: InterpretationPair) -> bool:
@@ -190,7 +214,7 @@ def leq_precision(a: InterpretationPair, b: InterpretationPair) -> bool:
 def enumerate_interval(
     x: Interpretation,
     y: Interpretation,
-    restrict: frozenset[str] | set[str] | None = None,
+    restrict: Iterable[str] | None = None,
 ) -> Iterator[Interpretation]:
     """Yield every Z with x <= Z <= y, in the order of `extensions` with
     the atoms of y minus x as free atoms, taken in universe order.
@@ -204,7 +228,7 @@ def enumerate_interval(
 
 
 def _interval_free_atoms(
-    x: Interpretation, y: Interpretation, restrict: frozenset[str] | set[str] | None
+    x: Interpretation, y: Interpretation, restrict: Iterable[str] | None
 ) -> list[str]:
     """The free atoms of `enumerate_interval`, in universe order, after
     its checks; counts one interval expansion.  A sweep that evaluates the

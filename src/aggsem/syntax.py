@@ -189,8 +189,15 @@ def _first_occurrence_universe(rules: Iterable[Rule]) -> tuple[str, ...]:
 class Bodies(tuple):
     """One head's rule bodies, in source order: a tuple of bodies that
     compares, hashes and prints as one.  Outside its items it keeps the
-    bitmask kernel of the disjunction (`eval2.head_kernels`), so every
-    `ultimate` test of the head through the program's `entries` reuses it."""
+    atoms the bodies mention and the bitmask kernel of the disjunction
+    (`eval2.head_kernels`), so every `ultimate` test of the head through
+    the program's `entries` reuses them."""
+
+    @cached_property
+    def atoms(self) -> tuple[str, ...]:
+        """The atoms the bodies mention, first occurrence first: a
+        literal's atom and an aggregate's condition atoms."""
+        return tuple(dict.fromkeys(a for body in self for e in body for a in _element_atoms(e)))
 
     @cached_property
     def _kernels(self):
@@ -199,7 +206,7 @@ class Bodies(tuple):
         return head_kernels(self)
 
     def __reduce__(self):
-        """Pickle the bodies only; the kernel is built again on first use."""
+        """Pickle the bodies only; cached values are built again on first use."""
         return Bodies, (tuple(self),)
 
 
@@ -253,12 +260,10 @@ class Program:
         the heads whose bodies mention it, ascending.  A literal mentions
         its atom and an aggregate its condition atoms, negated or not; an
         atom no body mentions has no key."""
-        found: dict[str, dict[int, None]] = {}
+        found: dict[str, list[int]] = {}
         for position, (_, bodies) in enumerate(self.entries):
-            for body in bodies:
-                for element in body:
-                    for atom in _element_atoms(element):
-                        found.setdefault(atom, {})[position] = None
+            for atom in bodies.atoms:
+                found.setdefault(atom, []).append(position)
         return {atom: tuple(positions) for atom, positions in found.items()}
 
     @property

@@ -54,6 +54,7 @@ from .eval2 import (
 from .interp import (
     Interpretation,
     InterpretationPair,
+    _bit_index,
     _interval_check,
     enumerate_interval,
     extensions,
@@ -113,7 +114,7 @@ def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     kernels = atom._kernels
     if kernels is not None:
         kernel = kernels.over(atom, pair.lower.universe)
-        lower, upper = pair.masks
+        lower, upper = pair.lower.mask, pair.upper.mask
         if (upper ^ lower) & kernel.cm:
             return TruthValue.UNDEFINED
         return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
@@ -146,7 +147,7 @@ def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     if kernels is not None:
         kernel = kernels.over(atom, pair.lower.universe)
         truth, cm = kernel.truth, kernel.cm
-        lower, upper = pair.masks
+        lower, upper = pair.lower.mask, pair.upper.mask
         return truth[upper & cm] and any(map(truth.__getitem__, _kernel_members(cm, 0, lower)))
     if not eval_aggregate(atom, pair.upper):
         return False
@@ -158,12 +159,6 @@ def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     return eval_aggregate(atom, pair.lower) and eval_aggregate(atom, pair.upper)
 
 
-def _atoms_of(elements: Iterable[BodyElement]) -> tuple[str, ...]:
-    """The atoms the elements mention, first occurrence first."""
-    mentioned = ([e.atom] if isinstance(e, Literal) else e.condition_atoms for e in elements)
-    return tuple(dict.fromkeys(a for atoms in mentioned for a in atoms))
-
-
 def _ultimate_certain(bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
     """The disjunction holds at every interpretation in the interval; only
     the atoms occurring in the bodies vary.  A program's `Bodies` read
@@ -173,11 +168,8 @@ def _ultimate_certain(bodies: DisjunctiveBody, pair: InterpretationPair) -> bool
     if kernel is not None:
         _interval_check(pair.lower, pair.upper)
         return _kernel_sweep(kernel, pair, True) is True
-    relevant = frozenset(_atoms_of(element for body in bodies for element in body))
-    return all(
-        sat2_disjunction(bodies, z)
-        for z in enumerate_interval(pair.lower, pair.upper, restrict=relevant)
-    )
+    members = enumerate_interval(pair.lower, pair.upper, restrict=_formula_atoms(bodies))
+    return all(sat2_disjunction(bodies, z) for z in members)
 
 
 class SemanticsId(Enum):
@@ -317,26 +309,10 @@ Formula = Union[BodyElement, DisjunctiveBody]
 MAX_ANALYZE_ATOMS = 8
 
 
-def _ordered_subsets(universe: tuple[str, ...]) -> list[frozenset[str]]:
-    """Every subset, by size and then by universe positions."""
-    return [
-        frozenset(subset)
-        for size in range(len(universe) + 1)
-        for subset in combinations(universe, size)
-    ]
-
-
 def all_consistent_pairs(universe: Iterable[str]) -> list[InterpretationPair]:
-    """Every consistent pair over the universe, in a fixed order."""
-    universe = tuple(universe)
-    subsets = _ordered_subsets(universe)
-    pairs = []
-    for upper in subsets:
-        up = Interpretation(universe, upper)
-        for lower in subsets:
-            if lower <= upper:
-                pairs.append(InterpretationPair(Interpretation(universe, lower), up))
-    return pairs
+    """Every consistent pair over the universe, in `_PairIndex` order."""
+    index = _PairIndex(tuple(universe))
+    return list(map(index.pair, range(len(index.masks))))
 
 
 def _formulas_of(sem: SemanticsId, source: Union[Program, list[BodyElement]]):
@@ -368,10 +344,13 @@ class WellBehavedCounterexample:
 
 
 def _formula_atoms(formula: Formula) -> tuple[str, ...]:
-    """The atoms a body element, or a disjunction of bodies, mentions."""
-    if isinstance(formula, tuple):
-        return _atoms_of(element for body in formula for element in body)
-    return _atoms_of((formula,))
+    """The atoms a body element, or a disjunction of bodies, mentions,
+    first occurrence first; a disjunction's are its `Bodies.atoms`."""
+    if isinstance(formula, Literal):
+        return (formula.atom,)
+    if not isinstance(formula, tuple):
+        return formula.condition_atoms
+    return (formula if isinstance(formula, Bodies) else Bodies(formula)).atoms
 
 
 def _format_formula(formula: Formula) -> str:
@@ -431,46 +410,39 @@ def compare_precision(
 
 
 class _PairIndex:
-    """The consistent pairs of one universe, in `all_consistent_pairs`
-    order, as (lower, upper) bitmasks, bit k standing for universe[k],
-    with the indexes of the exact pairs.  The `InterpretationPair` of a
-    pair is built when a relation is evaluated at it or a report names
-    it, and kept.  `restrictions(atoms)` numbers the pairs' restrictions
-    to a set of atoms, built once per set."""
+    """The consistent pairs of one universe as (lower, upper) masks
+    (`Interpretation.mask`), with the indexes of the exact pairs.  The
+    subsets of the universe are built once, by size and then by universe
+    positions, and the pairs are ordered by upper set, then by lower
+    set, in that order.  The `InterpretationPair` of a pair is built
+    from those subsets when it is read, and kept.  `restrictions(atoms)`
+    numbers the pairs' restrictions to a set of atoms, built once per
+    set."""
 
     def __init__(self, universe: tuple[str, ...]):
         self.universe = universe
-        self.bit = {a: 1 << k for k, a in enumerate(universe)}
-        # the subsets in `_ordered_subsets` order: by size, then by positions
         subsets = [
-            sum(1 << k for k in positions)
+            Interpretation(universe, frozenset(subset))
             for size in range(len(universe) + 1)
-            for positions in combinations(range(len(universe)), size)
+            for subset in combinations(universe, size)
         ]
-        self.masks = [(lo, up) for up in subsets for lo in subsets if lo & up == lo]
+        self.sets = {z.mask: z for z in subsets}
+        self.masks = [(lo, up) for up in self.sets for lo in self.sets if lo & up == lo]
         # a pair's position is that of its upper set's, then its lower set's, subset
-        self.rank = {mask: position for position, mask in enumerate(subsets)}
+        self.rank = {mask: position for position, mask in enumerate(self.sets)}
         self.exact = [i for i, (lo, up) in enumerate(self.masks) if lo == up]
         self._pairs: list[InterpretationPair | None] = [None] * len(self.masks)
-        self._sets: dict[int, Interpretation] = {}
         self._restrictions: dict[int, _Restrictions] = {}
 
     def pair(self, pi: int) -> InterpretationPair:
         pair = self._pairs[pi]
         if pair is None:
             lo, up = self.masks[pi]
-            pair = self._pairs[pi] = InterpretationPair(self._set(lo), self._set(up))
+            pair = self._pairs[pi] = InterpretationPair(self.sets[lo], self.sets[up])
         return pair
 
-    def _set(self, mask: int) -> Interpretation:
-        interpretation = self._sets.get(mask)
-        if interpretation is None:
-            atoms = frozenset(a for a, bit in self.bit.items() if mask & bit)
-            interpretation = self._sets[mask] = Interpretation(self.universe, atoms)
-        return interpretation
-
     def restrictions(self, atoms: Iterable[str]) -> "_Restrictions":
-        mask = sum(self.bit[a] for a in atoms)
+        mask = sum(map(_bit_index(self.universe).__getitem__, atoms))
         restrictions = self._restrictions.get(mask)
         if restrictions is None:
             restrictions = self._restrictions[mask] = _Restrictions(self, mask)
@@ -505,7 +477,8 @@ class _Restrictions:
         for pi in index.exact:
             exact.setdefault(self.number[pi], pi)
         self.exact = list(exact.values())
-        self.bits = [bit for bit in index.bit.values() if mask & bit]
+        # the masks of the one-atom subsets inside the mask, in universe order
+        self.bits = [bit for bit in index.sets if bit.bit_count() == 1 and mask & bit]
         self.steps = [
             [
                 seen[step]
@@ -616,7 +589,8 @@ class Analysis:
         if table is None:
             if self._index is None:
                 source = self._source
-                universe = source.universe if isinstance(source, Program) else _atoms_of(source)
+                program = isinstance(source, Program)
+                universe = source.universe if program else _formula_atoms((tuple(source),))
                 check_universe_size(len(universe), self._max_universe)
                 self._index = _PairIndex(universe)
             table = self._tables[sem] = _Table(sem, self._source, self._index)
