@@ -67,7 +67,8 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     """Exact min/max of the aggregate value over every Z in the pair's interval."""
     pair.require_consistent()
     if atom._kernels is not None:
-        lb, ub, empty = _kernel_range(atom, pair)
+        kernel, members, lb, ub = _kernel_range(atom, pair)
+        empty = [kernel.empty[key] for key in members]
         empty_possible, empty_certain = any(empty), all(empty)
     else:
         fixed, branches = _split(atom, pair)
@@ -83,14 +84,14 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
 
 
 def _kernel_range(atom: AggregateAtom, pair: InterpretationPair) -> tuple:
-    """For an atom with a kernel: the least and the greatest defined
-    value over the members of the pair's interval, (None, None) when no
-    member has one, and whether no condition holds, per member."""
+    """For an atom with a kernel: the kernel, its keys of the members of
+    the pair's interval, and the least and the greatest defined value
+    over those members, (None, None) when no member has one."""
     kernel = atom._kernels.over(atom, pair.lower.universe)
     members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
     values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
     lb, ub = (min(values), max(values)) if values else (None, None)
-    return lb, ub, [kernel.empty[key] for key in members]
+    return kernel, members, lb, ub
 
 
 def _split(
@@ -160,7 +161,7 @@ def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
         return interval_truth(atom, pair)
 
     if atom._kernels is not None:
-        lb, ub, _ = _kernel_range(atom, pair)
+        _, _, lb, ub = _kernel_range(atom, pair)
     else:
         lb, ub = _hull(atom.func, *_split(atom, pair))
     w = atom.bound

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, NoReturn, Sequence, Union
 
@@ -410,29 +411,36 @@ def compare_precision(
 
 
 class _PairIndex:
-    """The consistent pairs of one universe as (lower, upper) masks
-    (`Interpretation.mask`), with the indexes of the exact pairs.  The
-    subsets of the universe are built once, by size and then by universe
-    positions, and the pairs are ordered by upper set, then by lower
-    set, in that order.  The `InterpretationPair` of a pair is built
-    from those subsets when it is read, and kept.  `restrictions(atoms)`
-    numbers the pairs' restrictions to a set of atoms, built once per
-    set."""
+    """The consistent pairs that vary `atoms` (by default the whole
+    universe) and make every other atom false, as (lower, upper) masks
+    (`Interpretation.mask`); `mask` is that of `atoms`.  The subsets of
+    `atoms` are built once, by size and then by universe positions, and
+    the pairs are ordered by upper set, then by lower set, in that
+    order.  The `InterpretationPair` of a pair is built from those
+    subsets when it is read, and kept.  `exact`, `position` and `steps`
+    are built on first use.
 
-    def __init__(self, universe: tuple[str, ...]):
-        self.universe = universe
+    The universe's order restricted to the subsets of `atoms` is their
+    own order.  So the index over a formula's atoms holds the
+    restrictions of the universe's pairs to those atoms in the order the
+    universe's pairs first reach them: the first pair to reach (lower,
+    upper) is (lower, upper) itself, with the other atoms false."""
+
+    def __init__(self, universe: tuple[str, ...], atoms: Iterable[str] | None = None):
+        if atoms is not None:
+            atoms = frozenset(atoms)
+        varied = tuple(a for a in universe if atoms is None or a in atoms)
+        # the masks of the one-atom subsets of `atoms`, in universe order
+        self.bits = list(map(_bit_index(universe).__getitem__, varied))
+        self.mask = sum(self.bits)
         subsets = [
             Interpretation(universe, frozenset(subset))
-            for size in range(len(universe) + 1)
-            for subset in combinations(universe, size)
+            for size in range(len(varied) + 1)
+            for subset in combinations(varied, size)
         ]
         self.sets = {z.mask: z for z in subsets}
         self.masks = [(lo, up) for up in self.sets for lo in self.sets if lo & up == lo]
-        # a pair's position is that of its upper set's, then its lower set's, subset
-        self.rank = {mask: position for position, mask in enumerate(self.sets)}
-        self.exact = [i for i, (lo, up) in enumerate(self.masks) if lo == up]
         self._pairs: list[InterpretationPair | None] = [None] * len(self.masks)
-        self._restrictions: dict[int, _Restrictions] = {}
 
     def pair(self, pi: int) -> InterpretationPair:
         pair = self._pairs[pi]
@@ -441,119 +449,79 @@ class _PairIndex:
             pair = self._pairs[pi] = InterpretationPair(self.sets[lo], self.sets[up])
         return pair
 
-    def restrictions(self, atoms: Iterable[str]) -> "_Restrictions":
-        mask = sum(map(_bit_index(self.universe).__getitem__, atoms))
-        restrictions = self._restrictions.get(mask)
-        if restrictions is None:
-            restrictions = self._restrictions[mask] = _Restrictions(self, mask)
-        return restrictions
+    @cached_property
+    def exact(self) -> list[int]:
+        """The positions of the exact pairs, in pair order."""
+        return [pi for pi, (lo, up) in enumerate(self.masks) if lo == up]
 
+    @cached_property
+    def position(self) -> dict[tuple[int, int], int]:
+        """Each pair's position, by its (lower, upper) masks."""
+        return {masks: pi for pi, masks in enumerate(self.masks)}
 
-class _Restrictions:
-    """The restrictions of an index's pairs to the atoms of `mask`,
-    numbered in the order the pairs first reach them: `restricted[r]` is
-    restriction r as (lower, upper) masks, `number[pi]` the number of
-    pair pi's restriction, `first[r]` the first pair that reaches r,
-    `exact` the first exact pair that reaches each exact restriction, in
-    pair order, and `steps[r]` the restrictions one step more precise
-    than r: for every atom undefined in r, in universe order, the
-    restriction that makes it true, then the one that makes it false."""
-
-    def __init__(self, index: _PairIndex, mask: int):
-        self.index = index
-        seen: dict[tuple[int, int], int] = {}
-        self.number: list[int] = []
-        self.first: list[int] = []
-        for pi, (lo, up) in enumerate(index.masks):
-            restricted = lo & mask, up & mask
-            r = seen.get(restricted)
-            if r is None:
-                r = seen[restricted] = len(self.first)
-                self.first.append(pi)
-            self.number.append(r)
-        self._seen = seen
-        self.restricted = list(seen)
-        exact: dict[int, int] = {}
-        for pi in index.exact:
-            exact.setdefault(self.number[pi], pi)
-        self.exact = list(exact.values())
-        # the masks of the one-atom subsets inside the mask, in universe order
-        self.bits = [bit for bit in index.sets if bit.bit_count() == 1 and mask & bit]
-        self.steps = [
+    @cached_property
+    def steps(self) -> list[list[int]]:
+        """Per pair, the pairs one step more precise: for every undefined
+        atom, in universe order, the pair that makes it true, then the
+        one that makes it false."""
+        position = self.position
+        return [
             [
-                seen[step]
+                position[step]
                 for bit in self.bits
                 if (lo ^ up) & bit
                 for step in ((lo | bit, up), (lo, up ^ bit))
             ]
-            for lo, up in self.restricted
+            for lo, up in self.masks
         ]
 
-    def refinements(self, r: int) -> list[int]:
-        """The restrictions at least as precise as r, in the order of the
-        pairs that make their atoms outside the mask false.
+    def refinements(self, pi: int) -> list[int]:
+        """The pairs at least as precise as pair pi, in pair order.
 
-        A scan visits restriction r first at its widest pair, which
-        leaves every atom outside the mask undefined.  Among the pairs
-        refining that one, the first to reach a restriction (lower,
-        upper) is the one with the smallest upper set: (lower, upper)
-        itself, with the atoms outside the mask false.  So the
-        refinements of the widest pair reach the restrictions in this
-        order."""
-        lo, up = self.restricted[r]
+        A scan over the universe's pairs from the least precise reaches
+        the restriction pi first at its widest pair, which leaves every
+        atom outside `atoms` undefined.  Among the pairs refining that
+        one, the first to reach a restriction is the restriction itself,
+        with the atoms outside false.  So the refinements of the widest
+        pair reach the restrictions in this order."""
+        lo, up = self.masks[pi]
         refined = [(lo, up)]
         for bit in self.bits:
             if (lo ^ up) & bit:
                 refined = [s for l, u in refined for s in ((l, u), (l | bit, u), (l, u ^ bit))]
-        rank = self.index.rank
-        refined.sort(key=lambda s: (rank[s[1]], rank[s[0]]))
-        return [self._seen[s] for s in refined]
+        return sorted(map(self.position.__getitem__, refined))
 
 
 class _Table:
-    """One relation's certain-truth of each formula at the indexed pairs,
-    with the two-valued truth of its formulas as `holds`.  The relation
-    reads a pair only on the formula's atoms, and its answer, or the
-    error it raises, is a function of the pair restricted to them.  So
-    each formula has one row with one value per restriction of the pairs
-    to its atoms (None until read), filled on the first read of a
-    restriction by evaluating at the pair being read.
+    """One relation's certain-truth of each formula, with the two-valued
+    truth of its formulas as `holds`.  The relation reads a pair only on
+    the formula's atoms, and its answer, or the error it raises, is a
+    function of the pair restricted to them.  So formula fi has one row
+    with one value (None until read) per pair of its own index
+    `indexes[fi]`, the pairs that vary its atoms: they are the
+    restrictions of every consistent pair to those atoms, in the order
+    the universe's pairs first reach them (see `_PairIndex`).
 
-    The same fact lets a scan visit, per formula, only the first pair of
-    its own order that reaches each restriction.  What a scan finds at a
-    pair, a witness or the error an evaluation raises, is a function of
-    the pair's restriction, so no earlier pair shares the restriction of
-    the first pair with a finding: it reaches its restriction first.
-    Visiting the first-reaching pairs alone, in the same order, meets
-    the same first finding, so reports the same witness and raises the
-    same first error."""
+    The same fact lets a scan visit, per formula, only its own pairs.
+    What a scan finds at a pair, a witness or the error an evaluation
+    raises, is a function of the pair's restriction, so no earlier pair
+    shares the restriction of the first pair with a finding: it reaches
+    its restriction first.  Visiting the first-reaching pairs alone, in
+    the same order, meets the same first finding, so reports the same
+    witness and raises the same first error."""
 
-    def __init__(self, sem: SemanticsId, source, index: _PairIndex):
+    def __init__(self, sem: SemanticsId, source, pair_index):
         self.sem = sem
         self.formulas, self.certain, self.holds = _formulas_of(sem, source)
-        self.index = index
-        self.restrictions = [index.restrictions(_formula_atoms(f)) for f in self.formulas]
-        self.rows: list[list[bool | None]] = [[None] * len(r.first) for r in self.restrictions]
+        self.indexes: list[_PairIndex] = [pair_index(_formula_atoms(f)) for f in self.formulas]
+        self.rows: list[list[bool | None]] = [[None] * len(i.masks) for i in self.indexes]
 
     def __call__(self, fi: int, pi: int) -> bool:
-        row, ri = self.rows[fi], self.restrictions[fi].number[pi]
-        value = row[ri]
+        row = self.rows[fi]
+        value = row[pi]
         if value is None:
-            value = row[ri] = self.certain(self.sem, self.formulas[fi], self.index.pair(pi))
+            value = row[pi] = self.certain(self.sem, self.formulas[fi], self.indexes[fi].pair(pi))
         return value
-
-    def reader(self, fi: int):
-        """Formula fi's value by restriction number, read from the table
-        at most once per restriction, at the first pair reaching it."""
-        first, values = self.restrictions[fi].first, {}
-
-        def read(ri: int) -> bool:
-            value = values.get(ri)
-            if value is None:
-                value = values[ri] = self(fi, first[ri])
-            return value
-
-        return read
 
 
 class Analysis:
@@ -561,17 +529,15 @@ class Analysis:
     program, or body elements whose atoms form the universe.
 
     Each relation has one table of its certain-truth at every (formula,
-    consistent pair), filled on first read and shared by every check
-    that reads it.  A formula's row holds one value per restriction of
-    the pairs to the formula's atoms, so one Analysis evaluates a
-    relation at most once per (formula, restricted pair).  Every check
-    visits, per formula, only the first pair of its own order that
-    reaches each restriction (see `_Table`), and reads each restriction
-    at most once per scan.  The first read of a restriction evaluates at the pair
-    being read, so an evaluation that raises is reached at the same
-    read, with the same message, as by a check that evaluates afresh at
-    every pair, and every witness and counterexample is the one that
-    check finds.
+    pair of the formula's own index), filled on first read and shared by
+    every check that reads it; formulas with the same atoms share one
+    index.  So one Analysis evaluates a relation at most once per
+    (formula, restricted pair).  Every check visits, per formula, only
+    its own pairs (see `_Table`), at the same pairs as a check that
+    evaluates afresh at every consistent pair would first reach them, so
+    an evaluation that raises is reached with the same message, and
+    every witness and counterexample is the one that check finds.  Only
+    the counterexample scan indexes the universe's pairs.
     """
 
     def __init__(
@@ -581,69 +547,79 @@ class Analysis:
     ):
         self._source = source if isinstance(source, Program) else list(source)
         self._max_universe = max_universe
-        self._index: _PairIndex | None = None
+        self._universe: tuple[str, ...] | None = None
+        self._indexes: dict[frozenset[str], _PairIndex] = {}
         self._tables: dict[SemanticsId, _Table] = {}
+
+    def _pair_index(self, atoms: Iterable[str]) -> _PairIndex:
+        """The index of the pairs that vary these atoms, one per set of atoms."""
+        atoms = frozenset(atoms)
+        index = self._indexes.get(atoms)
+        if index is None:
+            index = self._indexes[atoms] = _PairIndex(self._universe, atoms)
+        return index
 
     def _table(self, sem: SemanticsId) -> _Table:
         table = self._tables.get(sem)
         if table is None:
-            if self._index is None:
+            if self._universe is None:
                 source = self._source
                 program = isinstance(source, Program)
                 universe = source.universe if program else _formula_atoms((tuple(source),))
                 check_universe_size(len(universe), self._max_universe)
-                self._index = _PairIndex(universe)
-            table = self._tables[sem] = _Table(sem, self._source, self._index)
+                self._universe = universe
+            table = self._tables[sem] = _Table(sem, self._source, self._pair_index)
         return table
 
     def well_behaved(self, sem: SemanticsId | str) -> WellBehavedReport:
         """See `check_well_behaved`."""
         sem = SemanticsId.from_tag(sem)
         sat = self._table(sem)
-        index, formulas = sat.index, sat.formulas
-        # the exact scan: each exact restriction at the first exact pair reaching it
+        formulas, indexes = sat.formulas, sat.indexes
+        # the exact scan: each formula's exact pairs
         for fi, formula in enumerate(formulas):
-            for pi in sat.restrictions[fi].exact:
-                pair = index.pair(pi)
+            for pi in indexes[fi].exact:
+                pair = indexes[fi].pair(pi)
                 if sat(fi, pi) != sat.holds(formula, pair.lower):
                     return WellBehavedReport(
                         False, WellBehavedCounterexample("exact", formula, pair)
                     )
 
         # the one-step scan: a refinement by an atom the formula does not
-        # mention reaches the pair's own restriction, so only `steps` can fail
-        for fi, restrictions in enumerate(sat.restrictions):
-            read = sat.reader(fi)
-            steps = enumerate(restrictions.steps)
-            if any(read(ri) and not all(map(read, refined)) for ri, refined in steps):
+        # mention keeps the pair's restriction, so only `steps` can fail
+        for fi, index in enumerate(indexes):
+            read = partial(sat, fi)
+            steps = enumerate(index.steps)
+            if any(read(pi) and not all(map(read, refined)) for pi, refined in steps):
                 break
         else:
             return WellBehavedReport(True)
 
-        # the counterexample scan: the pairs from the least precise, each
-        # with its refinements in pair order.  What it finds for a formula
-        # at a pair is a function of the pair's restriction, so a formula
-        # is tested at the first, widest, pair of each restriction only.
-        masks = index.masks
+        # the counterexample scan: the universe's pairs from the least
+        # precise, each with its refinements in pair order.  What it finds
+        # for a formula at a pair is a function of the pair's restriction,
+        # so a formula is tested at the first, widest, pair of each
+        # restriction only.
+        universe = self._pair_index(self._universe)
+        masks = universe.masks
         widths = [(lo ^ up).bit_count() for lo, up in masks]
-        readers = [sat.reader(fi) for fi in range(len(formulas))]
         visited: list[set[int]] = [set() for _ in formulas]
         for pi in sorted(range(len(masks)), key=lambda i: -widths[i]):
+            lo, up = masks[pi]
             for fi, formula in enumerate(formulas):
-                restrictions, read = sat.restrictions[fi], readers[fi]
-                ri = restrictions.number[pi]
+                index = indexes[fi]
+                ri = index.position[lo & index.mask, up & index.mask]
                 if ri in visited[fi]:
                     continue
                 visited[fi].add(ri)
-                if not read(ri):
+                if not sat(fi, ri):
                     continue
-                for refined in restrictions.refinements(ri):
-                    if not read(refined):
-                        refined_pi = masks.index(restrictions.restricted[refined])
+                for refined in index.refinements(ri):
+                    if not sat(fi, refined):
                         return WellBehavedReport(
                             False,
                             WellBehavedCounterexample(
-                                "monotone", formula, index.pair(pi), index.pair(refined_pi)
+                                "monotone", formula, universe.pair(pi), index.pair(refined)
                             ),
                         )
         raise AssertionError("single-step violation had no two-pair witness")
@@ -654,10 +630,10 @@ class Analysis:
         if not (sem_a.is_elementwise and sem_b.is_elementwise):
             raise CapabilityError("precision comparison covers element-wise relations only")
         sat_a, sat_b = self._table(sem_a), self._table(sem_b)
-        pair = sat_a.index.pair
         only_a = only_b = None
         for fi, element in enumerate(sat_a.formulas):
-            for pi in sat_a.restrictions[fi].first:
+            pair = sat_a.indexes[fi].pair
+            for pi in range(len(sat_a.rows[fi])):
                 a, b = sat_a(fi, pi), sat_b(fi, pi)
                 if a and not b and only_a is None:
                     only_a = (element, pair(pi))

@@ -4,6 +4,7 @@ straight from `sat3` over `all_consistent_pairs`, and the number of
 relation evaluations and table reads one `analyze` run makes."""
 
 import dataclasses
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -212,56 +213,57 @@ c :- sum{1:a, -1:b, 1:s} >= 1.
 """
 
 
-def test_each_scan_reads_each_restriction_once(monkeypatch, tmp_path):
-    """The table reads of each `well_behaved` and `precision` call of one
-    `analyze` run, per (relation, formula, restriction): one for a
-    precision comparison, one plus one per exact restriction for a
-    well-behaved relation (the one-step and the exact scan), and at most
-    three for one that is not (the counterexample scan too)."""
-    calls = []
-    read = ternary._Table.__call__
+def test_each_scan_reads_each_restriction_once(monkeypatch, tmp_path, capsys):
+    """One `analyze` run evaluates each relation at most once per
+    (formula, pair), only at pairs that make every atom the formula does
+    not mention false, and a well-behaved relation at every pair of each
+    formula's own index.  The universe's pairs are indexed only for the
+    counterexample scan, so a run in which every relation is well-behaved
+    indexes no pair over all six atoms."""
+    calls = Counter()
+    indexed = []
 
-    def counting_read(table, fi, pi):
-        calls[-1][2][table.sem, fi, table.restrictions[fi].number[pi]] += 1
-        return read(table, fi, pi)
-
-    def counting(method):
-        def call(analysis, *sems):
-            calls.append((method.__name__, [SemanticsId.from_tag(s) for s in sems], Counter()))
-            return method(analysis, *sems)
+    def counting(evaluate):
+        def call(sem, formula, pair):
+            calls[SemanticsId.from_tag(sem), formula, pair] += 1
+            return evaluate(sem, formula, pair)
 
         return call
 
-    monkeypatch.setattr(ternary._Table, "__call__", counting_read)
-    monkeypatch.setattr(Analysis, "well_behaved", counting(Analysis.well_behaved))
-    monkeypatch.setattr(Analysis, "precision", counting(Analysis.precision))
+    def recording(init):
+        def call(index, *args):
+            init(index, *args)
+            indexed.append(len(index.bits))
+
+        return call
+
+    monkeypatch.setattr(ternary, "sat3", counting(sat3))
+    monkeypatch.setattr(ternary, "sat3_body", counting(sat3_body))
+    monkeypatch.setattr(ternary._PairIndex, "__init__", recording(ternary._PairIndex.__init__))
     path = tmp_path / "six.lp"
     path.write_text(SIX_ATOMS, encoding="utf-8")
-    assert run(["analyze", str(path)]) == 0
+    assert run(["analyze", str(path), "--json"]) == 0
+    behaved = json.loads(capsys.readouterr().out)["report"]["well_behaved"]
+    evaluations, universe_indexed = calls.copy(), indexed.count(6)
+    indexed.clear()
+    well_behaved = [tag for tag, entry in behaved.items() if entry["holds"]]
+    assert run(["analyze", str(path), "--semantics", ",".join(well_behaved)]) == 0
+    capsys.readouterr()
     monkeypatch.undo()
 
     program = parse_program(SIX_ATOMS)
-    index = ternary._PairIndex(program.universe)
-    assert len(index.masks) == 3**6
-
-    def restrictions(sem):
-        """Each (relation, formula, restriction) of the relation's table,
-        with whether the restriction is exact."""
-        table = ternary._Table(sem, program, index)
-        return {
-            (sem, fi, r): lo == up
-            for fi, numbering in enumerate(table.restrictions)
-            for r, (lo, up) in enumerate(numbering.restricted)
-        }
-
-    assert [name for name, _, _ in calls] == ["well_behaved"] * 8 + ["precision"] * 21
-    for name, sems, reads in calls:
-        if name == "precision":
-            expected = {key: 1 for sem in sems for key in restrictions(sem)}
-            assert reads == expected, sems
-        elif Analysis(program).well_behaved(sems[0]).holds:
-            expected = {key: 1 + exact for key, exact in restrictions(sems[0]).items()}
-            assert reads == expected, sems
-        else:
-            assert sems[0] in (SemanticsId.MR, SemanticsId.FLP)
-            assert set(reads) <= set(restrictions(sems[0])) and max(reads.values()) <= 3
+    assert len(program.universe) == 6 and sorted(set(behaved) - set(well_behaved)) == ["flp", "mr"]
+    # mr and flp run the counterexample scan, which indexes the universe once
+    assert universe_indexed == 1 and indexed and 6 not in indexed
+    assert max(evaluations.values()) == 1, evaluations.most_common(1)
+    assert {sem.value for sem, _, _ in evaluations} == set(behaved)
+    for _, formula, pair in evaluations:
+        assert pair.upper.atoms <= set(_formula_atoms(formula)), (formula, pair)
+    for tag in well_behaved:
+        sem = SemanticsId.from_tag(tag)
+        formulas, _, _ = ternary._formulas_of(sem, program)
+        expected = {}
+        for formula in formulas:
+            index = ternary._PairIndex(program.universe, _formula_atoms(formula))
+            expected.update({(sem, formula, index.pair(pi)): 1 for pi in range(len(index.masks))})
+        assert {key: n for key, n in evaluations.items() if key[0] is sem} == expected, tag

@@ -7,6 +7,9 @@ import time
 import pytest
 
 from aggsem.cli import run
+from aggsem.interp import leq_precision
+from aggsem.syntax import parse_program
+from aggsem.ternary import all_consistent_pairs, sat3
 
 from .conftest import PROGRAMS_DIR
 
@@ -258,6 +261,44 @@ def test_analyze_loop_program(capsys):
     assert "counterexample" in report["well_behaved"]["mr"]
     orders = {(row["first"], row["second"]): row["order"] for row in report["precision"]}
     assert orders[("ult", "mr")] == "first <=p second"
+
+
+# Under mr and flp the first body element, the avg atom, already fails the
+# one-step scan, but the scan for a witness goes from the least precise
+# pair over every formula, and meets the prod atom first.
+INTERLEAVED = """
+#atoms a0, a1, a2, a3.
+a0 :- avg{0:not a0, 3:not a1, -2:a3} <= 0, a3, prod{-3:a0, -2:not a1, -2:a3} <= 3.
+a1 :- card{-3:not a3} > 6, sum{0:not a3, 2:a2, 2:a2} > -3.
+a1 :- a1.
+a3 :- a0, sum{3:a2} != 5, a0.
+"""
+
+
+def test_analyze_witness_may_name_a_later_formula(tmp_path, capsys):
+    path = tmp_path / "interleaved.lp"
+    path.write_text(INTERLEAVED, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--semantics", "mr,flp")
+    assert (code, err) == (0, "")
+    witness = (
+        "no (satisfied at ({}, {a0, a1, a2}) but not at the refinement ({}, {a0}) "
+        "on prod{-3:a0, -2:not a1, -2:a3} <= 3)"
+    )
+    assert out.splitlines()[5:] == [
+        f"well-behaved: mr: {witness}",
+        f"well-behaved: flp: {witness}",
+        "precision: mr vs flp: second <=p first",
+    ]
+    # the avg atom is satisfied at a pair and not at a one-atom refinement
+    program = parse_program(INTERLEAVED)
+    avg, pairs = program.body_elements()[0], all_consistent_pairs(program.universe)
+    assert avg.func.value == "avg"
+    assert any(
+        sat3("mr", avg, p) and not sat3("mr", avg, q)
+        for p in pairs
+        for q in pairs
+        if leq_precision(p, q) and len(q.undefined_atoms()) == len(p.undefined_atoms()) - 1
+    )
 
 
 def test_verify_loop_program_cli(capsys):

@@ -1,0 +1,128 @@
+"""Outcome digests of `analyze` over a seeded corpus, to compare two
+checkouts.
+
+    python3 tools/outcomes.py > change.txt
+    (cd ../parent && python3 tools/outcomes.py) > parent.txt
+    diff parent.txt change.txt
+
+The corpus is `--count` programs drawn by
+`oracle.random_program(Random(20261018), max_atoms=6, max_rules=9)`,
+then `programs/*.lp`, each followed by its variant with every nonzero
+aggregate weight replaced by ±2^62.  Each line is a program, a group and
+the SHA-256 of the group's outcomes, where an outcome is a repr, or the
+type and message of the error computing it.  The groups are
+
+  well_behaved  `Analysis.well_behaved` under each tag, with the
+                counterexample text
+  precision     `Analysis.precision` for each pair of element-wise tags
+  cli           stdout, stderr and exit code of `aggsem analyze --json`
+                under the default tags
+
+One `Analysis` per program serves both of its groups, as in `analyze`.
+The script imports `aggsem` from the `src` directory beside it, so it
+measures the checkout it is in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import io
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from aggsem import AggsemError, oracle  # noqa: E402
+from aggsem.cli import run  # noqa: E402
+from aggsem.syntax import AggregateAtom, Program, Rule, parse_program  # noqa: E402
+from aggsem.ternary import Analysis, SemanticsId  # noqa: E402
+
+HALF = 1 << 62  # two of these sum to 2^63, one past the largest int64
+SEED = 20261018
+
+
+def with_big_weights(program: Program) -> Program:
+    """The program with every nonzero aggregate weight replaced by ±2^62."""
+
+    def big(element):
+        if isinstance(element, AggregateAtom):
+            entries = tuple((((w > 0) - (w < 0)) * HALF, lit) for w, lit in element.entries)
+            return dataclasses.replace(element, entries=entries)
+        return element
+
+    rules = tuple(Rule(rule.head, tuple(big(e) for e in rule.body)) for rule in program.rules)
+    return Program(rules, program.universe)
+
+
+def corpus(count: int) -> list[tuple[str, str]]:
+    """(name, program text) of the seeded programs, then the shipped
+    ones, each followed by its ±2^62 variant."""
+    rng = random.Random(SEED)
+    sources = [(f"random-{k:04d}", str(oracle.random_program(rng, max_atoms=6, max_rules=9)))
+               for k in range(count)]
+    sources += [(path.name, path.read_text(encoding="utf-8"))
+                for path in sorted((ROOT / "programs").glob("*.lp"))]
+    programs = []
+    for name, text in sources:
+        programs.append((name, text))
+        programs.append((f"{name}+big", str(with_big_weights(parse_program(text)))))
+    return programs
+
+
+def outcome(compute) -> str:
+    try:
+        return repr(compute())
+    except AggsemError as error:
+        return repr((type(error).__name__, str(error)))
+
+
+def well_behaved(analysis: Analysis, sem: SemanticsId):
+    report = analysis.well_behaved(sem)
+    return report.holds, report.counterexample and str(report.counterexample), report
+
+
+def cli(text: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["analyze", "-", "--json"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def digests(text: str) -> dict[str, str]:
+    outcomes: dict[str, list[str]] = {"well_behaved": [], "precision": [], "cli": []}
+    program = parse_program(text)
+    analysis = Analysis(program)
+    for sem in SemanticsId:
+        outcomes["well_behaved"].append(outcome(lambda: well_behaved(analysis, sem)))
+    elementwise = [s for s in SemanticsId if s.is_elementwise]
+    for a, b in combinations(elementwise, 2):
+        outcomes["precision"].append(outcome(lambda: analysis.precision(a, b)))
+    outcomes["cli"].append(repr(cli(text)))
+    return {
+        group: hashlib.sha256("\n".join(values).encode()).hexdigest()
+        for group, values in outcomes.items()
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=300, help="seeded programs (default 300)")
+    args = parser.parse_args(argv)
+    for name, text in corpus(args.count):
+        for group, digest in digests(text).items():
+            print(f"{name} {group} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
