@@ -22,10 +22,10 @@ condition atoms; acceptable at desk scale.  avg compares the (sum,
 count) entries by cross-multiplication and builds only two fractions;
 min and max compare the members' extremes in one pass.
 
-An atom with a kernel (see `eval2`) takes its bounds, and `bnd_truth`
-its sum/card hull, from the values its kernel holds at the members of
-the pair's interval: no value of such an atom leaves the range, so the
-least and the greatest are those of the hull and the half tables.
+An atom with a kernel takes its bounds, and `bnd_truth` its sum/card
+hull, from `eval2._kernel_range`: no value of such an atom leaves the
+range, so the least and the greatest are those of the hull and the half
+tables.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .eval2 import (
     _fixed_weights,
     _half_tables,
     _interval_sweep,
-    _kernel_members,
+    _kernel_range,
 )
 from .interp import InterpretationPair
 from .syntax import AggFunc, AggregateAtom, Comparison
@@ -66,9 +66,10 @@ class Bounds:
 def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     """Exact min/max of the aggregate value over every Z in the pair's interval."""
     pair.require_consistent()
-    if atom._kernels is not None:
-        kernel, members, lb, ub = _kernel_range(atom, pair)
-        empty = [kernel.empty[key] for key in members]
+    read = _kernel_range(atom, pair)
+    if read is not None:
+        lb, ub, empty = read
+        empty = list(empty)
         empty_possible, empty_certain = any(empty), all(empty)
     else:
         fixed, branches = _split(atom, pair)
@@ -81,17 +82,6 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     if lb is None:
         return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, empty_possible, empty_certain)
     return Bounds(AggValue.of(lb), AggValue.of(ub), empty_possible, empty_certain)
-
-
-def _kernel_range(atom: AggregateAtom, pair: InterpretationPair) -> tuple:
-    """For an atom with a kernel: the kernel, its keys of the members of
-    the pair's interval, and the least and the greatest defined value
-    over those members, (None, None) when no member has one."""
-    kernel = atom._kernels.over(atom, pair.lower.universe)
-    members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
-    values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
-    lb, ub = (min(values), max(values)) if values else (None, None)
-    return kernel, members, lb, ub
 
 
 def _split(
@@ -160,8 +150,9 @@ def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
         return interval_truth(atom, pair)
 
-    if atom._kernels is not None:
-        _, _, lb, ub = _kernel_range(atom, pair)
+    read = _kernel_range(atom, pair)
+    if read is not None:
+        lb, ub, _ = read
     else:
         lb, ub = _hull(atom.func, *_split(atom, pair))
     w = atom.bound

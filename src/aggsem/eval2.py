@@ -32,7 +32,10 @@ weights sum within int64, so that no value leaves the range and no
 answer depends on the order of the members; a head when its bodies
 mention at most `KERNEL_ATOMS` atoms and no evaluation at a choice of
 them leaves the range.  Everything else takes the ordered sweeps, with
-their first errors.
+their first errors.  Only this module reads a kernel: one interval sweep
+serves an atom (`ult`, and `bnd` for min, max and avg) and a head's
+`Bodies` (`ultimate`), `_kernel_range` serves `bounds`, and the `triv`
+and `mr` tests live here.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .interp import (
     extensions,
 )
 from .syntax import AggFunc, AggregateAtom, Bodies, BodyElement, Literal, Program
+from .truth import TruthValue
 
 __all__ = [
     "AggValue",
@@ -269,30 +273,71 @@ def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) ->
     return _interval_sweep(atom, pair, True) is True
 
 
+def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
+    """triv: the atom's truth at the upper set when every condition atom
+    is decided, else undefined."""
+    kernels = atom._kernels
+    if kernels is not None:
+        kernel = kernels.over(atom, pair.lower.universe)
+        lower, upper = pair.lower.mask, pair.upper.mask
+        if (upper ^ lower) & kernel.cm:
+            return TruthValue.UNDEFINED
+        return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
+    if all(a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms):
+        return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
+    return TruthValue.UNDEFINED
+
+
+def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
+    """mr: upper satisfies the atom and some subset of lower does.
+
+    Only the trace on the atom's condition atoms matters, so the subsets
+    of lower restricted to those atoms cover all cases.
+    """
+    kernels = atom._kernels
+    if kernels is not None:
+        kernel = kernels.over(atom, pair.lower.universe)
+        truth, cm = kernel.truth, kernel.cm
+        lower, upper = pair.lower.mask, pair.upper.mask
+        return truth[upper & cm] and any(map(truth.__getitem__, _kernel_members(cm, 0, lower)))
+    if not eval_aggregate(atom, pair.upper):
+        return False
+    base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
+    return any(eval_aggregate(atom, z) for z in extensions(pair.lower.with_atoms(()), base))
+
+
 # ---------------------------------------------------------------------------
-# The interval sweep shared by ult's truth function and certain truth
+# The interval sweep of an aggregate atom or of a head's disjunction of bodies
 # ---------------------------------------------------------------------------
 
 
 def _interval_sweep(
-    atom: AggregateAtom, pair: InterpretationPair, expected: bool | None
+    owner: AggregateAtom | Bodies, pair: InterpretationPair, expected: bool | None
 ) -> bool | None:
-    """The truth the atom has at every member of the pair's interval that
-    varies only its condition atoms, or None when the members disagree.
+    """The truth an aggregate atom, or a head's disjunction of bodies, has
+    at every member of the pair's interval that varies only its own atoms
+    (the atom's condition atoms, the atoms the bodies mention), or None
+    when the members disagree.
 
     Members are taken in the order of `interp.extensions` and the sweep
     stops at the first whose truth differs from `expected` (from the
     first member's when `expected` is None), so a value outside the
     signed 64-bit range raises only when a member before that stop has
-    it.  Counts one interval expansion.  An atom with a kernel reads the
-    members' truths from it: none of its values leaves the range, so the
-    answer does not depend on the order.
+    it.  Counts one interval expansion.  An owner with a kernel reads the
+    members' truths from it: none of its evaluations leaves the range,
+    so the answer does not depend on the order.
     """
-    kernels = atom._kernels
-    if kernels is not None:
+    kernels = owner._kernels
+    kernel = kernels and kernels.over(owner, pair.lower.universe)
+    if kernel is not None:
         _interval_check(pair.lower, pair.upper)
-        return _kernel_sweep(kernels.over(atom, pair.lower.universe), pair, expected)
-    for truth in _member_truths(atom, pair):
+        members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
+        truths = set(map(kernel.truth.__getitem__, members))
+        if len(truths) > 1:
+            return None
+        (truth,) = truths
+        return truth if expected is None or truth is expected else None
+    for truth in _member_truths(owner, pair):
         if truth is not expected:
             if expected is not None:
                 return None
@@ -300,20 +345,23 @@ def _interval_sweep(
     return expected
 
 
-def _member_truths(atom: AggregateAtom, pair: InterpretationPair) -> Iterator[bool]:
-    """The atom's truth at each member of the sweep, in order.
+def _member_truths(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> Iterator[bool]:
+    """The owner's truth at each member of the sweep, in order.
 
-    prod walks the members.  The other functions build none: each
-    member's value is one entry of `_half_tables` over the free condition
-    atoms joined with another.
+    A head's disjunction and prod walk the members.  The other functions
+    build none: each member's value is one entry of `_half_tables` over
+    the free condition atoms joined with another.
     """
-    restrict = frozenset(atom.condition_atoms)
-    if atom.func is AggFunc.PROD:
+    if isinstance(owner, Bodies):
+        members = enumerate_interval(pair.lower, pair.upper, restrict=owner.atoms)
+        return (sat2_disjunction(owner, z) for z in members)
+    restrict = frozenset(owner.condition_atoms)
+    if owner.func is AggFunc.PROD:
         members = enumerate_interval(pair.lower, pair.upper, restrict=restrict)
-        return (eval_aggregate(atom, z) for z in members)
+        return (eval_aggregate(owner, z) for z in members)
     free = _interval_free_atoms(pair.lower, pair.upper, restrict)
-    high, low = _half_tables(atom, free, _fixed_weights(atom, pair))
-    return _RULES[atom.func].truths(atom, high, low)
+    high, low = _half_tables(owner, free, _fixed_weights(owner, pair))
+    return _RULES[owner.func].truths(owner, high, low)
 
 
 def _fixed_weights(atom: AggregateAtom, pair: InterpretationPair) -> list[int]:
@@ -588,12 +636,15 @@ def _kernel_members(cm: int, lower: int, upper: int) -> list[int]:
     return keys
 
 
-def _kernel_sweep(kernel: Kernel, pair: InterpretationPair, expected: bool | None) -> bool | None:
-    """`_interval_sweep` read from a kernel: the truth every member has,
-    None when they disagree or differ from `expected`."""
-    members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
-    truths = set(map(kernel.truth.__getitem__, members))
-    if len(truths) > 1:
+def _kernel_range(atom: AggregateAtom, pair: InterpretationPair) -> tuple | None:
+    """The least and the greatest defined value of the atom over the
+    members of the pair's interval, (None, None) when none has one, and
+    an iterator of whether each is empty; None when it has no kernel."""
+    kernels = atom._kernels
+    if kernels is None:
         return None
-    (truth,) = truths
-    return truth if expected is None or truth is expected else None
+    kernel = kernels.over(atom, pair.lower.universe)
+    members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
+    values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
+    lb, ub = (min(values), max(values)) if values else (None, None)
+    return lb, ub, map(kernel.empty.__getitem__, members)

@@ -58,8 +58,8 @@ from typing import Callable, Iterable, TypeVar
 from .errors import ArithmeticOverflowError, CapabilityError, check_universe_size
 from .eval2 import is_supported_model
 from .interp import Interpretation, InterpretationPair, extensions
-from .syntax import Literal, Program, Rule
-from .ternary import DisjunctiveBody, SemanticsId
+from .syntax import Bodies, Literal, Program, Rule
+from .ternary import SemanticsId
 
 __all__ = [
     "WellFoundedResult",
@@ -146,7 +146,7 @@ def lfp_lower(sem: SemanticsId | str, program: Program, y: Interpretation) -> In
 
 
 def _least_fixpoint(
-    holds: Callable[[SemanticsId, DisjunctiveBody, InterpretationPair], bool],
+    holds: Callable[[SemanticsId, Bodies, InterpretationPair], bool],
     sem: SemanticsId,
     program: Program,
     pair_at: Callable[[Interpretation], InterpretationPair],
@@ -229,11 +229,11 @@ def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) 
     members = list(y)
     # the walk ends at y itself, which is not a proper subset
     proper_subsets = islice(extensions(y.with_atoms(()), members), (1 << len(members)) - 1)
+    rules = [(rule.head, Bodies((rule.body,))) for rule in program.rules]
     return not any(
         all(
-            rule.head in subset.atoms
-            or not sem.bodies_certain((rule.body,), InterpretationPair(subset, y))
-            for rule in program.rules
+            head in subset.atoms or not sem.bodies_certain(bodies, InterpretationPair(subset, y))
+            for head, bodies in rules
         )
         for subset in proper_subsets
     )

@@ -188,10 +188,11 @@ def _first_occurrence_universe(rules: Iterable[Rule]) -> tuple[str, ...]:
 
 class Bodies(tuple):
     """One head's rule bodies, in source order: a tuple of bodies that
-    compares, hashes and prints as one.  Outside its items it keeps the
-    atoms the bodies mention and the bitmask kernel of the disjunction
-    (`eval2.head_kernels`), so every `ultimate` test of the head through
-    the program's `entries` reuses them."""
+    compares, hashes and prints as one, and the one form in which the
+    relations take a disjunction of bodies.  Outside its items it keeps
+    the atoms the bodies mention and the bitmask kernel of the
+    disjunction (`eval2.head_kernels`), so every `ultimate` test of the
+    head through the program's `entries` reuses them."""
 
     @cached_property
     def atoms(self) -> tuple[str, ...]:
@@ -230,7 +231,7 @@ class Program:
         lines.extend(str(rule) for rule in self.rules)
         return "\n".join(lines)
 
-    @property
+    @cached_property  # read at every stable check and least fixpoint
     def is_aggregate_free(self) -> bool:
         return not any(rule.has_aggregates for rule in self.rules)
 

@@ -25,12 +25,8 @@ differ only on aggregate atoms:
 Each `SemanticsId` member carries its row of this table, so adding a
 semantics is adding one row.  Every row says whether one head's
 disjunction of bodies is certainly true: an element-wise row by some
-body with every element certainly true, `ultimate` by its own sweep.
-
-`triv`, `ult`, `bnd` and `mr` read an aggregate atom's bitmask kernel
-when it has one, and `ultimate` the kernel of a program's `Bodies` (see
-`eval2`): the answer at a pair is then a few table reads at the pair's
-masks, restricted to the atom's or the head's own atoms.
+body with every element certainly true, `ultimate` by `ult`'s interval
+sweep applied to the whole disjunction (see `eval2`).
 """
 
 from __future__ import annotations
@@ -44,8 +40,9 @@ from typing import Iterable, NoReturn, Sequence, Union
 from .bounds import bnd_truth, interval_truth
 from .errors import CapabilityError, TooLargeError, check_universe_size
 from .eval2 import (
-    _kernel_members,
-    _kernel_sweep,
+    _interval_sweep,
+    _mr_certain,
+    _triv_truth,
     aggregate_holds_everywhere,
     eval_aggregate,
     literal_holds,
@@ -56,7 +53,6 @@ from .interp import (
     Interpretation,
     InterpretationPair,
     _bit_index,
-    _interval_check,
     enumerate_interval,
     extensions,
 )
@@ -88,8 +84,6 @@ __all__ = [
     "all_consistent_pairs",
 ]
 
-DisjunctiveBody = tuple[tuple[BodyElement, ...], ...]
-
 
 def _literal_sat3(lit: Literal, pair: InterpretationPair) -> bool:
     if lit.negated:
@@ -111,19 +105,6 @@ def _aggregate_free_only(atom: AggregateAtom, pair: InterpretationPair) -> NoRet
     raise CapabilityError("gl is defined for aggregate-free programs only")
 
 
-def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
-    kernels = atom._kernels
-    if kernels is not None:
-        kernel = kernels.over(atom, pair.lower.universe)
-        lower, upper = pair.lower.mask, pair.upper.mask
-        if (upper ^ lower) & kernel.cm:
-            return TruthValue.UNDEFINED
-        return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
-    if all(a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms):
-        return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
-    return TruthValue.UNDEFINED
-
-
 def _gz_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     return eval_aggregate(atom, pair.upper) and all(
         _literal_sat3(cond, pair) for cond in atom.conditions if literal_holds(cond, pair.upper)
@@ -138,39 +119,14 @@ def _lpst_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     )
 
 
-def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
-    """Upper satisfies the atom and some subset of lower does.
-
-    Only the trace on the atom's condition atoms matters, so the subsets
-    of lower restricted to those atoms cover all cases.
-    """
-    kernels = atom._kernels
-    if kernels is not None:
-        kernel = kernels.over(atom, pair.lower.universe)
-        truth, cm = kernel.truth, kernel.cm
-        lower, upper = pair.lower.mask, pair.upper.mask
-        return truth[upper & cm] and any(map(truth.__getitem__, _kernel_members(cm, 0, lower)))
-    if not eval_aggregate(atom, pair.upper):
-        return False
-    base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
-    return any(eval_aggregate(atom, z) for z in extensions(pair.lower.with_atoms(()), base))
-
-
 def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     return eval_aggregate(atom, pair.lower) and eval_aggregate(atom, pair.upper)
 
 
-def _ultimate_certain(bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
+def _ultimate_certain(bodies: Bodies, pair: InterpretationPair) -> bool:
     """The disjunction holds at every interpretation in the interval; only
-    the atoms occurring in the bodies vary.  A program's `Bodies` read
-    the members' truths from their kernel when they have one."""
-    kernels = bodies._kernels if isinstance(bodies, Bodies) else None
-    kernel = kernels and kernels.over(bodies, pair.lower.universe)
-    if kernel is not None:
-        _interval_check(pair.lower, pair.upper)
-        return _kernel_sweep(kernel, pair, True) is True
-    members = enumerate_interval(pair.lower, pair.upper, restrict=_formula_atoms(bodies))
-    return all(sat2_disjunction(bodies, z) for z in members)
+    the atoms occurring in the bodies vary."""
+    return _interval_sweep(bodies, pair, True) is True
 
 
 class SemanticsId(Enum):
@@ -234,7 +190,7 @@ class SemanticsId(Enum):
             return _literal_truth(element, pair)
         return self._truth(element, pair)
 
-    def bodies_certain(self, bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
+    def bodies_certain(self, bodies: Bodies, pair: InterpretationPair) -> bool:
         """Is one head's disjunction of bodies certainly true at the pair,
         which the caller has checked to be consistent?"""
         if self._bodies is not None:
@@ -245,7 +201,7 @@ class SemanticsId(Enum):
             for body in bodies
         )
 
-    def bodies_possible(self, bodies: DisjunctiveBody, pair: InterpretationPair) -> bool:
+    def bodies_possible(self, bodies: Bodies, pair: InterpretationPair) -> bool:
         """Has one of the head's bodies no false element at the consistent
         pair?  For a row with a truth function, which the caller checks."""
         truth, false = self._element_truth, TruthValue.FALSE
@@ -265,19 +221,19 @@ def sat3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair)
 
 def sat3_body(
     sem: SemanticsId | str,
-    body: Union[Sequence[BodyElement], DisjunctiveBody],
+    body: Union[Sequence[BodyElement], Sequence[Sequence[BodyElement]]],
     pair: InterpretationPair,
 ) -> bool:
     """Certain-truth of a rule body (for `ultimate`: of the whole
     disjunction of one head's bodies, which must be passed as a sequence
-    of bodies)."""
+    of bodies).  Plain input is wrapped in a `Bodies` once; a program's
+    own `Bodies` keep their kernel."""
     sem = SemanticsId.from_tag(sem)
     pair.require_consistent()
     if sem.is_elementwise:
-        bodies = (body,)
-    else:  # a program's own `Bodies` keep their kernel
-        bodies = body if isinstance(body, Bodies) else tuple(map(tuple, body))
-    return sem.bodies_certain(bodies, pair)  # type: ignore[arg-type]
+        body = (body,)
+    bodies = body if isinstance(body, Bodies) else Bodies(map(tuple, body))
+    return sem.bodies_certain(bodies, pair)
 
 
 def truth3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair) -> TruthValue:
@@ -305,7 +261,7 @@ def sat3_upper(sem: SemanticsId | str, element: BodyElement, pair: Interpretatio
 # Well-behavedness and precision
 # ---------------------------------------------------------------------------
 
-Formula = Union[BodyElement, DisjunctiveBody]
+Formula = Union[BodyElement, Bodies]
 
 MAX_ANALYZE_ATOMS = 8
 
@@ -324,7 +280,7 @@ def _formulas_of(sem: SemanticsId, source: Union[Program, list[BodyElement]]):
     program = isinstance(source, Program)
     if sem.is_elementwise:
         return list(source.body_elements() if program else source), sat3, sat2_element
-    heads = [bodies for _, bodies in source.entries] if program else [((e,),) for e in source]
+    heads = [b for _, b in source.entries] if program else [Bodies(((e,),)) for e in source]
     return heads, sat3_body, sat2_disjunction
 
 
@@ -349,13 +305,13 @@ def _formula_atoms(formula: Formula) -> tuple[str, ...]:
     first occurrence first; a disjunction's are its `Bodies.atoms`."""
     if isinstance(formula, Literal):
         return (formula.atom,)
-    if not isinstance(formula, tuple):
+    if isinstance(formula, AggregateAtom):
         return formula.condition_atoms
-    return (formula if isinstance(formula, Bodies) else Bodies(formula)).atoms
+    return formula.atoms
 
 
 def _format_formula(formula: Formula) -> str:
-    if isinstance(formula, tuple):
+    if isinstance(formula, Bodies):
         return " | ".join(", ".join(str(e) for e in body) for body in formula)
     return str(formula)
 
@@ -565,7 +521,7 @@ class Analysis:
             if self._universe is None:
                 source = self._source
                 program = isinstance(source, Program)
-                universe = source.universe if program else _formula_atoms((tuple(source),))
+                universe = source.universe if program else Bodies((tuple(source),)).atoms
                 check_universe_size(len(universe), self._max_universe)
                 self._universe = universe
             table = self._tables[sem] = _Table(sem, self._source, self._pair_index)

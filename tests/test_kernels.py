@@ -7,8 +7,10 @@ kernel.  Every relation that reads a kernel gives the same value, or
 the same error type and message, and counts the same interval
 expansions, at every pair."""
 
+import ast
 import pickle
 import random
+from pathlib import Path
 
 import aggsem.eval2 as eval2
 from aggsem.bounds import bnd_truth, exact_bounds, interval_truth
@@ -16,10 +18,11 @@ from aggsem.eval2 import aggregate_holds_everywhere
 from aggsem.fixpoints import lower_step
 from aggsem.interp import InterpretationPair, interval_expansion_count
 from aggsem.syntax import AggFunc, AggregateAtom, Comparison, Literal, Program, Rule
-from aggsem.ternary import all_consistent_pairs, sat3
+from aggsem.ternary import all_consistent_pairs, sat3, sat3_body
 
 from .test_stable_check import outcome
 
+PACKAGE = Path(eval2.__file__).parent
 UNIVERSE = ("d", "b", "e", "a", "c")  # not sorted, so universe order is not name order
 OUTSIDE = "z"  # a condition atom outside UNIVERSE: false in every interval over it
 INT64_MAX = (1 << 63) - 1
@@ -97,9 +100,10 @@ def _counted(compute):
 
 def _run(monkeypatch, kernels):
     """Every relation at every pair, and the ultimate lower operator of
-    each program at every pair over UNIVERSE and over its own universe,
-    with kernels or without; the outcomes, and how many atoms and heads
-    had a kernel."""
+    each program and `sat3_body("ultimate")` of each of its heads given
+    as plain lists, at every pair over UNIVERSE and over its own
+    universe, with kernels or without; the outcomes, and how many atoms
+    and heads had a kernel."""
     with monkeypatch.context() as patch:
         if not kernels:
             patch.setattr(eval2, "KERNEL_ATOMS", -1)
@@ -117,6 +121,9 @@ def _run(monkeypatch, kernels):
             own = all_consistent_pairs(program.universe)
             for pair in pairs + own:
                 results.append(_counted(lambda: lower_step("ultimate", program, pair)))
+                for _, bodies in program.entries:
+                    plain = [list(body) for body in bodies]
+                    results.append(_counted(lambda: sat3_body("ultimate", plain, pair)))
         with_kernel = sum(atom._kernels is not None for atom in atoms)
         slots = [bodies._kernels for program in programs for _, bodies in program.entries]
         # a slot keeps the kernel of the last universe; None: an evaluation overflowed
@@ -175,3 +182,42 @@ def test_an_atom_with_a_kernel_pickles_compares_hashes_and_prints_as_before():
     assert (bodies == plain, hash(bodies), repr(bodies)) == (True, hash(plain), repr(plain))
     copy = pickle.loads(pickle.dumps(bodies))
     assert copy == bodies and "_kernels" not in vars(copy)
+
+
+# ---------------------------------------------------------------------------
+# structure: one home for the kernel tables
+# ---------------------------------------------------------------------------
+
+LAYOUT = {"_kernel_members", "Kernel", "KernelSlot"}
+
+
+def _kernel_reads(module):
+    """(module, name) of each read of a kernel slot (the attribute
+    `_kernels`) and each mention of the tables' layout (`Kernel`,
+    `KernelSlot`, `_kernel_members`) as a name, an attribute or an
+    import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT | {"_kernels"}:
+            found.add((module, node.attr))
+        elif isinstance(node, ast.Name) and node.id in LAYOUT:
+            found.add((module, node.id))
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in LAYOUT:
+            found.add((module, node.name))
+    return found
+
+
+def test_only_eval2_reads_kernel_tables():
+    places = set().union(*(_kernel_reads(path.stem) for path in PACKAGE.glob("*.py")))
+    assert places == {("eval2", name) for name in LAYOUT | {"_kernels"}}
+    # syntax only defines the slots, one cached property per owner
+    tree = ast.parse((PACKAGE / "syntax.py").read_text(encoding="utf-8"))
+    defined = [
+        (owner.name, [d.id for d in node.decorator_list if isinstance(d, ast.Name)])
+        for owner in ast.walk(tree)
+        if isinstance(owner, ast.ClassDef)
+        for node in owner.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_kernels"
+    ]
+    assert defined == [("AggregateAtom", ["cached_property"]), ("Bodies", ["cached_property"])]

@@ -182,3 +182,24 @@ def test_flp_walks_where_convexity_is_unknown(text, walks):
     y = Interpretation.of(program.universe, ["p"])
     assert stable_check("flp", program, y)
     assert walks == [program]
+
+
+def test_gl_decides_once_per_rule_that_the_program_has_no_aggregates(monkeypatch):
+    """gl rejects an aggregate program at every stable check and least
+    fixpoint; the program reads each rule's `has_aggregates` once, not
+    once per candidate (262,144 here)."""
+    text = " ".join(
+        f"p{i} :- not q{i}. q{i} :- not p{i}. r{i} :- p{i}, not r{(i + 1) % 6}." for i in range(6)
+    )
+    program = parse_program(text)
+    reads = []
+    has_aggregates = Rule.has_aggregates.fget
+
+    def counted(rule):
+        reads.append(rule)
+        return has_aggregates(rule)
+
+    monkeypatch.setattr(Rule, "has_aggregates", property(counted))
+    models = stable_enumerate("gl", program)
+    assert (len(program.universe), len(models)) == (18, 65)
+    assert reads == list(program.rules)
