@@ -36,6 +36,11 @@ their first errors.  Only this module reads a kernel: one interval sweep
 serves an atom (`ult`, and `bnd` for min, max and avg) and a head's
 `Bodies` (`ultimate`), `_kernel_range` serves `bounds`, and the `triv`
 and `mr` tests live here.
+
+Stable search tests support at masks: `_supported_extensions` walks the
+candidates as universe masks and reads each head's kernel at the mask,
+so on a program whose heads all have kernels a candidate becomes an
+Interpretation only when it passes.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import inf
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
@@ -51,6 +57,8 @@ from .interp import (
     Interpretation,
     InterpretationPair,
     _bit_index,
+    _extension_masks,
+    _interpretation_at,
     _interval_check,
     _interval_free_atoms,
     enumerate_interval,
@@ -261,6 +269,45 @@ def is_supported_model(program: Program, i: Interpretation) -> bool:
             return False
         heads_in_i += holds
     return heads_in_i == len(atoms)
+
+
+def _supported_extensions(
+    program: Program, x: Interpretation, free: Sequence[str]
+) -> Iterator[Interpretation]:
+    """The members of `extensions(x, free)` at which `is_supported_model`
+    holds, in that order, tested at their masks.  Heads are tested in
+    the order of `program.entries`, and the test stops at the first head
+    whose bit disagrees with its disjunction.  A head with a kernel reads
+    the disjunction as `truth[mask & cm]`.  A head without one (too many
+    atoms, or an evaluation leaving the signed 64-bit range) evaluates
+    its bodies with `sat2_disjunction` at the member, so the first error
+    is that of `is_supported_model` on the members in order.  When every
+    head has a kernel, only the members that pass are built; otherwise
+    `extensions` builds each member alongside its mask."""
+    universe = x.universe
+    bits = _bit_index(universe)
+    heads, tests = 0, []
+    for head, bodies in program.entries:
+        kernels = bodies._kernels
+        kernel = kernels and kernels.over(bodies, universe)
+        heads |= bits[head]
+        if kernel is None:
+            tests.append((bits[head], None, bodies))
+        else:
+            tests.append((bits[head], kernel.cm, kernel.truth))
+    masks = _extension_masks(x, free)
+    if all(cm is not None for _, cm, _ in tests):
+        walk = zip(masks, repeat(None))
+    else:  # a head without a kernel evaluates its bodies at the member
+        walk = zip(masks, extensions(x, free))
+    for mask, member in walk:
+        for bit, cm, test in tests:
+            holds = test[mask & cm] if cm is not None else sat2_disjunction(test, member)
+            if holds is not (mask & bit != 0):
+                break
+        else:
+            if not mask & ~heads:  # every atom of a supported model is a head
+                yield _interpretation_at(universe, mask) if member is None else member
 
 
 def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) -> bool:

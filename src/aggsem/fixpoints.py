@@ -26,14 +26,17 @@ an atom the last step changed; every other head would give its last
 answer again.  The loops walk the chains of plain iteration and raise
 the same first error.
 
-The checks cost little per candidate: the support test stops at the
-first head it refutes, and the least fixpoint is semi-naive (a head
-already derived is not tested again, and a waiting head only when an
-atom of its bodies was just added) and stops as soon as it reaches Y.
-The well-founded upper bound, the least fixpoint of the upper operator,
-runs through the same loop.  A well-founded round computes its lower
-(upper) set again only when the upper (lower) set it is computed from
-differs from the last round's.
+The checks cost little per candidate.  Stable search tests support
+before it builds a candidate: `eval2` walks the box's candidates as
+universe masks, reads each head's kernel at the mask and stops at the
+first head it refutes, so only the candidates that pass become
+Interpretations and reach `stable_check`.  The least fixpoint is
+semi-naive (a head already derived is not tested again, and a waiting
+head only when an atom of its bodies was just added) and stops as soon
+as it reaches Y.  The well-founded upper bound, the least fixpoint of
+the upper operator, runs through the same loop.  A well-founded round
+computes its lower (upper) set again only when the upper (lower) set it
+is computed from differs from the last round's.
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
@@ -56,7 +59,7 @@ from itertools import islice
 from typing import Callable, Iterable, TypeVar
 
 from .errors import ArithmeticOverflowError, CapabilityError, check_universe_size
-from .eval2 import is_supported_model
+from .eval2 import _supported_extensions, is_supported_model
 from .interp import Interpretation, InterpretationPair, extensions
 from .syntax import Bodies, Literal, Program, Rule
 from .ternary import SemanticsId
@@ -249,12 +252,20 @@ def stable_enumerate(
     aggregate's bounds overflow on the way; the module docstring says
     why every stable model under every relation lies in it.  The
     candidates are its lower set united with each subset of its
-    undefined atoms.  Results are sorted lexicographically by atom names.
+    undefined atoms, in the order of `extensions`.  Those that are
+    supported models, which `eval2` tests at their masks with the first
+    error of `is_supported_model`, go to `stable_check`.  gl on an
+    aggregate program builds the box all the same, and `stable_check`
+    rejects the program at the first candidate.  Results are sorted
+    lexicographically by atom names.
     """
     sem = SemanticsId.from_tag(sem)
     check_universe_size(len(program.universe), max_atoms)
     box = _supported_box(program)
-    candidates = extensions(box.lower, box.undefined_atoms())
+    if sem.handles_aggregates or program.is_aggregate_free:
+        candidates = _supported_extensions(program, box.lower, box.undefined_atoms())
+    else:
+        candidates = [box.lower]  # stable_check rejects the program here
     models = [candidate for candidate in candidates if stable_check(sem, program, candidate)]
     return sorted(models, key=lambda m: m.sorted_atoms)
 

@@ -9,7 +9,9 @@ when lower is contained in upper.
 This module owns the bit layout of masks: bit k stands for universe[k].
 Each universe has one bit index, kept in a bounded cache, which also
 checks every Interpretation against its universe; an Interpretation
-computes its atoms as a mask once, on first use (`mask`).
+computes its atoms as a mask once, on first use (`mask`).  A walk that
+tests members at their masks takes them from `_extension_masks` and
+builds the members it keeps with `_interpretation_at`.
 """
 
 from __future__ import annotations
@@ -128,6 +130,12 @@ class Interpretation:
 
     def difference(self, atoms: Iterable[str]) -> "Interpretation":
         return Interpretation(self.universe, self.atoms - frozenset(atoms))
+
+
+def _interpretation_at(universe: tuple[str, ...], mask: int) -> Interpretation:
+    """The Interpretation over the universe whose `mask` is `mask`."""
+    bits = _bit_index(universe)
+    return Interpretation(universe, frozenset([a for a, bit in bits.items() if mask & bit]))
 
 
 def _require_in_universe(atoms: Iterable[str], universe: tuple[str, ...]) -> None:
@@ -291,3 +299,20 @@ def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretatio
         fields["universe"] = universe
         fields["atoms"] = outer | low[i]
         yield member
+
+
+def _extension_masks(x: Interpretation, free: Sequence[str]) -> Iterator[int]:
+    """The `mask` of each member `extensions(x, free)` yields, in its
+    order, without building the members: x's mask united with one entry
+    of a table of the subsets of the high half of `free` and one of the
+    low half, as `extensions` splits it.  `free` is checked against x's
+    universe first."""
+    _require_in_universe(free, x.universe)
+    bits = _bit_index(x.universe)
+    half = len(free) // 2
+    low, high = [0], [x.mask]
+    for a in free[:half]:
+        low += [m | bits[a] for m in low]
+    for a in free[half:]:
+        high += [m | bits[a] for m in high]
+    return (outer | inner for outer in high for inner in low)

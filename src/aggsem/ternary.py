@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Iterable, NoReturn, Sequence, Union
 
@@ -219,6 +219,11 @@ def sat3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair)
     return sem._certain(element, pair)
 
 
+# The most distinct plain disjunctions `sat3_body` keeps wrapped in a
+# `Bodies`, each with its kernel.
+PLAIN_BODIES_CACHE = 256
+
+
 def sat3_body(
     sem: SemanticsId | str,
     body: Union[Sequence[BodyElement], Sequence[Sequence[BodyElement]]],
@@ -226,14 +231,20 @@ def sat3_body(
 ) -> bool:
     """Certain-truth of a rule body (for `ultimate`: of the whole
     disjunction of one head's bodies, which must be passed as a sequence
-    of bodies).  Plain input is wrapped in a `Bodies` once; a program's
-    own `Bodies` keep their kernel."""
+    of bodies).  Plain input is wrapped in a `Bodies`, one per distinct
+    disjunction while the cache holds it, so its kernel is built once; a
+    program's own `Bodies` keep theirs."""
     sem = SemanticsId.from_tag(sem)
     pair.require_consistent()
     if sem.is_elementwise:
         body = (body,)
-    bodies = body if isinstance(body, Bodies) else Bodies(map(tuple, body))
+    bodies = body if isinstance(body, Bodies) else _plain_bodies(tuple(map(tuple, body)))
     return sem.bodies_certain(bodies, pair)
+
+
+@lru_cache(maxsize=PLAIN_BODIES_CACHE)
+def _plain_bodies(bodies: tuple[tuple[BodyElement, ...], ...]) -> Bodies:
+    return Bodies(bodies)
 
 
 def truth3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair) -> TruthValue:

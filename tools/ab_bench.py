@@ -11,8 +11,16 @@ Every run must report `correct`.  The table gives, per workload and
 end-to-end metric of `BENCHMARK.json`, the median and quartiles of each
 side, the change in the median, and the pairs in which the change is
 better (ties count for neither side); then the median number of timed
-tasks per run, which `peak_rss_mb` grows with, and the operations that
-failed on each side.  `--out` also writes every run's result as JSON.
+tasks per run and the operations that failed on each side.
+
+`peak_rss_mb` grows with the number of timed tasks, because `bench/run.py`
+keeps a record per timed task (a span tuple and three floats, about
+`RECORD_BYTES`).  So a faster change reads a higher peak even when the
+program holds no more memory.  The line after the timed tasks splits the
+change in the median `peak_rss_mb` into the part those records explain,
+the change in median timed tasks times `RECORD_BYTES`, and the
+remainder, which is the program's.  `--out` also writes every run's
+result as JSON.
 """
 
 from __future__ import annotations
@@ -23,6 +31,13 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+# Bytes of peak RSS that the benchmark's records take per timed task.
+# Allocating a span tuple and three floats per task for 5,000-40,000
+# tasks grew `ru_maxrss` by 256-262 B per task, and the extra timed tasks
+# of two ten-pair `stable_search` runs came to 261-297 B per task.
+RECORD_BYTES = 275
 
 
 def _compile(checkout: Path) -> None:
@@ -71,6 +86,11 @@ def _report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) 
     tasks = [statistics.median(run[side]["timed_tasks"] for run in pairs) for side in (0, 1)]
     failed = [sum(run[side]["failed"] for run in pairs) for side in (0, 1)]
     lines.append(f"  timed tasks per run (median): parent {tasks[0]:g}, change {tasks[1]:g}")
+    rss = [statistics.median(run[side]["metrics"]["peak_rss_mb"]["value"] for run in pairs)
+           for side in (0, 1)]
+    records = (tasks[1] - tasks[0]) * RECORD_BYTES / 2**20
+    lines.append(f"  peak_rss_mb change (medians): {rss[1] - rss[0]:+.2f} MB, of which timed-task "
+                 f"records {records:+.2f} MB and the program {rss[1] - rss[0] - records:+.2f} MB")
     lines.append(f"  failed operations: parent {failed[0]}, change {failed[1]}")
     return lines
 
