@@ -219,8 +219,9 @@ def sat3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair)
     return sem._certain(element, pair)
 
 
-# The most distinct plain disjunctions `sat3_body` keeps wrapped in a
-# `Bodies`, each with its kernel.
+# The most distinct plain disjunctions `sat3_body("ultimate")` keeps
+# wrapped in a `Bodies`, each with its kernel: room for every head of
+# many programs at the default universe cap of 20 atoms.
 PLAIN_BODIES_CACHE = 256
 
 
@@ -231,14 +232,18 @@ def sat3_body(
 ) -> bool:
     """Certain-truth of a rule body (for `ultimate`: of the whole
     disjunction of one head's bodies, which must be passed as a sequence
-    of bodies).  Plain input is wrapped in a `Bodies`, one per distinct
-    disjunction while the cache holds it, so its kernel is built once; a
-    program's own `Bodies` keep theirs."""
+    of bodies).  An element-wise relation wraps its body in a `Bodies`.
+    `ultimate` wraps plain input in one `Bodies` per distinct disjunction
+    while the cache holds it, so its kernel is built once; a program's
+    own `Bodies` keep theirs."""
     sem = SemanticsId.from_tag(sem)
     pair.require_consistent()
     if sem.is_elementwise:
-        body = (body,)
-    bodies = body if isinstance(body, Bodies) else _plain_bodies(tuple(map(tuple, body)))
+        bodies = Bodies((tuple(body),))
+    elif isinstance(body, Bodies):
+        bodies = body
+    else:
+        bodies = _plain_bodies(tuple(map(tuple, body)))
     return sem.bodies_certain(bodies, pair)
 
 

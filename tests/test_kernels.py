@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 import aggsem.eval2 as eval2
+import aggsem.ternary as ternary
 from aggsem.bounds import bnd_truth, exact_bounds, interval_truth
 from aggsem.eval2 import aggregate_holds_everywhere
 from aggsem.fixpoints import lower_step
@@ -107,6 +108,7 @@ def _run(monkeypatch, kernels):
     with monkeypatch.context() as patch:
         if not kernels:
             patch.setattr(eval2, "KERNEL_ATOMS", -1)
+        ternary._plain_bodies.cache_clear()  # no plain disjunction keeps the other run's kernel
         rng = random.Random(20261020)
         atoms = _atoms(rng)
         programs = _programs(rng, atoms)

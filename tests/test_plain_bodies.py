@@ -1,51 +1,12 @@
-"""`sat3_body` wraps a plain (non-`Bodies`) disjunction in one `Bodies`
-per distinct disjunction, kept in a bounded cache, so `ultimate` builds
-the head's kernel once however many pairs ask.  The wrapped kernel must
-answer as the member walk does."""
-
-import importlib.util
-import random
-from pathlib import Path
+"""`sat3_body("ultimate")` wraps a plain (non-`Bodies`) disjunction in one
+`Bodies` per distinct disjunction, kept in a bounded cache, so it builds
+the head's kernel once however many pairs ask.  That the wrapped kernel
+answers as the member walk does is `tests/test_kernels.py`'s to show."""
 
 import aggsem.eval2 as eval2
 import aggsem.ternary as ternary
-from aggsem import AggsemError, oracle, parse_program
-from aggsem.interp import interval_expansion_count
+from aggsem import parse_program
 from aggsem.ternary import all_consistent_pairs, sat3_body
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _texts():
-    """60 seeded programs, each followed by its ±2^62 variant."""
-    spec = importlib.util.spec_from_file_location("outcomes", ROOT / "tools" / "outcomes.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    rng = random.Random(20261027)
-    texts = []
-    for _ in range(60):
-        program = oracle.random_program(rng, max_atoms=6, max_rules=9)
-        texts += [str(program), str(tool.with_big_weights(program))]
-    return texts
-
-
-def _plain_outcomes(texts):
-    """`sat3_body("ultimate")` of each head's bodies, given as lists, at
-    every consistent pair: the answer or the error, and the expansions."""
-    ternary._plain_bodies.cache_clear()
-    outcomes = []
-    for text in texts:
-        program = parse_program(text)  # fresh atoms, so no kernel carries over
-        for pair in all_consistent_pairs(program.universe):
-            for _, bodies in program.entries:
-                plain = [list(body) for body in bodies]
-                before = interval_expansion_count()
-                try:
-                    result = sat3_body("ultimate", plain, pair)
-                except AggsemError as error:
-                    result = (type(error).__name__, str(error))
-                outcomes.append((result, interval_expansion_count() - before))
-    return outcomes
 
 
 def test_equal_plain_disjunctions_share_one_kernel(monkeypatch):
@@ -63,33 +24,9 @@ def test_equal_plain_disjunctions_share_one_kernel(monkeypatch):
         for pair in all_consistent_pairs(program.universe):
             for _, bodies in program.entries:
                 sat3_body("ultimate", [list(body) for body in bodies], pair)
+                for body in bodies:  # element-wise relations leave the cache alone
+                    sat3_body("ult", list(body), pair)
         assert sorted(map(str, builds)) == sorted(str(bodies) for _, bodies in program.entries)
         assert ternary._plain_bodies.cache_info().currsize == len(program.entries)
     finally:
         ternary._plain_bodies.cache_clear()
-
-
-def test_plain_disjunctions_answer_as_without_kernels(monkeypatch):
-    texts = _texts()
-    tables = []
-    build = eval2._head_kernel
-
-    def counting_build(bodies, universe):
-        kernel = build(bodies, universe)
-        tables.append(kernel is not None)
-        return kernel
-
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(eval2, "_head_kernel", counting_build)
-            ours = _plain_outcomes(texts)
-        with monkeypatch.context() as patch:
-            patch.setattr(eval2, "KERNEL_ATOMS", -1)
-            reference = _plain_outcomes(texts)
-    finally:
-        ternary._plain_bodies.cache_clear()
-    # most heads read a table; some overflow and walk their members
-    assert sum(tables) > 100 and not all(tables), (sum(tables), len(tables))
-    assert len(ours) == len(reference) > 10_000
-    assert ours == reference
-    assert any(isinstance(result, tuple) for result, _ in reference)
