@@ -38,12 +38,12 @@ from .eval2 import (
     AggValue,
     _avg_range,
     _extreme_range,
-    _fixed_weights,
     _half_tables,
     _interval_sweep,
     _kernel_range,
+    _sweep_truth_at,
 )
-from .interp import InterpretationPair
+from .interp import InterpretationPair, _bit_index
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
 
@@ -66,13 +66,14 @@ class Bounds:
 def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     """Exact min/max of the aggregate value over every Z in the pair's interval."""
     pair.require_consistent()
-    read = _kernel_range(atom, pair)
+    masks = pair.universe, pair.lower.mask, pair.upper.mask
+    read = _kernel_range(atom, *masks)
     if read is not None:
         lb, ub, empty = read
         empty = list(empty)
         empty_possible, empty_certain = any(empty), all(empty)
     else:
-        fixed, branches = _split(atom, pair)
+        fixed, branches = _split(atom, *masks)
         empty_certain = not fixed and not branches
         empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
         if atom.func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
@@ -85,16 +86,24 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
 
 
 def _split(
-    atom: AggregateAtom, pair: InterpretationPair
+    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
 ) -> tuple[list[int], dict[str, tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """The weights of the certainly true conditions, in entry order, and
-    per undefined condition atom, first occurrence first, its
-    (false-branch, true-branch) weights."""
-    lower, upper = pair.lower.atoms, pair.upper.atoms
+    """At the pair whose sets have the masks `lower` and `upper`: the
+    weights of the certainly true conditions, in entry order, and per
+    undefined condition atom, first occurrence first, its (false-branch,
+    true-branch) weights.  A condition atom outside the universe is
+    false."""
+    bits = _bit_index(universe)
+    fixed = [
+        w
+        for w, lit in atom.entries
+        if (not upper & bits.get(lit.atom, 0) if lit.negated else lower & bits.get(lit.atom, 0))
+    ]
+    free = upper & ~lower
     branches = {
-        a: weights for a, weights in atom._branch_weights.items() if a in upper and a not in lower
+        a: weights for a, weights in atom._branch_weights.items() if free & bits.get(a, 0)
     }
-    return _fixed_weights(atom, pair), branches
+    return fixed, branches
 
 
 def _hull(func: AggFunc, fixed: list[int], branches: dict) -> tuple[int, int]:
@@ -147,14 +156,31 @@ def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     not know which values in between are achieved.  min/max/avg fall
     back to interval-universal truth."""
     pair.require_consistent()
-    if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
-        return interval_truth(atom, pair)
+    return _bnd_truth(atom, pair)
 
-    read = _kernel_range(atom, pair)
+
+def _bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
+    """`bnd_truth` at a pair the caller has checked: the `bnd` row's truth
+    function."""
+    truth = _bnd_truth_at(atom, pair.universe, pair.lower.mask, pair.upper.mask)
+    return interval_truth(atom, pair) if truth is None else truth
+
+
+def _bnd_truth_at(
+    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
+) -> TruthValue | None:
+    """`bnd_truth` at the consistent pair whose sets have the masks
+    `lower` and `upper`: the hull rule on the atom's kernel range, or on
+    its hull from `_split`, for sum, card and prod; the kernel's
+    interval sweep for min, max and avg, None when the atom has no
+    kernel."""
+    if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
+        return _sweep_truth_at(atom, universe, lower, upper)
+    read = _kernel_range(atom, universe, lower, upper)
     if read is not None:
         lb, ub, _ = read
     else:
-        lb, ub = _hull(atom.func, *_split(atom, pair))
+        lb, ub = _hull(atom.func, *_split(atom, universe, lower, upper))
     w = atom.bound
     cmp, holds = atom.cmp, atom.cmp.holds
     outside = w < lb or w > ub

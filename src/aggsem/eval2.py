@@ -40,7 +40,15 @@ and `mr` tests live here.
 Stable search tests support at masks: `_supported_extensions` walks the
 candidates as universe masks and reads each head's kernel at the mask,
 so on a program whose heads all have kernels a candidate becomes an
-Interpretation only when it passes.
+Interpretation only when it passes.  The Kleene loops of `fixpoints`
+carry a pair as two masks and test a head with its row's test at masks
+(`SemanticsId.certain_at`, `possible_at`): `_bodies_certain_at` and
+`_bodies_possible_at` read literals as bits and an aggregate atom with
+the row's atom test at masks (`_triv_truth_at`, `_mr_certain_at`, ult's
+and min/max/avg bnd's `_sweep_truth_at`, and bnd's hull in `bounds`), and
+`_ultimate_certain_at` reads the head's kernel.  Where an atom or head
+has no kernel, the call builds its pair once and takes the pair's test,
+in the same order and with the same first error.
 """
 
 from __future__ import annotations
@@ -52,15 +60,16 @@ from itertools import repeat
 from math import inf
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ArithmeticOverflowError
+from .errors import ArithmeticOverflowError, InconsistentPairError
 from .interp import (
     Interpretation,
     InterpretationPair,
     _bit_index,
+    _count_expansion,
     _extension_masks,
     _interpretation_at,
-    _interval_check,
     _interval_free_atoms,
+    _pair_at,
     enumerate_interval,
     extensions,
 )
@@ -323,13 +332,8 @@ def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) ->
 def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     """triv: the atom's truth at the upper set when every condition atom
     is decided, else undefined."""
-    kernels = atom._kernels
-    if kernels is not None:
-        kernel = kernels.over(atom, pair.lower.universe)
-        lower, upper = pair.lower.mask, pair.upper.mask
-        if (upper ^ lower) & kernel.cm:
-            return TruthValue.UNDEFINED
-        return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
+    if atom._kernels is not None:
+        return _triv_truth_at(atom, pair.lower.universe, pair.lower.mask, pair.upper.mask)
     if all(a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms):
         return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
     return TruthValue.UNDEFINED
@@ -341,12 +345,8 @@ def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     Only the trace on the atom's condition atoms matters, so the subsets
     of lower restricted to those atoms cover all cases.
     """
-    kernels = atom._kernels
-    if kernels is not None:
-        kernel = kernels.over(atom, pair.lower.universe)
-        truth, cm = kernel.truth, kernel.cm
-        lower, upper = pair.lower.mask, pair.upper.mask
-        return truth[upper & cm] and any(map(truth.__getitem__, _kernel_members(cm, 0, lower)))
+    if atom._kernels is not None:
+        return _mr_certain_at(atom, pair.lower.universe, pair.lower.mask, pair.upper.mask)
     if not eval_aggregate(atom, pair.upper):
         return False
     base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
@@ -377,12 +377,10 @@ def _interval_sweep(
     kernels = owner._kernels
     kernel = kernels and kernels.over(owner, pair.lower.universe)
     if kernel is not None:
-        _interval_check(pair.lower, pair.upper)
-        members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
-        truths = set(map(kernel.truth.__getitem__, members))
-        if len(truths) > 1:
-            return None
-        (truth,) = truths
+        lower, upper = pair.lower.mask, pair.upper.mask
+        if lower & ~upper:
+            raise InconsistentPairError(f"{pair.lower} is not a subset of {pair.upper}")
+        truth = _kernel_truth(kernel, lower, upper)
         return truth if expected is None or truth is expected else None
     for truth in _member_truths(owner, pair):
         if truth is not expected:
@@ -683,15 +681,151 @@ def _kernel_members(cm: int, lower: int, upper: int) -> list[int]:
     return keys
 
 
-def _kernel_range(atom: AggregateAtom, pair: InterpretationPair) -> tuple | None:
+def _kernel_truth(kernel: Kernel, lower: int, upper: int) -> bool | None:
+    """The truth every member of the interval between the masks `lower`
+    and `upper` has in the kernel, None when the members disagree.
+    Counts one interval expansion."""
+    _count_expansion()
+    truths = set(map(kernel.truth.__getitem__, _kernel_members(kernel.cm, lower, upper)))
+    return truths.pop() if len(truths) == 1 else None
+
+
+def _kernel_range(atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int):
     """The least and the greatest defined value of the atom over the
-    members of the pair's interval, (None, None) when none has one, and
-    an iterator of whether each is empty; None when it has no kernel."""
+    members of the interval between the masks `lower` and `upper`,
+    (None, None) when none has one, and an iterator of whether each is
+    empty; None when it has no kernel."""
     kernels = atom._kernels
     if kernels is None:
         return None
-    kernel = kernels.over(atom, pair.lower.universe)
-    members = _kernel_members(kernel.cm, pair.lower.mask, pair.upper.mask)
+    kernel = kernels.over(atom, universe)
+    members = _kernel_members(kernel.cm, lower, upper)
     values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
     lb, ub = (min(values), max(values)) if values else (None, None)
     return lb, ub, map(kernel.empty.__getitem__, members)
+
+
+# ---------------------------------------------------------------------------
+# The row tests at masks: one head's disjunction at a pair given as two masks
+# ---------------------------------------------------------------------------
+
+
+def _bodies_certain_at(
+    bodies: Bodies,
+    universe: tuple[str, ...],
+    lower: int,
+    upper: int,
+    certain_at: Callable | None,
+    certain: Callable,
+) -> bool:
+    """Has the head some body with every element certainly true at the
+    consistent pair whose sets have the masks `lower` and `upper`?  The
+    test of `SemanticsId.bodies_certain`, in its order: bodies and their
+    elements left to right, each body up to its first element that is
+    not certainly true.  A literal reads its bit.  An aggregate atom
+    takes the row's mask test `certain_at`; where that has no answer
+    (None: the atom has no kernel) or the row has none, the row's test
+    `certain` runs at the pair, built once per call, with its first
+    error."""
+    bits, pair = _bit_index(universe), None
+    for body in bodies:
+        for element in body:
+            if element.__class__ is Literal:
+                bit = bits[element.atom]
+                if upper & bit if element.negated else not lower & bit:
+                    break
+                continue
+            holds = None if certain_at is None else certain_at(element, universe, lower, upper)
+            if holds is None:
+                if pair is None:
+                    pair = _pair_at(universe, lower, upper)
+                holds = certain(element, pair)
+            if not holds:
+                break
+        else:
+            return True
+    return False
+
+
+def _bodies_possible_at(
+    bodies: Bodies,
+    universe: tuple[str, ...],
+    lower: int,
+    upper: int,
+    truth_at: Callable | None,
+    truth: Callable,
+) -> bool:
+    """Has the head some body with no false element at the consistent
+    pair whose sets have the masks `lower` and `upper`?  The test of
+    `SemanticsId.bodies_possible`, in its order, for a row with a truth
+    function: an aggregate atom takes the row's mask test `truth_at`, and
+    when that answers None (no kernel) the row's `truth` at the pair,
+    built once per call."""
+    bits, pair, false = _bit_index(universe), None, TruthValue.FALSE
+    for body in bodies:
+        for element in body:
+            if element.__class__ is Literal:
+                bit = bits[element.atom]
+                if lower & bit if element.negated else not upper & bit:
+                    break
+                continue
+            value = None if truth_at is None else truth_at(element, universe, lower, upper)
+            if value is None:
+                if pair is None:
+                    pair = _pair_at(universe, lower, upper)
+                value = truth(element, pair)
+            if value is false:
+                break
+        else:
+            return True
+    return False
+
+
+def _sweep_truth_at(
+    owner: AggregateAtom | Bodies, universe: tuple[str, ...], lower: int, upper: int
+) -> TruthValue | None:
+    """`_interval_sweep`'s answer at the consistent pair whose sets have
+    the masks `lower` and `upper`, as a truth value, read from the
+    owner's kernel; None when it has none.  Counts one interval
+    expansion, as the sweep does."""
+    kernels = owner._kernels
+    kernel = kernels and kernels.over(owner, universe)
+    if kernel is None:
+        return None
+    truth = _kernel_truth(kernel, lower, upper)
+    return TruthValue.UNDEFINED if truth is None else TruthValue.from_bool(truth)
+
+
+def _ultimate_certain_at(bodies: Bodies, universe: tuple[str, ...], lower: int, upper: int) -> bool:
+    """ultimate's test of a head at masks: its disjunction holds at every
+    member of the interval, read from the head's kernel, or by the
+    member walk at the pair when it has none."""
+    truth = _sweep_truth_at(bodies, universe, lower, upper)
+    if truth is None:
+        return _interval_sweep(bodies, _pair_at(universe, lower, upper), True) is True
+    return truth is TruthValue.TRUE
+
+
+def _triv_truth_at(
+    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
+) -> TruthValue | None:
+    """triv at masks, read from the atom's kernel; None when it has none."""
+    kernels = atom._kernels
+    if kernels is None:
+        return None
+    kernel = kernels.over(atom, universe)
+    if (upper ^ lower) & kernel.cm:
+        return TruthValue.UNDEFINED
+    return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
+
+
+def _mr_certain_at(
+    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
+) -> bool | None:
+    """mr at masks, read from the atom's kernel; None when it has none."""
+    kernels = atom._kernels
+    if kernels is None:
+        return None
+    kernel = kernels.over(atom, universe)
+    truth, cm = kernel.truth, kernel.cm
+    return truth[upper & cm] and any(map(truth.__getitem__, _kernel_members(cm, 0, lower)))

@@ -30,13 +30,22 @@ The checks cost little per candidate.  Stable search tests support
 before it builds a candidate: `eval2` walks the box's candidates as
 universe masks, reads each head's kernel at the mask and stops at the
 first head it refutes, so only the candidates that pass become
-Interpretations and reach `stable_check`.  The least fixpoint is
-semi-naive (a head already derived is not tested again, and a waiting
-head only when an atom of its bodies was just added) and stops as soon
-as it reaches Y.  The well-founded upper bound, the least fixpoint of
-the upper operator, runs through the same loop.  A well-founded round
-computes its lower (upper) set again only when the upper (lower) set it
-is computed from differs from the last round's.
+Interpretations and reach `stable_check`.  The Kripke-Kleene loop (the
+box included) and the least fixpoint carry their pair as two masks in
+`interp`'s bit layout: a step's changed atoms are `old ^ new`, the
+consistency check is `lower & ~upper`, and a head is tested with its
+row's test at masks (`SemanticsId.certain_at`, `possible_at`), which
+reads the kernels and builds a pair only for an atom or head without
+one.  Interpretations and pairs are built where they leave the loops:
+the box, the Kripke-Kleene and well-founded pairs, the least fixpoint
+`lfp_lower` returns, and the pair an InconsistentPairError names.  The
+least fixpoint is semi-naive (a head already derived is not tested
+again, and a waiting head only when an atom of its bodies was just
+added) and stops as soon as it reaches Y.  The well-founded upper
+bound, the least fixpoint of the upper operator, runs through the same
+loop.  A well-founded round computes its lower (upper) set again only
+when the upper (lower) set it is computed from differs from the last
+round's.
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
@@ -60,7 +69,15 @@ from typing import Callable, Iterable, TypeVar
 
 from .errors import ArithmeticOverflowError, CapabilityError, check_universe_size
 from .eval2 import _supported_extensions, is_supported_model
-from .interp import Interpretation, InterpretationPair, extensions
+from .interp import (
+    Interpretation,
+    InterpretationPair,
+    _atoms_at,
+    _bit_index,
+    _interpretation_at,
+    _pair_at,
+    extensions,
+)
 from .syntax import Bodies, Literal, Program, Rule
 from .ternary import SemanticsId
 
@@ -143,43 +160,50 @@ def lfp_lower(sem: SemanticsId | str, program: Program, y: Interpretation) -> In
         raise CapabilityError(
             f"{sem.value} has no monotone lower operator; use its minimal-model check"
         )
-    return _least_fixpoint(
-        SemanticsId.bodies_certain, sem, program, lambda x: InterpretationPair(x, y), False
-    )
+    upper = y.mask
+    x = _least_fixpoint(SemanticsId.certain_at, sem, program, lambda x: (x, upper), False)
+    return _interpretation_at(program.universe, x)
 
 
 def _least_fixpoint(
-    holds: Callable[[SemanticsId, Bodies, InterpretationPair], bool],
+    holds: Callable[[SemanticsId, Bodies, tuple[str, ...], int, int], bool],
     sem: SemanticsId,
     program: Program,
-    pair_at: Callable[[Interpretation], InterpretationPair],
+    pair_at: Callable[[int], tuple[int, int]],
     stop_at_upper: bool,
-) -> Interpretation:
+) -> int:
     """The Kleene chain from bottom of X -> the heads whose bodies pass the
-    row's test `holds` at `pair_at(X)`, semi-naive.  The caller sees to
-    it that this map is monotone in X and that `pair_at(X)` changes only
-    on the atoms added to X, so the chain only grows: a head already
-    derived is not tested again, and after the first round a waiting head
-    is tested only when its bodies mention an atom the last round added,
-    as the row's test reads the pair on those atoms alone.  The chain of
-    X's is that of plain iteration, and a pair that is inconsistent
-    raises InconsistentPairError as there.  With `stop_at_upper` the chain
-    ends when X reaches the upper set of its pair: for the lower operator
-    at a supported model y that is its last element, as at (y, y) certain
-    truth implies two-valued truth, so lower(y, y) adds nothing."""
+    row's mask test `holds` at the masks `pair_at(X)`, semi-naive, on
+    masks of the program's universe; returns the limit's mask.  The
+    caller sees to it that this map is monotone in X and that
+    `pair_at(X)` changes only on the atoms added to X, so the chain only
+    grows: a head already derived is not tested again, and after the
+    first round a waiting head is tested only when its bodies mention an
+    atom the last round added, as the row's test reads the pair on those
+    atoms alone.  The chain of X's is that of plain iteration, and a pair
+    that is inconsistent raises InconsistentPairError as there.  With
+    `stop_at_upper` the chain ends when X reaches the upper set of its
+    pair: for the lower operator at a supported model y that is its last
+    element, as at (y, y) certain truth implies two-valued truth, so
+    lower(y, y) adds nothing."""
     _reject_gl_aggregates(sem, program)
-    entries = program.entries
-    x, waiting = Interpretation.empty(program.universe), range(len(entries))
+    universe, entries = program.universe, program.entries
+    bits = _bit_index(universe)
+    x, waiting = 0, range(len(entries))
     while True:
-        pair = pair_at(x)
-        pair.require_consistent()
-        fired = [entries[i][0] for i in waiting if holds(sem, entries[i][1], pair)]
+        lower, upper = pair_at(x)
+        if lower & ~upper:
+            _pair_at(universe, lower, upper).require_consistent()
+        fired = [
+            entries[i][0] for i in waiting if holds(sem, entries[i][1], universe, lower, upper)
+        ]
         if not fired:
             return x
-        x = x.union(fired)
-        if stop_at_upper and x.atoms == pair.upper.atoms:
+        for head in fired:
+            x |= bits[head]
+        if stop_at_upper and x == upper:
             return x
-        waiting = [i for i in _entries_reading(program, fired) if entries[i][0] not in x.atoms]
+        waiting = [i for i in _entries_reading(program, fired) if not x & bits[entries[i][0]]]
 
 
 def _entries_reading(program: Program, changed: Iterable[str]) -> list[int]:
@@ -210,10 +234,9 @@ def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) ->
         return False
     if not (sem.monotone_lower_operator or _all_convex(program)):
         return _minimal_model_check(sem, program, y)
-    lower = _least_fixpoint(
-        SemanticsId.bodies_certain, sem, program, lambda x: InterpretationPair(x, y), True
-    )
-    return lower.atoms == y.atoms
+    upper = y.mask
+    lower = _least_fixpoint(SemanticsId.certain_at, sem, program, lambda x: (x, upper), True)
+    return lower == upper
 
 
 def _all_convex(program: Program) -> bool:
@@ -329,36 +352,44 @@ def _kripke_kleene_from(
     """Kleene iteration of the approximator from `start`, which the
     approximator must map to an equally or more precise pair.
 
-    The first step tests every head.  Each later step tests only the heads
-    whose bodies mention an atom the last step changed in either set, its
-    lower tests first and then its upper tests, each in `entries` order;
-    every other head keeps its last answers.  The iteration ends at the
-    first step that changes no atom.  It walks the chain of pairs of
+    The pair is carried as two masks of the program's universe and
+    becomes an InterpretationPair only when it is returned or named in an
+    error.  The first step tests every head.  Each later step tests only
+    the heads whose bodies mention an atom the last step changed in
+    either set (`old ^ new`), its lower tests first and then its upper
+    tests, each in `entries` order, with the row's mask tests; every
+    other head keeps its last answers.  The iteration ends at the first
+    step that changes no atom.  It walks the chain of pairs of
     `lower_step` and `upper_step` iterated together, raises the first
     error they would raise, and keeps their limit of steps."""
     _reject_gl_aggregates(sem, program)
     universe, entries = program.universe, program.entries
+    bits = _bit_index(universe)
     limit = 2 * len(universe) + 2
-    lower: set[str] = set()
-    upper: set[str] = set()
-    tests = ((lower, SemanticsId.bodies_certain), (upper, SemanticsId.bodies_possible))
-    pair, tested = start, range(len(entries))
+    certain, possible = sem.certain_at, sem.possible_at
+    lower, upper = start.masks
+    certain_heads = possible_heads = 0  # the heads' last answers
+    tested = range(len(entries))
     for _ in range(limit):
-        pair.require_consistent()
-        for heads, holds in tests:
-            for i in tested:
-                head, bodies = entries[i]
-                if holds(sem, bodies, pair):
-                    heads.add(head)
-                else:
-                    heads.discard(head)
-        nxt = InterpretationPair(
-            Interpretation(universe, frozenset(lower)), Interpretation(universe, frozenset(upper))
-        )
-        changed = (pair.lower.atoms ^ nxt.lower.atoms) | (pair.upper.atoms ^ nxt.upper.atoms)
+        if lower & ~upper:
+            _pair_at(universe, lower, upper).require_consistent()
+        for i in tested:
+            head, bodies = entries[i]
+            if certain(bodies, universe, lower, upper):
+                certain_heads |= bits[head]
+            else:
+                certain_heads &= ~bits[head]
+        for i in tested:
+            head, bodies = entries[i]
+            if possible(bodies, universe, lower, upper):
+                possible_heads |= bits[head]
+            else:
+                possible_heads &= ~bits[head]
+        changed = (lower ^ certain_heads) | (upper ^ possible_heads)
         if not changed:
-            return pair
-        pair, tested = nxt, _entries_reading(program, changed)
+            return _pair_at(universe, lower, upper)
+        lower, upper = certain_heads, possible_heads
+        tested = _entries_reading(program, _atoms_at(universe, changed))
     raise AssertionError(f"Kleene iteration failed to reach a fixpoint in {limit} steps")
 
 
@@ -394,10 +425,6 @@ def _lfp_upper(sem: SemanticsId, program: Program, x: Interpretation) -> Interpr
     which keeps every evaluated pair consistent and computes the same
     least fixpoint (the seed is contained in it).
     """
-    return _least_fixpoint(
-        SemanticsId.bodies_possible,
-        sem,
-        program,
-        lambda z: InterpretationPair(x, z.union(x.atoms)),
-        False,
-    )
+    lower = x.mask
+    z = _least_fixpoint(SemanticsId.possible_at, sem, program, lambda z: (lower, z | lower), False)
+    return _interpretation_at(program.universe, z)

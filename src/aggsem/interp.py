@@ -11,7 +11,10 @@ Each universe has one bit index, kept in a bounded cache, which also
 checks every Interpretation against its universe; an Interpretation
 computes its atoms as a mask once, on first use (`mask`).  A walk that
 tests members at their masks takes them from `_extension_masks` and
-builds the members it keeps with `_interpretation_at`.
+builds the members it keeps with `_interpretation_at`; a loop that
+carries a pair as two masks builds it with `_pair_at` only where a pair
+is returned, named in an error or asked for by a test without a mask
+form.
 """
 
 from __future__ import annotations
@@ -134,8 +137,12 @@ class Interpretation:
 
 def _interpretation_at(universe: tuple[str, ...], mask: int) -> Interpretation:
     """The Interpretation over the universe whose `mask` is `mask`."""
-    bits = _bit_index(universe)
-    return Interpretation(universe, frozenset([a for a, bit in bits.items() if mask & bit]))
+    return Interpretation(universe, frozenset(_atoms_at(universe, mask)))
+
+
+def _atoms_at(universe: tuple[str, ...], mask: int) -> list[str]:
+    """The atoms of the universe whose bits `mask` sets, in universe order."""
+    return [a for a, bit in _bit_index(universe).items() if mask & bit]
 
 
 def _require_in_universe(atoms: Iterable[str], universe: tuple[str, ...]) -> None:
@@ -212,6 +219,13 @@ class InterpretationPair:
         return f"({self.lower}, {self.upper})"
 
 
+def _pair_at(universe: tuple[str, ...], lower: int, upper: int) -> InterpretationPair:
+    """The pair over the universe whose sets have the masks `lower` and
+    `upper`."""
+    lower_set, upper_set = _interpretation_at(universe, lower), _interpretation_at(universe, upper)
+    return InterpretationPair(lower_set, upper_set)
+
+
 def leq_precision(a: InterpretationPair, b: InterpretationPair) -> bool:
     """Precision order: b refines a iff a.lower <= b.lower and b.upper <= a.upper."""
     if a.universe != b.universe:
@@ -251,10 +265,16 @@ def _interval_free_atoms(
 def _interval_check(x: Interpretation, y: Interpretation) -> None:
     """The checks of `enumerate_interval`; counts one interval expansion.
     A sweep that reads the interval's members from a table starts here."""
-    global _interval_expansions
     _require_same_universe(x, y)
     if not x.atoms <= y.atoms:
         raise InconsistentPairError(f"{x} is not a subset of {y}")
+    _count_expansion()
+
+
+def _count_expansion() -> None:
+    """Count one interval expansion, for a sweep that reads its members
+    from a table at masks it has checked itself."""
+    global _interval_expansions
     _interval_expansions += 1
 
 

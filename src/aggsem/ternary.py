@@ -35,15 +35,20 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
-from typing import Iterable, NoReturn, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, Union
 
-from .bounds import bnd_truth, interval_truth
+from .bounds import _bnd_truth, _bnd_truth_at, interval_truth
 from .errors import CapabilityError, TooLargeError, check_universe_size
 from .eval2 import (
+    _bodies_certain_at,
+    _bodies_possible_at,
     _interval_sweep,
     _mr_certain,
+    _mr_certain_at,
+    _sweep_truth_at,
     _triv_truth,
-    aggregate_holds_everywhere,
+    _triv_truth_at,
+    _ultimate_certain_at,
     eval_aggregate,
     literal_holds,
     sat2_disjunction,
@@ -123,42 +128,69 @@ def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     return eval_aggregate(atom, pair.lower) and eval_aggregate(atom, pair.upper)
 
 
-def _ultimate_certain(bodies: Bodies, pair: InterpretationPair) -> bool:
-    """The disjunction holds at every interpretation in the interval; only
-    the atoms occurring in the bodies vary."""
-    return _interval_sweep(bodies, pair, True) is True
+def _sweep_certain(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> bool:
+    """ult on an aggregate atom, and ultimate on a head's disjunction of
+    bodies: the owner holds at every interpretation in the interval of a
+    pair the caller has checked; only the owner's atoms vary."""
+    return _interval_sweep(owner, pair, True) is True
+
+
+class _Row(NamedTuple):
+    """One row of the relation table, the arguments of a `SemanticsId`
+    member.  Each test of a pair has a twin at masks (`*_at`) that reads
+    the kernels and answers None where an aggregate atom has none."""
+
+    tag: str
+    truth: Callable | None = None  # three-valued truth of an aggregate atom
+    certain: Callable | None = None  # its certain truth; default: truth says t
+    well_behaved: bool = True
+    monotone: bool = True
+    bodies: Callable | None = None  # a whole disjunction, for the row that is not element-wise
+    truth_at: Callable | None = None
+    certain_at: Callable | None = None  # default: truth_at says t
+    bodies_at: Callable | None = None
 
 
 class SemanticsId(Enum):
-    """A semantics tag together with its row of the relation table: the
-    three-valued truth function of aggregate atoms (None when the relation
-    has none), the certain-truth test of aggregate atoms (by default, the
-    truth function says t; None when the row is not element-wise), the
-    capability flags, and a test of one head's whole disjunction of bodies
-    for the row that is not element-wise."""
+    """A semantics tag together with its row of the relation table (see
+    `_Row`): the three-valued truth function of aggregate atoms (None
+    when the relation has none), the certain-truth test of aggregate
+    atoms (None when the row is not element-wise), the capability flags,
+    a test of one head's whole disjunction of bodies for the row that is
+    not element-wise, and the twins of these tests at masks."""
 
-    def __new__(cls, tag, truth, certain=None, well_behaved=True, monotone=True, bodies=None):
+    def __new__(
+        cls, tag, truth, certain, well_behaved, monotone, bodies, truth_at, certain_at, bodies_at
+    ):
         member = object.__new__(cls)
         member._value_ = tag
         if certain is None and truth is not None:
             certain = lambda atom, pair: truth(atom, pair) is TruthValue.TRUE
+        if certain_at is None and truth_at is not None:
+
+            def certain_at(atom, universe, lower, upper):
+                value = truth_at(atom, universe, lower, upper)
+                return None if value is None else value is TruthValue.TRUE
+
         member._truth = truth
         member._certain = certain
         member._bodies = bodies
+        member._truth_at = truth_at
+        member._certain_at = certain_at
+        member._bodies_at = bodies_at
         member.is_well_behaved_claimed = well_behaved
         member.monotone_lower_operator = monotone
         return member
 
-    # tag, truth function, certain-truth test, well-behaved, monotone, disjunction test
-    GL = ("gl", _aggregate_free_only)
-    TRIV = ("triv", _triv_truth)
-    GZ = ("gz", None, _gz_certain)
-    ULT = ("ult", interval_truth, aggregate_holds_everywhere)
-    LPST = ("lpst", None, _lpst_certain)
-    BND = ("bnd", bnd_truth)
-    MR = ("mr", None, _mr_certain, False)
-    FLP = ("flp", None, _flp_certain, False, False)
-    ULTIMATE = ("ultimate", None, None, True, True, _ultimate_certain)
+    GL = _Row("gl", _aggregate_free_only)
+    TRIV = _Row("triv", _triv_truth, truth_at=_triv_truth_at)
+    GZ = _Row("gz", certain=_gz_certain)
+    ULT = _Row("ult", interval_truth, _sweep_certain, truth_at=_sweep_truth_at)
+    LPST = _Row("lpst", certain=_lpst_certain)
+    BND = _Row("bnd", _bnd_truth, truth_at=_bnd_truth_at)
+    MR = _Row("mr", certain=_mr_certain, well_behaved=False, certain_at=_mr_certain_at)
+    FLP = _Row("flp", certain=_flp_certain, well_behaved=False, monotone=False)
+    ULTIMATE = _Row("ultimate", bodies=_sweep_certain, bodies_at=_ultimate_certain_at)
 
     def __str__(self) -> str:
         return self.value
@@ -206,6 +238,23 @@ class SemanticsId(Enum):
         pair?  For a row with a truth function, which the caller checks."""
         truth, false = self._element_truth, TruthValue.FALSE
         return any(all(truth(e, pair) is not false for e in body) for body in bodies)
+
+    def certain_at(
+        self, bodies: Bodies, universe: tuple[str, ...], lower: int, upper: int
+    ) -> bool:
+        """`bodies_certain` at the consistent pair over the universe whose
+        sets have the masks `lower` and `upper`, with its answer and first
+        error; it builds that pair only for a test without a mask form."""
+        if self._bodies_at is not None:
+            return self._bodies_at(bodies, universe, lower, upper)
+        return _bodies_certain_at(bodies, universe, lower, upper, self._certain_at, self._certain)
+
+    def possible_at(
+        self, bodies: Bodies, universe: tuple[str, ...], lower: int, upper: int
+    ) -> bool:
+        """`bodies_possible` at the consistent pair with the masks `lower`
+        and `upper`, as `certain_at` is `bodies_certain`."""
+        return _bodies_possible_at(bodies, universe, lower, upper, self._truth_at, self._truth)
 
 
 def sat3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair) -> bool:

@@ -30,6 +30,7 @@ from aggsem.fixpoints import (
 from aggsem.interp import (
     Interpretation,
     InterpretationPair,
+    _pair_at,
     extensions,
     interval_expansion_count,
     reset_interval_expansions,
@@ -53,18 +54,28 @@ def reference_kripke_kleene_from(sem, program, start):
     )[0]
 
 
+# the row tests of a pair that the loops' mask tests stand for
+PAIR_TESTS = {
+    SemanticsId.certain_at: SemanticsId.bodies_certain,
+    SemanticsId.possible_at: SemanticsId.bodies_possible,
+}
+
+
 def reference_least_fixpoint(holds, sem, program, pair_at, stop_at_upper):
+    """The plain loop on Interpretations, with the row's test of a pair.
+    It takes and returns masks, as `fixpoints._least_fixpoint` does."""
+    holds = PAIR_TESTS[holds]
     fixpoints._reject_gl_aggregates(sem, program)
     x, waiting = Interpretation.empty(program.universe), program.entries
     while True:
-        pair = pair_at(x)
+        pair = _pair_at(program.universe, *pair_at(x.mask))
         pair.require_consistent()
         fired = [head for head, bodies in waiting if holds(sem, bodies, pair)]
         if not fired:
-            return x
+            return x.mask
         x = x.union(fired)
         if stop_at_upper and x.atoms == pair.upper.atoms:
-            return x
+            return x.mask
         waiting = [(head, bodies) for head, bodies in waiting if head not in x.atoms]
 
 
@@ -149,20 +160,53 @@ def chain(n):
 
 def test_the_box_tests_each_head_a_few_times(monkeypatch):
     calls = Counter()
-    for name in ("bodies_certain", "bodies_possible"):
+    for name in ("certain_at", "possible_at", "bodies_certain", "bodies_possible"):
         test = getattr(SemanticsId, name)
 
-        def counting(sem, bodies, pair, name=name, test=test):
+        def counting(sem, *args, name=name, test=test):
             calls[name] += 1
-            return test(sem, bodies, pair)
+            return test(sem, *args)
 
         monkeypatch.setattr(SemanticsId, name, counting)
     program = chain(8)
     box = fixpoints._supported_box(program)
     assert box.lower.atoms == {f"a{i}" for i in range(9)}
     assert box.upper.atoms == set(program.heads)
-    # plain iteration makes 10 steps of 2 tests per head: 500 for 25 heads
-    assert sum(calls.values()) <= 3 * len(program.heads), calls
+    # the box tests heads at masks only; plain iteration makes 10 steps of
+    # 2 tests per head: 500 for 25 heads
+    assert calls["bodies_certain"] + calls["bodies_possible"] == 0, calls
+    assert 0 < sum(calls.values()) <= 3 * len(program.heads), calls
+
+
+def test_the_fixpoints_reach_the_loops_by_module_lookup(monkeypatch):
+    """Stable search, Kripke-Kleene and the well-founded rounds look the
+    two loops up in `fixpoints` at each call, so the reference patches
+    of this module reach them."""
+    reached = Counter()
+    for name in ("_least_fixpoint", "_kripke_kleene_from"):
+        loop = getattr(fixpoints, name)
+
+        def spy(*args, name=name, loop=loop):
+            reached[name] += 1
+            return loop(*args)
+
+        monkeypatch.setattr(fixpoints, name, spy)
+    program = chain(2)
+    calls = {
+        "stable_enumerate": lambda: stable_enumerate("ult", program),
+        "kripke_kleene": lambda: kripke_kleene("ult", program),
+        "well_founded": lambda: well_founded("ult", program),
+    }
+    loops = {}
+    for function, call in calls.items():
+        reached.clear()
+        call()
+        loops[function] = set(reached)
+    assert loops == {
+        "stable_enumerate": {"_kripke_kleene_from", "_least_fixpoint"},  # the box, each check
+        "kripke_kleene": {"_kripke_kleene_from"},
+        "well_founded": {"_least_fixpoint"},  # both bounds of each round
+    }
 
 
 def test_well_founded_reuses_a_bound_computed_from_an_unchanged_set():

@@ -19,8 +19,13 @@ keeps a record per timed task (a span tuple and three floats, about
 program holds no more memory.  The line after the timed tasks splits the
 change in the median `peak_rss_mb` into the part those records explain,
 the change in median timed tasks times `RECORD_BYTES`, and the
-remainder, which is the program's.  `--out` also writes every run's
-result as JSON.
+remainder, which is the program's.  The next line gives the RSS
+headroom: the throughput ratio at which the parent's median timed
+tasks times `RECORD_BYTES` alone would raise the parent's median
+`peak_rss_mb` by its bound in `BENCHMARK.json`, so a speed-up near that
+ratio fails the bound with no change in the program's memory.  A change
+whose median `peak_rss_mb` rose by more than `RSS_FLAG_SHARE` of the
+bound is flagged.  `--out` also writes every run's result as JSON.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from pathlib import Path
 # tasks grew `ru_maxrss` by 256-262 B per task, and the extra timed tasks
 # of two ten-pair `stable_search` runs came to 261-297 B per task.
 RECORD_BYTES = 275
+
+# The share of the `peak_rss_mb` bound above which a rise is flagged.
+RSS_FLAG_SHARE = 0.8
 
 
 def _compile(checkout: Path) -> None:
@@ -68,6 +76,13 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def _rss_headroom(parent_rss_mb: float, parent_tasks: float, bound: float) -> float:
+    """The throughput ratio at which the records of the parent's timed
+    tasks, grown in proportion, would alone raise its `peak_rss_mb` by
+    `bound` (a share of it)."""
+    return 1 + bound * parent_rss_mb * 2**20 / (parent_tasks * RECORD_BYTES)
+
+
 def _report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     lines = [f"{workload}: {len(pairs)} pairs"]
     lines.append(f"  {'metric':26} {'parent median [q1-q3]':>30} "
@@ -91,6 +106,13 @@ def _report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) 
     records = (tasks[1] - tasks[0]) * RECORD_BYTES / 2**20
     lines.append(f"  peak_rss_mb change (medians): {rss[1] - rss[0]:+.2f} MB, of which timed-task "
                  f"records {records:+.2f} MB and the program {rss[1] - rss[0] - records:+.2f} MB")
+    bound = next(m["bound"] for m in metrics if m["name"] == "peak_rss_mb")
+    lines.append(f"  RSS headroom: the records alone reach the peak_rss_mb bound ({bound:.0%}) at "
+                 f"{_rss_headroom(rss[0], tasks[0], bound):.2f}x the parent's throughput")
+    rise = (rss[1] - rss[0]) / rss[0]
+    if rise > RSS_FLAG_SHARE * bound:
+        lines.append(f"  FLAG: peak_rss_mb rose {rise:+.1%}, more than {RSS_FLAG_SHARE:.0%} of "
+                     f"its bound")
     lines.append(f"  failed operations: parent {failed[0]}, change {failed[1]}")
     return lines
 
