@@ -23,9 +23,13 @@ count) entries by cross-multiplication and builds only two fractions;
 min and max compare the members' extremes in one pass.
 
 An atom with a kernel takes its bounds, and `bnd_truth` its sum/card
-hull, from `eval2._kernel_range`: no value of such an atom leaves the
-range, so the least and the greatest are those of the hull and the half
-tables.
+hull, from its interval entries in `eval2`: no value of such an atom
+leaves the range, so the least and the greatest are those of the hull
+and the half tables.  `bnd_truth` reads the two bounds from
+`eval2._kernel_range`, which returns them with the two emptiness flags,
+and `exact_bounds` returns the one `Bounds` that `eval2._kernel_bounds`
+keeps per restricted pair, built by `_bounds` the first time a call
+asks for it and then shared by every call on the same restricted pair.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .eval2 import (
     _extreme_range,
     _half_tables,
     _interval_sweep,
+    _kernel_bounds,
     _kernel_range,
     _sweep_truth_at,
 )
@@ -64,22 +69,27 @@ class Bounds:
 
 
 def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
-    """Exact min/max of the aggregate value over every Z in the pair's interval."""
+    """Exact min/max of the aggregate value over every Z in the pair's
+    interval.  An atom with a kernel returns one shared `Bounds` per
+    restricted pair."""
     pair.require_consistent()
     masks = pair.universe, pair.lower.mask, pair.upper.mask
-    read = _kernel_range(atom, *masks)
-    if read is not None:
-        lb, ub, empty = read
-        empty = list(empty)
-        empty_possible, empty_certain = any(empty), all(empty)
+    bounds = _kernel_bounds(atom, *masks, _bounds)
+    if bounds is not None:
+        return bounds
+    fixed, branches = _split(atom, *masks)
+    empty_certain = not fixed and not branches
+    empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
+    if atom.func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
+        lb, ub = _hull(atom.func, fixed, branches)
     else:
-        fixed, branches = _split(atom, *masks)
-        empty_certain = not fixed and not branches
-        empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
-        if atom.func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
-            lb, ub = _hull(atom.func, fixed, branches)
-        else:
-            lb, ub = _value_range(atom, fixed, list(branches))
+        lb, ub = _value_range(atom, fixed, list(branches))
+    return _bounds(lb, ub, empty_possible, empty_certain)
+
+
+def _bounds(lb, ub, empty_possible: bool, empty_certain: bool) -> Bounds:
+    """The `Bounds` of a least and a greatest value, None when no member
+    has one."""
     if lb is None:
         return Bounds(AggValue.UNDEFINED, AggValue.UNDEFINED, empty_possible, empty_certain)
     return Bounds(AggValue.of(lb), AggValue.of(ub), empty_possible, empty_certain)
@@ -178,7 +188,7 @@ def _bnd_truth_at(
         return _sweep_truth_at(atom, universe, lower, upper)
     read = _kernel_range(atom, universe, lower, upper)
     if read is not None:
-        lb, ub, _ = read
+        lb, ub, _, _ = read
     else:
         lb, ub = _hull(atom.func, *_split(atom, universe, lower, upper))
     w = atom.bound

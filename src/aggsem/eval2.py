@@ -24,18 +24,26 @@ Small aggregate atoms and heads also get a bitmask kernel, built once
 per universe and kept on the atom (`AggregateAtom._kernels`) or on the
 head's `Bodies`: a table of the truth at every choice of their own
 atoms, and for an atom also the value and whether no condition holds,
-keyed by the true atoms' `Interpretation.mask`.  A relation call reads
-the members of a pair's interval as `table[(lower & cm) | s]`, for `s`
-over the submasks of the pair's free bits of `cm`.  An atom gets one when it
-is not prod, has at most `KERNEL_ATOMS` condition atoms and its absolute
-weights sum within int64, so that no value leaves the range and no
-answer depends on the order of the members; a head when its bodies
-mention at most `KERNEL_ATOMS` atoms and no evaluation at a choice of
-them leaves the range.  Everything else takes the ordered sweeps, with
-their first errors.  Only this module reads a kernel: one interval sweep
-serves an atom (`ult`, and `bnd` for min, max and avg) and a head's
-`Bodies` (`ultimate`), `_kernel_range` serves `bounds`, and the `triv`
-and `mr` tests live here.
+keyed by the true atoms' `Interpretation.mask`.  A relation's answer
+depends only on the pair restricted to those atoms, `(lower & cm,
+upper & cm)`, so each kernel keeps its interval entries under that
+restricted pair, at most 3^k of each for k atoms: the truth the
+members share (`_entry_truth`), and for an atom the value range with
+whether some and whether every member is empty (`_kernel_range`) and
+the one `Bounds` that `bounds.exact_bounds` builds from it
+(`_kernel_bounds`).  Each is filled the first time a call asks for it,
+from the members of the interval, `table[(lower & cm) | s]` for `s`
+over the submasks of the pair's free bits of `cm`.  An atom gets a
+kernel when it is not prod, has at most `KERNEL_ATOMS` condition atoms
+and its absolute weights sum within int64, so that no value leaves the
+range and no answer depends on the order of the members; a head when
+its bodies mention at most `KERNEL_ATOMS` atoms and no evaluation at a
+choice of them leaves the range.  Everything else takes the ordered
+sweeps, with their first errors.  Only this module reads a kernel or an
+entry: one interval sweep reads a truth entry for an atom (`ult`, and
+`bnd` for min, max and avg) and for a head's `Bodies` (`ultimate`);
+`_kernel_range` gives `bounds` a range entry and `_kernel_bounds` a
+shared `Bounds`; and the `triv` and `mr` tests live here.
 
 Stable search tests support at masks: `_supported_extensions` walks the
 candidates as universe masks and reads each head's kernel at the mask,
@@ -375,12 +383,13 @@ def _interval_sweep(
     so the answer does not depend on the order.
     """
     kernels = owner._kernels
-    kernel = kernels and kernels.over(owner, pair.lower.universe)
+    _, kernel, truths, _, _ = kernels.read(owner, pair.lower.universe) if kernels else _NO_KERNEL
     if kernel is not None:
         lower, upper = pair.lower.mask, pair.upper.mask
         if lower & ~upper:
             raise InconsistentPairError(f"{pair.lower} is not a subset of {pair.upper}")
-        truth = _kernel_truth(kernel, lower, upper)
+        _count_expansion()
+        truth = _entry_truth(kernel, truths, lower, upper)
         return truth if expected is None or truth is expected else None
     for truth in _member_truths(owner, pair):
         if truth is not expected:
@@ -591,22 +600,34 @@ class KernelSlot:
     """The kernel of one aggregate atom or one head, built by
     `build(owner, universe)` for the universe of the pair that asks,
     since its bits are universe positions; a pair over another universe
-    builds it again.  `built` is replaced whole, as (universe, kernel),
-    so a caller never reads one universe's kernel for another."""
+    builds it again.  `built` is (universe, kernel, truths, ranges,
+    bounds), the last three the kernel's interval entries
+    (`_entry_truth`, `_kernel_range`, `_kernel_bounds`).  It is replaced
+    whole, and `read` returns the one tuple it took, so a caller never
+    reads one universe's kernel or entries for another."""
 
     __slots__ = ("build", "built")
 
     def __init__(self, build: Callable):
         self.build = build
-        self.built: tuple = (None, None)
+        self.built: tuple = _NO_KERNEL
+
+    def read(self, owner, universe: tuple[str, ...]) -> tuple:
+        """`built` for the universe, built first when it is another's."""
+        built = self.built
+        if universe is not built[0]:
+            if universe != built[0]:
+                built = universe, self.build(owner, universe), {}, {}, {}
+            else:
+                built = (universe,) + built[1:]
+            self.built = built
+        return built
 
     def over(self, owner, universe: tuple[str, ...]) -> Kernel | None:
-        built_for, kernel = self.built
-        if universe is not built_for:
-            if universe != built_for:
-                kernel = self.build(owner, universe)
-            self.built = universe, kernel
-        return kernel
+        return self.read(owner, universe)[1]
+
+
+_NO_KERNEL = (None, None, None, None, None)
 
 
 def atom_kernels(atom: AggregateAtom) -> KernelSlot | None:
@@ -681,28 +702,68 @@ def _kernel_members(cm: int, lower: int, upper: int) -> list[int]:
     return keys
 
 
-def _kernel_truth(kernel: Kernel, lower: int, upper: int) -> bool | None:
+# An entry table's value when the restricted pair has no entry yet.
+_UNREAD = object()
+
+
+def _entry_truth(kernel: Kernel, truths: dict, lower: int, upper: int) -> bool | None:
     """The truth every member of the interval between the masks `lower`
-    and `upper` has in the kernel, None when the members disagree.
-    Counts one interval expansion."""
-    _count_expansion()
-    truths = set(map(kernel.truth.__getitem__, _kernel_members(kernel.cm, lower, upper)))
-    return truths.pop() if len(truths) == 1 else None
+    and `upper` has in the kernel, None when the members disagree.  It
+    depends only on the pair restricted to the kernel's atoms, so
+    `truths`, the kernel's table of them, keeps it under that pair as one
+    int, `(upper & cm) * (cm + 1) + (lower & cm)`, unique as `lower & cm`
+    is at most `cm`: at most 3^k entries for k atoms, each read from the
+    members the first time a call asks.  Counts nothing."""
+    cm = kernel.cm
+    key = (upper & cm) * (cm + 1) + (lower & cm)
+    truth = truths.get(key, _UNREAD)
+    if truth is _UNREAD:
+        found = set(map(kernel.truth.__getitem__, _kernel_members(cm, lower, upper)))
+        truth = truths[key] = found.pop() if len(found) == 1 else None
+    return truth
 
 
-def _kernel_range(atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int):
+def _kernel_range(
+    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
+) -> tuple | None:
     """The least and the greatest defined value of the atom over the
-    members of the interval between the masks `lower` and `upper`,
-    (None, None) when none has one, and an iterator of whether each is
-    empty; None when it has no kernel."""
+    members of the consistent interval between the masks `lower` and
+    `upper`, (None, None) when none has one, then whether some member
+    and whether every member is empty; None when the atom has no kernel.
+    Kept, as `_entry_truth` keeps a truth, in the kernel's `ranges`."""
     kernels = atom._kernels
     if kernels is None:
         return None
-    kernel = kernels.over(atom, universe)
-    members = _kernel_members(kernel.cm, lower, upper)
-    values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
-    lb, ub = (min(values), max(values)) if values else (None, None)
-    return lb, ub, map(kernel.empty.__getitem__, members)
+    _, kernel, _, ranges, _ = kernels.read(atom, universe)
+    cm = kernel.cm
+    key = (upper & cm) * (cm + 1) + (lower & cm)
+    read = ranges.get(key)
+    if read is None:
+        members = _kernel_members(cm, lower, upper)
+        values = [v for v in map(kernel.value.__getitem__, members) if v is not None]
+        lb, ub = (min(values), max(values)) if values else (None, None)
+        empty = set(map(kernel.empty.__getitem__, members))
+        read = ranges[key] = lb, ub, True in empty, False not in empty
+    return read
+
+
+def _kernel_bounds(
+    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int, make: Callable
+):
+    """`make(*_kernel_range(...))` for the interval, built the first time
+    a call asks for its restricted pair and then shared by every call
+    on it, kept in the kernel's `bounds`; None when the atom has no
+    kernel."""
+    kernels = atom._kernels
+    if kernels is None:
+        return None
+    _, kernel, _, _, shared = kernels.read(atom, universe)
+    cm = kernel.cm
+    key = (upper & cm) * (cm + 1) + (lower & cm)
+    bounds = shared.get(key)
+    if bounds is None:
+        bounds = shared[key] = make(*_kernel_range(atom, universe, lower, upper))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +850,11 @@ def _sweep_truth_at(
     owner's kernel; None when it has none.  Counts one interval
     expansion, as the sweep does."""
     kernels = owner._kernels
-    kernel = kernels and kernels.over(owner, universe)
+    _, kernel, truths, _, _ = kernels.read(owner, universe) if kernels else _NO_KERNEL
     if kernel is None:
         return None
-    truth = _kernel_truth(kernel, lower, upper)
+    _count_expansion()
+    truth = _entry_truth(kernel, truths, lower, upper)
     return TruthValue.UNDEFINED if truth is None else TruthValue.from_bool(truth)
 
 
@@ -822,10 +884,14 @@ def _triv_truth_at(
 def _mr_certain_at(
     atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
 ) -> bool | None:
-    """mr at masks, read from the atom's kernel; None when it has none."""
+    """mr at masks, read from the atom's kernel: the truth at the upper
+    set, then that of the interval from the empty set to the lower set,
+    which is not false when some subset of lower satisfies the atom;
+    None when it has no kernel."""
     kernels = atom._kernels
     if kernels is None:
         return None
-    kernel = kernels.over(atom, universe)
-    truth, cm = kernel.truth, kernel.cm
-    return truth[upper & cm] and any(map(truth.__getitem__, _kernel_members(cm, 0, lower)))
+    _, kernel, truths, _, _ = kernels.read(atom, universe)
+    if not kernel.truth[upper & kernel.cm]:
+        return False
+    return _entry_truth(kernel, truths, 0, lower) is not False

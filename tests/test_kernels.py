@@ -190,7 +190,7 @@ def test_an_atom_with_a_kernel_pickles_compares_hashes_and_prints_as_before():
 # structure: one home for the kernel tables
 # ---------------------------------------------------------------------------
 
-LAYOUT = {"_kernel_members", "Kernel", "KernelSlot"}
+LAYOUT = {"_kernel_members", "Kernel", "KernelSlot", "built", "_NO_KERNEL", "_entry_truth"}
 
 
 def _kernel_reads(module):

@@ -10,8 +10,9 @@ code; the parent runs first on odd seeds and the change on even ones.
 Every run must report `correct`.  The table gives, per workload and
 end-to-end metric of `BENCHMARK.json`, the median and quartiles of each
 side, the change in the median, and the pairs in which the change is
-better (ties count for neither side); then the median number of timed
-tasks per run and the operations that failed on each side.
+better (ties count for neither side), and the verdict (`_verdict`):
+`gain`, `worse`, `unresolved` or `within`; then the median number of
+timed tasks per run and the operations that failed on each side.
 
 `peak_rss_mb` grows with the number of timed tasks, because `bench/run.py`
 keeps a record per timed task (a span tuple and three floats, about
@@ -83,10 +84,40 @@ def _rss_headroom(parent_rss_mb: float, parent_tasks: float, bound: float) -> fl
     return 1 + bound * parent_rss_mb * 2**20 / (parent_tasks * RECORD_BYTES)
 
 
+def _verdict(parent: list[float], change: list[float], won: int, parent_q: tuple,
+             change_q: tuple, lower_better: bool, bound: float) -> str:
+    """The verdict on one metric from the runs of each side, listed pair
+    by pair, the pairs the change `won`, each side's (q1, median, q3),
+    and `bound`, the metric's bound in `BENCHMARK.json` as a share of
+    the parent's median:
+
+      gain        the change is better in at least 9/10 of the pairs,
+                  and its median is better than the parent's by more
+                  than the width of the parent's q1-q3
+      worse       the change's median is worse than the parent's by
+                  more than the bound
+      unresolved  the parent's q1-q3 is wider than the bound, and not
+                  every run of the change is better than every run of
+                  the parent
+      within      every other case
+    """
+    def better(a: float, b: float) -> bool:
+        return a < b if lower_better else a > b
+
+    (p1, p2, p3), c2 = parent_q, change_q[1]
+    if 10 * won >= 9 * len(parent) and better(c2, p2) and abs(c2 - p2) > p3 - p1:
+        return "gain"
+    if better(p2, c2) and abs(c2 - p2) > bound * abs(p2):
+        return "worse"
+    if p3 - p1 > bound * abs(p2) and not all(better(c, p) for c in change for p in parent):
+        return "unresolved"
+    return "within"
+
+
 def _report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     lines = [f"{workload}: {len(pairs)} pairs"]
     lines.append(f"  {'metric':26} {'parent median [q1-q3]':>30} "
-                 f"{'change median [q1-q3]':>30} {'diff':>8} {'won':>6}")
+                 f"{'change median [q1-q3]':>30} {'diff':>8} {'won':>6} verdict")
     for metric in metrics:
         name, lower_better = metric["name"], metric["better"] == "lower"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -94,9 +125,12 @@ def _report(workload: str, pairs: list[tuple[dict, dict]], metrics: list[dict]) 
         won = sum((c < p) if lower_better else (c > p) for p, c in zip(parent, change))
         (p1, p2, p3), (c1, c2, c3) = _quartiles(parent), _quartiles(change)
         diff = (c2 - p2) / p2 * 100 if p2 else float("nan")
+        verdict = _verdict(parent, change, won, (p1, p2, p3), (c1, c2, c3), lower_better,
+                           metric["bound"])
         lines.append(
             f"  {name:26} {f'{p2:.4g} [{p1:.4g}-{p3:.4g}]':>30} "
-            f"{f'{c2:.4g} [{c1:.4g}-{c3:.4g}]':>30} {diff:+7.1f}% {f'{won}/{len(pairs)}':>6}"
+            f"{f'{c2:.4g} [{c1:.4g}-{c3:.4g}]':>30} {diff:+7.1f}% {f'{won}/{len(pairs)}':>6} "
+            f"{verdict}"
         )
     tasks = [statistics.median(run[side]["timed_tasks"] for run in pairs) for side in (0, 1)]
     failed = [sum(run[side]["failed"] for run in pairs) for side in (0, 1)]
