@@ -37,6 +37,8 @@ number of interval expansions computing it took.  The groups are
   stable_enumerate  `stable_enumerate` under each tag
   kripke_kleene     `kripke_kleene` under each tag
   well_founded      `well_founded` under each tag
+  steps             `lower_step` and `upper_step` of the program under
+                    each tag, at every consistent pair
 
 The script imports `aggsem` from the `src` directory beside it, so it
 measures the checkout it is in.
@@ -61,7 +63,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from aggsem import AggsemError, oracle  # noqa: E402
 from aggsem.bounds import exact_bounds  # noqa: E402
 from aggsem.cli import run  # noqa: E402
-from aggsem.fixpoints import kripke_kleene, stable_enumerate, well_founded  # noqa: E402
+from aggsem.fixpoints import (  # noqa: E402
+    kripke_kleene,
+    lower_step,
+    stable_enumerate,
+    upper_step,
+    well_founded,
+)
 from aggsem.interp import interval_expansion_count  # noqa: E402
 from aggsem.syntax import AggregateAtom, Program, Rule, parse_program  # noqa: E402
 from aggsem.ternary import Analysis, SemanticsId, all_consistent_pairs, sat3, sat3_body  # noqa: E402
@@ -144,7 +152,7 @@ def analyze_outcomes(text: str) -> dict[str, list[str]]:
 
 
 def relation_outcomes(text: str) -> dict[str, list[str]]:
-    groups = ("sat3", "exact_bounds", "stable_enumerate", "kripke_kleene", "well_founded")
+    groups = ("sat3", "exact_bounds", "stable_enumerate", "kripke_kleene", "well_founded", "steps")
     outcomes: dict[str, list[str]] = {group: [] for group in groups}
     program = parse_program(text)
     pairs = all_consistent_pairs(program.universe)
@@ -160,6 +168,9 @@ def relation_outcomes(text: str) -> dict[str, list[str]]:
     for sem in SemanticsId:
         for function in (stable_enumerate, kripke_kleene, well_founded):
             outcomes[function.__name__].append(counted(lambda: function(sem, program)))
+    for sem in SemanticsId:
+        for step in (lower_step, upper_step):
+            outcomes["steps"] += [counted(lambda: step(sem, program, p)) for p in pairs]
     return outcomes
 
 
