@@ -46,7 +46,6 @@ from .eval2 import (
     _interval_sweep,
     _kernel_bounds,
     _kernel_range,
-    _sweep_truth_at,
 )
 from .interp import InterpretationPair, _bit_index
 from .syntax import AggFunc, AggregateAtom, Comparison
@@ -73,7 +72,7 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     interval.  An atom with a kernel returns one shared `Bounds` per
     restricted pair."""
     pair.require_consistent()
-    masks = pair.universe, pair.lower.mask, pair.upper.mask
+    masks = pair.universe, *pair.masks
     bounds = _kernel_bounds(atom, *masks, _bounds)
     if bounds is not None:
         return bounds
@@ -170,27 +169,17 @@ def bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
 
 
 def _bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
-    """`bnd_truth` at a pair the caller has checked: the `bnd` row's truth
-    function."""
-    truth = _bnd_truth_at(atom, pair.universe, pair.lower.mask, pair.upper.mask)
-    return interval_truth(atom, pair) if truth is None else truth
-
-
-def _bnd_truth_at(
-    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
-) -> TruthValue | None:
-    """`bnd_truth` at the consistent pair whose sets have the masks
-    `lower` and `upper`: the hull rule on the atom's kernel range, or on
-    its hull from `_split`, for sum, card and prod; the kernel's
-    interval sweep for min, max and avg, None when the atom has no
-    kernel."""
+    """`bnd_truth` at a pair the caller has checked, the `bnd` row's truth
+    function: the hull rule on the atom's kernel range, or on its hull
+    from `_split`, for sum, card and prod, read at the pair's masks; the
+    interval sweep for min, max and avg."""
     if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
-        return _sweep_truth_at(atom, universe, lower, upper)
-    read = _kernel_range(atom, universe, lower, upper)
+        return interval_truth(atom, pair)
+    read = _kernel_range(atom, pair.universe, *pair.masks)
     if read is not None:
         lb, ub, _, _ = read
     else:
-        lb, ub = _hull(atom.func, *_split(atom, universe, lower, upper))
+        lb, ub = _hull(atom.func, *_split(atom, pair.universe, *pair.masks))
     w = atom.bound
     cmp, holds = atom.cmp, atom.cmp.holds
     outside = w < lb or w > ub

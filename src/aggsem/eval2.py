@@ -48,15 +48,11 @@ shared `Bounds`; and the `triv` and `mr` tests live here.
 Stable search tests support at masks: `_supported_extensions` walks the
 candidates as universe masks and reads each head's kernel at the mask,
 so on a program whose heads all have kernels a candidate becomes an
-Interpretation only when it passes.  The Kleene loops of `fixpoints`
-carry a pair as two masks and test a head with its row's test at masks
-(`SemanticsId.certain_at`, `possible_at`): `_bodies_certain_at` and
-`_bodies_possible_at` read literals as bits and an aggregate atom with
-the row's atom test at masks (`_triv_truth_at`, `_mr_certain_at`, ult's
-and min/max/avg bnd's `_sweep_truth_at`, and bnd's hull in `bounds`), and
-`_ultimate_certain_at` reads the head's kernel.  Where an atom or head
-has no kernel, the call builds its pair once and takes the pair's test,
-in the same order and with the same first error.
+Interpretation only when it passes.  The tests of a pair here (`triv`,
+`mr` and the interval sweep) read a kernel at the pair's `universe` and
+`masks` and its sets only where the atom or head has none, so a Kleene
+loop of `fixpoints`, which hands them an `interp._MaskPair`, builds no
+pair for an atom or head with a kernel.
 """
 
 from __future__ import annotations
@@ -77,7 +73,6 @@ from .interp import (
     _extension_masks,
     _interpretation_at,
     _interval_free_atoms,
-    _pair_at,
     enumerate_interval,
     extensions,
 )
@@ -339,9 +334,15 @@ def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) ->
 
 def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     """triv: the atom's truth at the upper set when every condition atom
-    is decided, else undefined."""
-    if atom._kernels is not None:
-        return _triv_truth_at(atom, pair.lower.universe, pair.lower.mask, pair.upper.mask)
+    is decided, else undefined.  An atom with a kernel reads it at the
+    upper set's mask."""
+    kernels = atom._kernels
+    if kernels is not None:
+        kernel = kernels.over(atom, pair.universe)
+        lower, upper = pair.masks
+        if (upper ^ lower) & kernel.cm:
+            return TruthValue.UNDEFINED
+        return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
     if all(a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms):
         return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
     return TruthValue.UNDEFINED
@@ -351,10 +352,18 @@ def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """mr: upper satisfies the atom and some subset of lower does.
 
     Only the trace on the atom's condition atoms matters, so the subsets
-    of lower restricted to those atoms cover all cases.
+    of lower restricted to those atoms cover all cases.  An atom with a
+    kernel reads its truth at the upper set's mask, then the interval
+    entry from the empty set to the lower set, which is not false when
+    some subset of lower satisfies the atom.
     """
-    if atom._kernels is not None:
-        return _mr_certain_at(atom, pair.lower.universe, pair.lower.mask, pair.upper.mask)
+    kernels = atom._kernels
+    if kernels is not None:
+        _, kernel, truths, _, _ = kernels.read(atom, pair.universe)
+        lower, upper = pair.masks
+        if not kernel.truth[upper & kernel.cm]:
+            return False
+        return _entry_truth(kernel, truths, 0, lower) is not False
     if not eval_aggregate(atom, pair.upper):
         return False
     base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
@@ -383,9 +392,9 @@ def _interval_sweep(
     so the answer does not depend on the order.
     """
     kernels = owner._kernels
-    _, kernel, truths, _, _ = kernels.read(owner, pair.lower.universe) if kernels else _NO_KERNEL
+    _, kernel, truths, _, _ = kernels.read(owner, pair.universe) if kernels else _NO_KERNEL
     if kernel is not None:
-        lower, upper = pair.lower.mask, pair.upper.mask
+        lower, upper = pair.masks
         if lower & ~upper:
             raise InconsistentPairError(f"{pair.lower} is not a subset of {pair.upper}")
         _count_expansion()
@@ -764,134 +773,3 @@ def _kernel_bounds(
     if bounds is None:
         bounds = shared[key] = make(*_kernel_range(atom, universe, lower, upper))
     return bounds
-
-
-# ---------------------------------------------------------------------------
-# The row tests at masks: one head's disjunction at a pair given as two masks
-# ---------------------------------------------------------------------------
-
-
-def _bodies_certain_at(
-    bodies: Bodies,
-    universe: tuple[str, ...],
-    lower: int,
-    upper: int,
-    certain_at: Callable | None,
-    certain: Callable,
-) -> bool:
-    """Has the head some body with every element certainly true at the
-    consistent pair whose sets have the masks `lower` and `upper`?  The
-    test of `SemanticsId.bodies_certain`, in its order: bodies and their
-    elements left to right, each body up to its first element that is
-    not certainly true.  A literal reads its bit.  An aggregate atom
-    takes the row's mask test `certain_at`; where that has no answer
-    (None: the atom has no kernel) or the row has none, the row's test
-    `certain` runs at the pair, built once per call, with its first
-    error."""
-    bits, pair = _bit_index(universe), None
-    for body in bodies:
-        for element in body:
-            if element.__class__ is Literal:
-                bit = bits[element.atom]
-                if upper & bit if element.negated else not lower & bit:
-                    break
-                continue
-            holds = None if certain_at is None else certain_at(element, universe, lower, upper)
-            if holds is None:
-                if pair is None:
-                    pair = _pair_at(universe, lower, upper)
-                holds = certain(element, pair)
-            if not holds:
-                break
-        else:
-            return True
-    return False
-
-
-def _bodies_possible_at(
-    bodies: Bodies,
-    universe: tuple[str, ...],
-    lower: int,
-    upper: int,
-    truth_at: Callable | None,
-    truth: Callable,
-) -> bool:
-    """Has the head some body with no false element at the consistent
-    pair whose sets have the masks `lower` and `upper`?  The test of
-    `SemanticsId.bodies_possible`, in its order, for a row with a truth
-    function: an aggregate atom takes the row's mask test `truth_at`, and
-    when that answers None (no kernel) the row's `truth` at the pair,
-    built once per call."""
-    bits, pair, false = _bit_index(universe), None, TruthValue.FALSE
-    for body in bodies:
-        for element in body:
-            if element.__class__ is Literal:
-                bit = bits[element.atom]
-                if lower & bit if element.negated else not upper & bit:
-                    break
-                continue
-            value = None if truth_at is None else truth_at(element, universe, lower, upper)
-            if value is None:
-                if pair is None:
-                    pair = _pair_at(universe, lower, upper)
-                value = truth(element, pair)
-            if value is false:
-                break
-        else:
-            return True
-    return False
-
-
-def _sweep_truth_at(
-    owner: AggregateAtom | Bodies, universe: tuple[str, ...], lower: int, upper: int
-) -> TruthValue | None:
-    """`_interval_sweep`'s answer at the consistent pair whose sets have
-    the masks `lower` and `upper`, as a truth value, read from the
-    owner's kernel; None when it has none.  Counts one interval
-    expansion, as the sweep does."""
-    kernels = owner._kernels
-    _, kernel, truths, _, _ = kernels.read(owner, universe) if kernels else _NO_KERNEL
-    if kernel is None:
-        return None
-    _count_expansion()
-    truth = _entry_truth(kernel, truths, lower, upper)
-    return TruthValue.UNDEFINED if truth is None else TruthValue.from_bool(truth)
-
-
-def _ultimate_certain_at(bodies: Bodies, universe: tuple[str, ...], lower: int, upper: int) -> bool:
-    """ultimate's test of a head at masks: its disjunction holds at every
-    member of the interval, read from the head's kernel, or by the
-    member walk at the pair when it has none."""
-    truth = _sweep_truth_at(bodies, universe, lower, upper)
-    if truth is None:
-        return _interval_sweep(bodies, _pair_at(universe, lower, upper), True) is True
-    return truth is TruthValue.TRUE
-
-
-def _triv_truth_at(
-    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
-) -> TruthValue | None:
-    """triv at masks, read from the atom's kernel; None when it has none."""
-    kernels = atom._kernels
-    if kernels is None:
-        return None
-    kernel = kernels.over(atom, universe)
-    if (upper ^ lower) & kernel.cm:
-        return TruthValue.UNDEFINED
-    return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
-
-
-def _mr_certain_at(
-    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
-) -> bool | None:
-    """mr at masks, read from the atom's kernel: the truth at the upper
-    set, then that of the interval from the empty set to the lower set,
-    which is not false when some subset of lower satisfies the atom;
-    None when it has no kernel."""
-    kernels = atom._kernels
-    if kernels is None:
-        return None
-    _, kernel, truths, _, _ = kernels.read(atom, universe)
-    if not kernel.truth[upper & kernel.cm]:
-        return False
-    return _entry_truth(kernel, truths, 0, lower) is not False

@@ -34,9 +34,12 @@ Interpretations and reach `stable_check`.  The Kripke-Kleene loop (the
 box included) and the least fixpoint carry their pair as two masks in
 `interp`'s bit layout: a step's changed atoms are `old ^ new`, the
 consistency check is `lower & ~upper`, and a head is tested with its
-row's test at masks (`SemanticsId.certain_at`, `possible_at`), which
-reads the kernels and builds a pair only for an atom or head without
-one.  Interpretations and pairs are built where they leave the loops:
+row's test (`SemanticsId.bodies_certain`, `bodies_possible`) at one
+`interp._MaskPair` per step, which builds its InterpretationPair only
+when a test reads a set: a literal reads its bit, and an atom or head
+with a kernel the masks.  The minimal-model check, whose subset walk
+builds each subset, tests every rule at one pair per subset.  Otherwise
+pairs are built where they leave the loops:
 the box, the Kripke-Kleene and well-founded pairs, the least fixpoint
 `lfp_lower` returns, and the pair an InconsistentPairError names.  The
 least fixpoint is semi-naive (a head already derived is not tested
@@ -75,7 +78,7 @@ from .interp import (
     _atoms_at,
     _bit_index,
     _interpretation_at,
-    _pair_at,
+    _MaskPair,
     extensions,
 )
 from .syntax import Bodies, Literal, Program, Rule
@@ -161,42 +164,41 @@ def lfp_lower(sem: SemanticsId | str, program: Program, y: Interpretation) -> In
             f"{sem.value} has no monotone lower operator; use its minimal-model check"
         )
     upper = y.mask
-    x = _least_fixpoint(SemanticsId.certain_at, sem, program, lambda x: (x, upper), False)
+    x = _least_fixpoint(SemanticsId.bodies_certain, sem, program, lambda x: (x, upper), False)
     return _interpretation_at(program.universe, x)
 
 
 def _least_fixpoint(
-    holds: Callable[[SemanticsId, Bodies, tuple[str, ...], int, int], bool],
+    holds: Callable[[SemanticsId, Bodies, InterpretationPair], bool],
     sem: SemanticsId,
     program: Program,
     pair_at: Callable[[int], tuple[int, int]],
     stop_at_upper: bool,
 ) -> int:
     """The Kleene chain from bottom of X -> the heads whose bodies pass the
-    row's mask test `holds` at the masks `pair_at(X)`, semi-naive, on
-    masks of the program's universe; returns the limit's mask.  The
-    caller sees to it that this map is monotone in X and that
-    `pair_at(X)` changes only on the atoms added to X, so the chain only
-    grows: a head already derived is not tested again, and after the
-    first round a waiting head is tested only when its bodies mention an
-    atom the last round added, as the row's test reads the pair on those
-    atoms alone.  The chain of X's is that of plain iteration, and a pair
-    that is inconsistent raises InconsistentPairError as there.  With
-    `stop_at_upper` the chain ends when X reaches the upper set of its
-    pair: for the lower operator at a supported model y that is its last
-    element, as at (y, y) certain truth implies two-valued truth, so
-    lower(y, y) adds nothing."""
+    row's test `holds` at the pair with the masks `pair_at(X)`, one
+    `_MaskPair` per round, semi-naive, on masks of the program's
+    universe; returns the limit's mask.  The caller sees to it that this
+    map is monotone in X and that `pair_at(X)` changes only on the atoms
+    added to X, so the chain only grows: a head already derived is not
+    tested again, and after the first round a waiting head is tested
+    only when its bodies mention an atom the last round added, as the
+    row's test reads the pair on those atoms alone.  The chain of X's is
+    that of plain iteration, and a pair that is inconsistent raises
+    InconsistentPairError as there.  With `stop_at_upper` the chain ends
+    when X reaches the upper set of its pair: for the lower operator at a
+    supported model y that is its last element, as at (y, y) certain
+    truth implies two-valued truth, so lower(y, y) adds nothing."""
     _reject_gl_aggregates(sem, program)
     universe, entries = program.universe, program.entries
     bits = _bit_index(universe)
     x, waiting = 0, range(len(entries))
     while True:
         lower, upper = pair_at(x)
+        pair = _MaskPair(universe, lower, upper)
         if lower & ~upper:
-            _pair_at(universe, lower, upper).require_consistent()
-        fired = [
-            entries[i][0] for i in waiting if holds(sem, entries[i][1], universe, lower, upper)
-        ]
+            pair.interpretations().require_consistent()
+        fired = [entries[i][0] for i in waiting if holds(sem, entries[i][1], pair)]
         if not fired:
             return x
         for head in fired:
@@ -235,7 +237,7 @@ def stable_check(sem: SemanticsId | str, program: Program, y: Interpretation) ->
     if not (sem.monotone_lower_operator or _all_convex(program)):
         return _minimal_model_check(sem, program, y)
     upper = y.mask
-    lower = _least_fixpoint(SemanticsId.certain_at, sem, program, lambda x: (x, upper), True)
+    lower = _least_fixpoint(SemanticsId.bodies_certain, sem, program, lambda x: (x, upper), True)
     return lower == upper
 
 
@@ -251,18 +253,17 @@ def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) 
     """No proper subset of the supported model y is closed under the
     relation with y as upper bound (for flp, equivalently: no proper
     subset models the body-preserving reduct).  Rules are tested in source
-    order, not per head, so no body past the first failed rule is evaluated."""
+    order, not per head, so no body past the first failed rule is
+    evaluated; all of them at one pair per subset."""
     members = list(y)
     # the walk ends at y itself, which is not a proper subset
     proper_subsets = islice(extensions(y.with_atoms(()), members), (1 << len(members)) - 1)
     rules = [(rule.head, Bodies((rule.body,))) for rule in program.rules]
-    return not any(
-        all(
-            head in subset.atoms or not sem.bodies_certain(bodies, InterpretationPair(subset, y))
-            for head, bodies in rules
-        )
-        for subset in proper_subsets
-    )
+    for subset in proper_subsets:
+        pair, closed = InterpretationPair(subset, y), subset.atoms
+        if all(head in closed or not sem.bodies_certain(bodies, pair) for head, bodies in rules):
+            return False
+    return True
 
 
 def stable_enumerate(
@@ -352,13 +353,14 @@ def _kripke_kleene_from(
     """Kleene iteration of the approximator from `start`, which the
     approximator must map to an equally or more precise pair.
 
-    The pair is carried as two masks of the program's universe and
-    becomes an InterpretationPair only when it is returned or named in an
-    error.  The first step tests every head.  Each later step tests only
-    the heads whose bodies mention an atom the last step changed in
-    either set (`old ^ new`), its lower tests first and then its upper
-    tests, each in `entries` order, with the row's mask tests; every
-    other head keeps its last answers.  The iteration ends at the first
+    The pair is carried as two masks of the program's universe, and each
+    step hands its tests one `_MaskPair`, which becomes an
+    InterpretationPair only when a test reads a set, or when it is
+    returned or named in an error.  The first step tests every head.
+    Each later step tests only the heads whose bodies mention an atom the
+    last step changed in either set (`old ^ new`), its lower tests first
+    and then its upper tests, each in `entries` order; every other head
+    keeps its last answers.  The iteration ends at the first
     step that changes no atom.  It walks the chain of pairs of
     `lower_step` and `upper_step` iterated together, raises the first
     error they would raise, and keeps their limit of steps."""
@@ -366,28 +368,29 @@ def _kripke_kleene_from(
     universe, entries = program.universe, program.entries
     bits = _bit_index(universe)
     limit = 2 * len(universe) + 2
-    certain, possible = sem.certain_at, sem.possible_at
+    certain, possible = sem.bodies_certain, sem.bodies_possible
     lower, upper = start.masks
     certain_heads = possible_heads = 0  # the heads' last answers
     tested = range(len(entries))
     for _ in range(limit):
+        pair = _MaskPair(universe, lower, upper)
         if lower & ~upper:
-            _pair_at(universe, lower, upper).require_consistent()
+            pair.interpretations().require_consistent()
         for i in tested:
             head, bodies = entries[i]
-            if certain(bodies, universe, lower, upper):
+            if certain(bodies, pair):
                 certain_heads |= bits[head]
             else:
                 certain_heads &= ~bits[head]
         for i in tested:
             head, bodies = entries[i]
-            if possible(bodies, universe, lower, upper):
+            if possible(bodies, pair):
                 possible_heads |= bits[head]
             else:
                 possible_heads &= ~bits[head]
         changed = (lower ^ certain_heads) | (upper ^ possible_heads)
         if not changed:
-            return _pair_at(universe, lower, upper)
+            return pair.interpretations()
         lower, upper = certain_heads, possible_heads
         tested = _entries_reading(program, _atoms_at(universe, changed))
     raise AssertionError(f"Kleene iteration failed to reach a fixpoint in {limit} steps")
@@ -426,5 +429,7 @@ def _lfp_upper(sem: SemanticsId, program: Program, x: Interpretation) -> Interpr
     least fixpoint (the seed is contained in it).
     """
     lower = x.mask
-    z = _least_fixpoint(SemanticsId.possible_at, sem, program, lambda z: (lower, z | lower), False)
+    z = _least_fixpoint(
+        SemanticsId.bodies_possible, sem, program, lambda z: (lower, z | lower), False
+    )
     return _interpretation_at(program.universe, z)

@@ -11,10 +11,9 @@ Each universe has one bit index, kept in a bounded cache, which also
 checks every Interpretation against its universe; an Interpretation
 computes its atoms as a mask once, on first use (`mask`).  A walk that
 tests members at their masks takes them from `_extension_masks` and
-builds the members it keeps with `_interpretation_at`; a loop that
-carries a pair as two masks builds it with `_pair_at` only where a pair
-is returned, named in an error or asked for by a test without a mask
-form.
+builds the members it keeps with `_interpretation_at`.  A loop that
+carries a pair as two masks hands the row tests a `_MaskPair`, which
+builds its InterpretationPair only when a test reads a set.
 """
 
 from __future__ import annotations
@@ -224,6 +223,35 @@ def _pair_at(universe: tuple[str, ...], lower: int, upper: int) -> Interpretatio
     `upper`."""
     lower_set, upper_set = _interpretation_at(universe, lower), _interpretation_at(universe, upper)
     return InterpretationPair(lower_set, upper_set)
+
+
+class _MaskPair:
+    """The pair over the universe whose sets have the masks `lower` and
+    `upper`, as a Kleene loop carries it.  It answers `universe` and
+    `masks` as an InterpretationPair does, and builds that pair on the
+    first read of `lower` or `upper` (`interpretations`), so a row test
+    that reads only masks builds nothing."""
+
+    __slots__ = ("universe", "masks", "_pair")
+
+    def __init__(self, universe: tuple[str, ...], lower: int, upper: int):
+        self.universe = universe
+        self.masks = lower, upper
+        self._pair: InterpretationPair | None = None
+
+    def interpretations(self) -> InterpretationPair:
+        pair = self._pair
+        if pair is None:
+            pair = self._pair = _pair_at(self.universe, *self.masks)
+        return pair
+
+    @property
+    def lower(self) -> Interpretation:
+        return self.interpretations().lower
+
+    @property
+    def upper(self) -> Interpretation:
+        return self.interpretations().upper
 
 
 def leq_precision(a: InterpretationPair, b: InterpretationPair) -> bool:

@@ -37,18 +37,12 @@ from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, Union
 
-from .bounds import _bnd_truth, _bnd_truth_at, interval_truth
+from .bounds import _bnd_truth, interval_truth
 from .errors import CapabilityError, TooLargeError, check_universe_size
 from .eval2 import (
-    _bodies_certain_at,
-    _bodies_possible_at,
     _interval_sweep,
     _mr_certain,
-    _mr_certain_at,
-    _sweep_truth_at,
     _triv_truth,
-    _triv_truth_at,
-    _ultimate_certain_at,
     eval_aggregate,
     literal_holds,
     sat2_disjunction,
@@ -137,8 +131,11 @@ def _sweep_certain(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> b
 
 class _Row(NamedTuple):
     """One row of the relation table, the arguments of a `SemanticsId`
-    member.  Each test of a pair has a twin at masks (`*_at`) that reads
-    the kernels and answers None where an aggregate atom has none."""
+    member.  Each test takes an aggregate atom, or a head's `Bodies`, and
+    a consistent pair: an `InterpretationPair`, or the `interp._MaskPair`
+    of a Kleene loop.  A test that reads a kernel reads the pair's
+    `universe` and `masks`; one that needs the sets reads `lower` and
+    `upper`."""
 
     tag: str
     truth: Callable | None = None  # three-valued truth of an aggregate atom
@@ -146,9 +143,6 @@ class _Row(NamedTuple):
     well_behaved: bool = True
     monotone: bool = True
     bodies: Callable | None = None  # a whole disjunction, for the row that is not element-wise
-    truth_at: Callable | None = None
-    certain_at: Callable | None = None  # default: truth_at says t
-    bodies_at: Callable | None = None
 
 
 class SemanticsId(Enum):
@@ -156,41 +150,30 @@ class SemanticsId(Enum):
     `_Row`): the three-valued truth function of aggregate atoms (None
     when the relation has none), the certain-truth test of aggregate
     atoms (None when the row is not element-wise), the capability flags,
-    a test of one head's whole disjunction of bodies for the row that is
-    not element-wise, and the twins of these tests at masks."""
+    and a test of one head's whole disjunction of bodies for the row that
+    is not element-wise."""
 
-    def __new__(
-        cls, tag, truth, certain, well_behaved, monotone, bodies, truth_at, certain_at, bodies_at
-    ):
+    def __new__(cls, tag, truth, certain, well_behaved, monotone, bodies):
         member = object.__new__(cls)
         member._value_ = tag
         if certain is None and truth is not None:
             certain = lambda atom, pair: truth(atom, pair) is TruthValue.TRUE
-        if certain_at is None and truth_at is not None:
-
-            def certain_at(atom, universe, lower, upper):
-                value = truth_at(atom, universe, lower, upper)
-                return None if value is None else value is TruthValue.TRUE
-
         member._truth = truth
         member._certain = certain
         member._bodies = bodies
-        member._truth_at = truth_at
-        member._certain_at = certain_at
-        member._bodies_at = bodies_at
         member.is_well_behaved_claimed = well_behaved
         member.monotone_lower_operator = monotone
         return member
 
     GL = _Row("gl", _aggregate_free_only)
-    TRIV = _Row("triv", _triv_truth, truth_at=_triv_truth_at)
+    TRIV = _Row("triv", _triv_truth)
     GZ = _Row("gz", certain=_gz_certain)
-    ULT = _Row("ult", interval_truth, _sweep_certain, truth_at=_sweep_truth_at)
+    ULT = _Row("ult", interval_truth, _sweep_certain)
     LPST = _Row("lpst", certain=_lpst_certain)
-    BND = _Row("bnd", _bnd_truth, truth_at=_bnd_truth_at)
-    MR = _Row("mr", certain=_mr_certain, well_behaved=False, certain_at=_mr_certain_at)
+    BND = _Row("bnd", _bnd_truth)
+    MR = _Row("mr", certain=_mr_certain, well_behaved=False)
     FLP = _Row("flp", certain=_flp_certain, well_behaved=False, monotone=False)
-    ULTIMATE = _Row("ultimate", bodies=_sweep_certain, bodies_at=_ultimate_certain_at)
+    ULTIMATE = _Row("ultimate", bodies=_sweep_certain)
 
     def __str__(self) -> str:
         return self.value
@@ -217,44 +200,47 @@ class SemanticsId(Enum):
     def handles_aggregates(self) -> bool:
         return self._truth is not _aggregate_free_only
 
-    def _element_truth(self, element: BodyElement, pair: InterpretationPair) -> TruthValue:
-        if isinstance(element, Literal):
-            return _literal_truth(element, pair)
-        return self._truth(element, pair)
-
     def bodies_certain(self, bodies: Bodies, pair: InterpretationPair) -> bool:
         """Is one head's disjunction of bodies certainly true at the pair,
-        which the caller has checked to be consistent?"""
+        which the caller has checked to be consistent?  An element-wise
+        row tests the bodies and their elements left to right, each body
+        up to its first element that is not certainly true: a literal reads
+        its bit of the pair's masks (an atom outside the universe is
+        false), an aggregate atom takes the row's test."""
         if self._bodies is not None:
             return self._bodies(bodies, pair)
-        test = self._certain
-        return any(
-            all(_literal_sat3(e, pair) if isinstance(e, Literal) else test(e, pair) for e in body)
-            for body in bodies
-        )
+        test, bits = self._certain, _bit_index(pair.universe)
+        lower, upper = pair.masks
+        for body in bodies:
+            for element in body:
+                if element.__class__ is Literal:
+                    bit = bits.get(element.atom, 0)
+                    if upper & bit if element.negated else not lower & bit:
+                        break
+                elif not test(element, pair):
+                    break
+            else:
+                return True
+        return False
 
     def bodies_possible(self, bodies: Bodies, pair: InterpretationPair) -> bool:
         """Has one of the head's bodies no false element at the consistent
-        pair?  For a row with a truth function, which the caller checks."""
-        truth, false = self._element_truth, TruthValue.FALSE
-        return any(all(truth(e, pair) is not false for e in body) for body in bodies)
-
-    def certain_at(
-        self, bodies: Bodies, universe: tuple[str, ...], lower: int, upper: int
-    ) -> bool:
-        """`bodies_certain` at the consistent pair over the universe whose
-        sets have the masks `lower` and `upper`, with its answer and first
-        error; it builds that pair only for a test without a mask form."""
-        if self._bodies_at is not None:
-            return self._bodies_at(bodies, universe, lower, upper)
-        return _bodies_certain_at(bodies, universe, lower, upper, self._certain_at, self._certain)
-
-    def possible_at(
-        self, bodies: Bodies, universe: tuple[str, ...], lower: int, upper: int
-    ) -> bool:
-        """`bodies_possible` at the consistent pair with the masks `lower`
-        and `upper`, as `certain_at` is `bodies_certain`."""
-        return _bodies_possible_at(bodies, universe, lower, upper, self._truth_at, self._truth)
+        pair?  For a row with a truth function, which the caller checks;
+        in the order of `bodies_certain`, each body up to its first false
+        element."""
+        truth, false, bits = self._truth, TruthValue.FALSE, _bit_index(pair.universe)
+        lower, upper = pair.masks
+        for body in bodies:
+            for element in body:
+                if element.__class__ is Literal:
+                    bit = bits.get(element.atom, 0)
+                    if lower & bit if element.negated else not upper & bit:
+                        break
+                elif truth(element, pair) is false:
+                    break
+            else:
+                return True
+        return False
 
 
 def sat3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPair) -> bool:
@@ -308,7 +294,9 @@ def truth3(sem: SemanticsId | str, element: BodyElement, pair: InterpretationPai
     pair.require_consistent()
     if sem._truth is None:
         raise CapabilityError(f"{sem.value} has no three-valued truth function")
-    return sem._element_truth(element, pair)
+    if isinstance(element, Literal):
+        return _literal_truth(element, pair)
+    return sem._truth(element, pair)
 
 
 def truth3_body(

@@ -107,3 +107,12 @@ def test_kripke_kleene_loop_calls_neither_step():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert not called & {"lower_step", "upper_step"}, called
+
+
+def test_each_row_states_each_test_once():
+    """A row holds one test per question, each taking a pair: the Kleene
+    loops hand the same tests a mask pair, so no row keeps a second copy
+    of a test at masks."""
+    assert ternary._Row._fields == ("tag", "truth", "certain", "well_behaved", "monotone", "bodies")
+    for name in ("certain_at", "possible_at"):
+        assert not hasattr(ternary.SemanticsId, name), name

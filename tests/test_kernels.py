@@ -195,9 +195,8 @@ LAYOUT = {"_kernel_members", "Kernel", "KernelSlot", "built", "_NO_KERNEL", "_en
 
 def _kernel_reads(module):
     """(module, name) of each read of a kernel slot (the attribute
-    `_kernels`) and each mention of the tables' layout (`Kernel`,
-    `KernelSlot`, `_kernel_members`) as a name, an attribute or an
-    import."""
+    `_kernels`) and each mention of the tables' layout (the names of
+    `LAYOUT`) as a name, an attribute or an import."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     found = set()
     for node in ast.walk(tree):

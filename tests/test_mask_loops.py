@@ -1,13 +1,15 @@
-"""The Kleene loops carry pairs as two universe masks and test heads with
-the rows' mask tests, `SemanticsId.certain_at` and `possible_at`.
+"""The Kleene loops carry pairs as two universe masks and hand the rows'
+tests of a head, `SemanticsId.bodies_certain` and `bodies_possible`, an
+`interp._MaskPair`, which builds its InterpretationPair only when a test
+reads a set.
 
-Those tests must answer as the rows' tests of a pair, `bodies_certain`
-and `bodies_possible`: the same value, or the type and message of the
-same first error, and the same number of interval expansions, at every
-consistent pair of every program of the outcome fingerprint's corpus,
-±2^62 variants included (where few atoms and heads have kernels, so the
-tests take the pair path).  The loops build pairs only at their ends,
-and a kernel-backed relation call checks its pair once."""
+At a mask pair those tests must answer as at the InterpretationPair: the
+same value, or the type and message of the same first error, and the
+same number of interval expansions, at every consistent pair of every
+program of the outcome fingerprint's corpus, ±2^62 variants included
+(where few atoms and heads have kernels, so the tests read the sets).
+The loops build at most one pair per round, none where every test reads
+masks, and a kernel-backed relation call checks its pair once."""
 
 import importlib.util
 from collections import Counter
@@ -19,7 +21,7 @@ from aggsem import fixpoints, parse_program
 from aggsem.bounds import bnd_truth, interval_truth
 from aggsem.errors import AggsemError, InconsistentPairError
 from aggsem.eval2 import aggregate_holds_everywhere
-from aggsem.interp import InterpretationPair, interval_expansion_count
+from aggsem.interp import InterpretationPair, _MaskPair, interval_expansion_count
 from aggsem.syntax import AggregateAtom
 from aggsem.ternary import SemanticsId, all_consistent_pairs, sat3, truth3
 
@@ -52,17 +54,18 @@ def test_mask_tests_answer_as_the_pair_tests_on_the_fingerprint_corpus():
     for name, text in tool.corpus(tool.FINGERPRINT_COUNT, tool.FINGERPRINT_SKIPS):
         program = parse_program(text)
         universe = program.universe
-        pairs = [(p, p.lower.mask, p.upper.mask) for p in all_consistent_pairs(universe)]
+        pairs = all_consistent_pairs(universe)
         for sem in SemanticsId:
-            tests = [(SemanticsId.certain_at, SemanticsId.bodies_certain)]
+            tests = [SemanticsId.bodies_certain]
             if sem.has_truth_function:  # bodies_possible is defined for these rows only
-                tests.append((SemanticsId.possible_at, SemanticsId.bodies_possible))
-            for at_masks, at_pair in tests:
+                tests.append(SemanticsId.bodies_possible)
+            for test in tests:
                 for _, bodies in program.entries:
-                    for pair, lower, upper in pairs:
-                        expected = _counted(lambda: at_pair(sem, bodies, pair))
-                        got = _counted(lambda: at_masks(sem, bodies, universe, lower, upper))
-                        assert got == expected, (name, sem, at_masks.__name__, bodies, pair)
+                    for pair in pairs:
+                        expected = _counted(lambda: test(sem, bodies, pair))
+                        masks = _MaskPair(universe, *pair.masks)
+                        got = _counted(lambda: test(sem, bodies, masks))
+                        assert got == expected, (name, sem, test.__name__, bodies, pair)
                         value = expected[0]
                         seen[value[0] if isinstance(value, tuple) else value] += 1
     # both answers and the errors a head test raises are reached
@@ -70,15 +73,21 @@ def test_mask_tests_answer_as_the_pair_tests_on_the_fingerprint_corpus():
 
 
 def _count_pairs(monkeypatch):
-    """A counter of the InterpretationPairs built from now on."""
+    """A counter of the InterpretationPairs (`pairs`) and the mask pairs
+    of the loops (`rounds`) built from now on."""
     built = Counter()
-    post_init = InterpretationPair.__post_init__
+    post_init, init = InterpretationPair.__post_init__, _MaskPair.__init__
 
-    def counting(pair):
+    def counting_pairs(pair):
         built["pairs"] += 1
         post_init(pair)
 
-    monkeypatch.setattr(InterpretationPair, "__post_init__", counting)
+    def counting_rounds(pair, *args):
+        built["rounds"] += 1
+        init(pair, *args)
+
+    monkeypatch.setattr(InterpretationPair, "__post_init__", counting_pairs)
+    monkeypatch.setattr(_MaskPair, "__init__", counting_rounds)
     return built
 
 
@@ -90,12 +99,16 @@ def test_the_loops_build_pairs_only_at_their_ends(monkeypatch):
     box = fixpoints._supported_box(program)
     # the start pair and the box; plain iteration builds one per step
     assert box == start and built["pairs"] == 2
-    # the rows whose aggregate tests have a mask form; gz, lpst and flp
-    # build their pair once per head test that meets an aggregate
+    # the rows whose aggregate tests read the kernels build no pair
     for sem in ("triv", "ult", "bnd", "mr", "ultimate"):
         built.clear()
         assert fixpoints.stable_check(sem, program, y)
-        assert built["pairs"] == 0, sem
+        assert built["pairs"] == 0 and built["rounds"] > 0, (sem, built)
+    # gz, lpst and flp read the sets of a pair: at most one per round
+    for sem in ("gz", "lpst", "flp"):
+        built.clear()
+        assert fixpoints.stable_check(sem, program, y)
+        assert 0 < built["pairs"] <= built["rounds"], (sem, built)
 
 
 def _count_checks(monkeypatch):
