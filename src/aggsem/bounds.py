@@ -72,11 +72,11 @@ def exact_bounds(atom: AggregateAtom, pair: InterpretationPair) -> Bounds:
     interval.  An atom with a kernel returns one shared `Bounds` per
     restricted pair."""
     pair.require_consistent()
-    masks = pair.universe, *pair.masks
-    bounds = _kernel_bounds(atom, *masks, _bounds)
+    universe, (lower, upper) = pair.universe, pair.masks
+    bounds = _kernel_bounds(atom, universe, lower, upper, _bounds)
     if bounds is not None:
         return bounds
-    fixed, branches = _split(atom, *masks)
+    fixed, branches = _split(atom, universe, lower, upper)
     empty_certain = not fixed and not branches
     empty_possible = not fixed and all(not bt or not bf for bf, bt in branches.values())
     if atom.func in (AggFunc.SUM, AggFunc.CARD, AggFunc.PROD):
@@ -175,11 +175,12 @@ def _bnd_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     interval sweep for min, max and avg."""
     if atom.func in (AggFunc.MIN, AggFunc.MAX, AggFunc.AVG):
         return interval_truth(atom, pair)
-    read = _kernel_range(atom, pair.universe, *pair.masks)
+    universe, (lower, upper) = pair.universe, pair.masks
+    read = _kernel_range(atom, universe, lower, upper)
     if read is not None:
         lb, ub, _, _ = read
     else:
-        lb, ub = _hull(atom.func, *_split(atom, pair.universe, *pair.masks))
+        lb, ub = _hull(atom.func, *_split(atom, universe, lower, upper))
     w = atom.bound
     cmp, holds = atom.cmp, atom.cmp.holds
     outside = w < lb or w > ub
