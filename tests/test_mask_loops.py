@@ -73,21 +73,25 @@ def test_mask_tests_answer_as_the_pair_tests_on_the_fingerprint_corpus():
 
 
 def _count_pairs(monkeypatch):
-    """A counter of the InterpretationPairs (`pairs`) and the mask pairs
-    of the loops (`rounds`) built from now on."""
+    """A counter of the InterpretationPairs built (`pairs`) and of the
+    rounds of the least fixpoint (`rounds`, its calls of `pair_at`) from
+    now on."""
     built = Counter()
-    post_init, init = InterpretationPair.__post_init__, _MaskPair.__init__
+    post_init, least_fixpoint = InterpretationPair.__post_init__, fixpoints._least_fixpoint
 
     def counting_pairs(pair):
         built["pairs"] += 1
         post_init(pair)
 
-    def counting_rounds(pair, *args):
-        built["rounds"] += 1
-        init(pair, *args)
+    def counting_rounds(holds, sem, program, pair_at, stop_at_upper):
+        def counted(x):
+            built["rounds"] += 1
+            return pair_at(x)
+
+        return least_fixpoint(holds, sem, program, counted, stop_at_upper)
 
     monkeypatch.setattr(InterpretationPair, "__post_init__", counting_pairs)
-    monkeypatch.setattr(_MaskPair, "__init__", counting_rounds)
+    monkeypatch.setattr(fixpoints, "_least_fixpoint", counting_rounds)
     return built
 
 
