@@ -22,14 +22,18 @@ condition atoms; acceptable at desk scale.  avg compares the (sum,
 count) entries by cross-multiplication and builds only two fractions;
 min and max compare the members' extremes in one pass.
 
-An atom with a kernel takes its bounds, and `bnd_truth` its sum/card
-hull, from its interval entries in `eval2`: no value of such an atom
-leaves the range, so the least and the greatest are those of the hull
-and the half tables.  `bnd_truth` reads the two bounds from
-`eval2._kernel_range`, which returns them with the two emptiness flags,
-and `exact_bounds` returns the one `Bounds` that `eval2._kernel_bounds`
-keeps per restricted pair, built by `_bounds` the first time a call
-asks for it and then shared by every call on the same restricted pair.
+An atom with a kernel takes its bounds, and `bnd_truth` its
+sum/card/prod hull, from its interval entries in `eval2`: no value of
+such an atom leaves the range, so the least and the greatest are those
+of the hull and the half tables.  Only a sum, card or prod without a
+kernel (more than `eval2.KERNEL_ATOMS` condition atoms, or weights past
+its function's int64 guard) rebuilds its hull from `_split` at each
+call, with the hull's first error.  `bnd_truth` reads the two bounds
+from `eval2._kernel_range`, which returns them with the two emptiness
+flags, and `exact_bounds` returns the one `Bounds` that
+`eval2._kernel_bounds` keeps per restricted pair, built by `_bounds`
+the first time a call asks for it and then shared by every call on the
+same restricted pair.
 """
 
 from __future__ import annotations

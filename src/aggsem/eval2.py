@@ -10,8 +10,10 @@ or silently using big integers.
 `_RULES` states these rules once, one row per function: the partial
 value (measure) of some weights, the join of two partial values, the
 value of a partial value with its int64 check, and the member truths of
-`ult`'s interval sweep.  `aggregate_value`, the sweep's half tables and
-the `bounds` module read the rows.  The per-atom evaluators, the
+two half tables, which `ult`'s interval sweep and the kernels' truth
+tables read (prod's only the kernels': its sweep walks members).
+`aggregate_value`, the sweep's half tables, the kernels and the
+`bounds` module read the rows.  The per-atom evaluators, the
 sweep's truth loops and avg's value range restate a row's test inline,
 as their callers run them once per interpretation or member.
 
@@ -34,14 +36,16 @@ the one `Bounds` that `bounds.exact_bounds` builds from it
 (`_kernel_bounds`).  Each is filled the first time a call asks for it,
 from the members of the interval, `table[(lower & cm) | s]` for `s`
 over the submasks of the pair's free bits of `cm`.  An atom gets a
-kernel when it is not prod, has at most `KERNEL_ATOMS` condition atoms
-and its absolute weights sum within int64, so that no value leaves the
+kernel when it has at most `KERNEL_ATOMS` condition atoms and its
+weights pass its function's int64 guard (`_within_int64`), so that no
+partial value of any of its entries, taken in any order, leaves the
 range and no answer depends on the order of the members; a head when
 its bodies mention at most `KERNEL_ATOMS` atoms and no evaluation at a
 choice of them leaves the range.  Everything else takes the ordered
-sweeps, with their first errors.  Only this module reads a kernel or an
-entry: one interval sweep reads a truth entry for an atom (`ult`, and
-`bnd` for min, max and avg) and for a head's `Bodies` (`ultimate`);
+sweeps, and prod without a kernel its member walk, with their first
+errors.  Only this module reads a kernel or an entry: one interval
+sweep reads a truth entry for an atom (`ult`, and `bnd` for min, max
+and avg) and for a head's `Bodies` (`ultimate`);
 `_kernel_range` gives `bounds` a range entry and `_kernel_bounds` a
 shared `Bounds`; and the `triv` and `mr` tests live here.
 
@@ -61,7 +65,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import inf
+from math import inf, prod
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArithmeticOverflowError, InconsistentPairError
@@ -411,9 +415,11 @@ def _interval_sweep(
 def _member_truths(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> Iterator[bool]:
     """The owner's truth at each member of the sweep, in order.
 
-    A head's disjunction and prod walk the members.  The other functions
-    build none: each member's value is one entry of `_half_tables` over
-    the free condition atoms joined with another.
+    A head's disjunction and a prod without a kernel walk the members,
+    so a product leaves the signed 64-bit range at the first member, and
+    the first factor, at which the ordered product does.  The other
+    functions build none: each member's value is one entry of
+    `_half_tables` over the free condition atoms joined with another.
     """
     if isinstance(owner, Bodies):
         members = enumerate_interval(pair.lower, pair.upper, restrict=owner.atoms)
@@ -475,6 +481,18 @@ def _sum_truths(atom: AggregateAtom, high: list, low: list) -> Iterator[bool]:
             value = hv + lv
             if checked and not INT64_MIN <= value <= INT64_MAX:
                 checked_int(value, "sum")
+            yield holds(value, bound)
+
+
+def _prod_truths(atom: AggregateAtom, high: list, low: list) -> Iterator[bool]:
+    """prod: a member's value is its high entry times its low entry.  Only
+    a kernel reads these: its guard keeps every product in the range."""
+    holds, bound = atom.cmp.holds, atom.bound
+    for hv in high:
+        for lv in low:
+            value = hv * lv
+            if not INT64_MIN <= value <= INT64_MAX:
+                checked_int(value, "product")
             yield holds(value, bound)
 
 
@@ -559,13 +577,15 @@ class _Rule(NamedTuple):
     measure: Callable  # the partial value of some weights
     join: Callable  # the partial value of two parts together
     value: Callable  # the value of a partial value, int64-checked; None: undefined
-    truths: Callable | None  # the sweep's member truths; None: the sweep walks members
+    truths: Callable  # the member truths of two half tables (prod: its kernel's only)
 
 
 _RULES = {
     AggFunc.SUM: _Rule(sum, operator.add, lambda total: checked_int(total, "sum"), _sum_truths),
     AggFunc.CARD: _Rule(len, operator.add, lambda count: count, _sum_truths),
-    AggFunc.PROD: _Rule(checked_product, operator.mul, lambda p: checked_int(p, "product"), None),
+    AggFunc.PROD: _Rule(
+        checked_product, operator.mul, lambda p: checked_int(p, "product"), _prod_truths
+    ),
     AggFunc.AVG: _Rule(
         lambda ws: (sum(ws), len(ws)),
         lambda p, q: (p[0] + q[0], p[1] + q[1]),
@@ -641,17 +661,23 @@ _NO_KERNEL = (None, None, None, None, None)
 
 def atom_kernels(atom: AggregateAtom) -> KernelSlot | None:
     """The atom's kernel slot, or None for an atom that gets no kernel:
-    prod, which walks its members; more than `KERNEL_ATOMS` condition
-    atoms; or absolute weights summing beyond int64.  Below that bound no
-    partial value leaves the range, so no relation raises and none
-    depends on the order in which it takes the members."""
-    if (
-        atom.func is AggFunc.PROD
-        or len(atom.condition_atoms) > KERNEL_ATOMS
-        or sum(abs(w) for w, _ in atom.entries) > INT64_MAX
-    ):
+    more than `KERNEL_ATOMS` condition atoms, or weights past its
+    function's guard (`_within_int64`).  Within the guard no partial
+    value leaves the range, so no relation raises and none depends on
+    the order in which it takes the members."""
+    if len(atom.condition_atoms) > KERNEL_ATOMS or not _within_int64(atom):
         return None
     return KernelSlot(_atom_kernel)
+
+
+def _within_int64(atom: AggregateAtom) -> bool:
+    """The kernel's guard, one per function, which bounds the partial
+    value of every subset of the entries, joined in any order: for prod
+    the product of max(1, |w|) over the entries, for the other five the
+    sum of |w|, is at most INT64_MAX."""
+    if atom.func is AggFunc.PROD:
+        return prod(max(1, abs(w)) for w, _ in atom.entries) <= INT64_MAX
+    return sum(abs(w) for w, _ in atom.entries) <= INT64_MAX
 
 
 def _atom_kernel(atom: AggregateAtom, universe: tuple[str, ...]) -> Kernel:

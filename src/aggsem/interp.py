@@ -53,12 +53,19 @@ def reset_interval_expansions() -> None:
 # Each universe's bit index, built whole and stored in one assignment, so
 # a thread never reads one half built; cleared when it holds 64 universes.
 _bit_indexes: dict[tuple[str, ...], dict[str, int]] = {}
+# (universe, bits) of the last universe asked, replaced in one assignment:
+# a call on that same tuple object returns its bits without hashing it.
+_last_bit_index: tuple = (None, None)
 
 
 def _bit_index(universe: tuple[str, ...]) -> dict[str, int]:
     """The universe's bit layout: each atom with its bit, 1 << its
     position.  A universe that repeats an atom raises
     UniverseMismatchError."""
+    global _last_bit_index
+    last = _last_bit_index
+    if universe is last[0]:
+        return last[1]
     bits = _bit_indexes.get(universe)
     if bits is None:
         bits = {a: 1 << k for k, a in enumerate(universe)}
@@ -67,6 +74,7 @@ def _bit_index(universe: tuple[str, ...]) -> dict[str, int]:
         if len(_bit_indexes) >= 64:
             _bit_indexes.clear()
         _bit_indexes[universe] = bits
+    _last_bit_index = universe, bits
     return bits
 
 

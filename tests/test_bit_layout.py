@@ -16,7 +16,13 @@ import pytest
 import aggsem.eval2 as eval2
 from aggsem import ArithmeticOverflowError, UniverseMismatchError, oracle
 from aggsem.eval2 import Kernel, sat2_disjunction
-from aggsem.interp import Interpretation, InterpretationPair, enumerate_interval, extensions
+from aggsem.interp import (
+    Interpretation,
+    InterpretationPair,
+    _bit_index,
+    enumerate_interval,
+    extensions,
+)
 from aggsem.syntax import AggregateAtom, Literal, Program, Rule
 from aggsem.ternary import all_consistent_pairs
 
@@ -108,6 +114,30 @@ def test_a_universe_that_repeats_an_atom_has_no_layout():
             build()
     # the same atoms once each still build
     assert InterpretationPair.of(("a", "b"), ["a"], ["a", "b"]).masks == (1, 3)
+
+
+def test_the_last_universe_asked_answers_without_hashing():
+    class Counted(tuple):
+        """A universe that counts how often it is hashed."""
+
+        hashes = 0
+
+        def __hash__(self):
+            Counted.hashes += 1
+            return super().__hash__()
+
+    universe = Counted(("q", "p", "r"))
+    bits = _bit_index(universe)
+    assert bits == {"q": 1, "p": 2, "r": 4}
+    before = Counted.hashes
+    assert _bit_index(universe) is bits  # the same tuple: its dict, not hashed again
+    assert Counted.hashes == before
+    equal = ("q", "p", "r")
+    assert equal is not universe and _bit_index(equal) == bits
+    # a universe that repeats an atom raises right after another was cached
+    with pytest.raises(UniverseMismatchError, match="^universe contains duplicate atoms$"):
+        _bit_index(("a", "b", "a"))
+    assert _bit_index(equal) == bits
 
 
 # ---------------------------------------------------------------------------

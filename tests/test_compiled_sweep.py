@@ -99,14 +99,26 @@ def test_inconsistent_pair_raises_as_the_walk_does():
         )
 
 
-def test_only_prod_walks_members(monkeypatch):
+def test_only_a_kernel_less_prod_walks_members(monkeypatch):
     walked = []
-    monkeypatch.setattr(eval2, "eval_aggregate", lambda atom, z: walked.append(atom.func) or True)
+    monkeypatch.setattr(eval2, "eval_aggregate", lambda atom, z: walked.append(atom) or True)
     pair = InterpretationPair.least_precise(UNIVERSE)
-    for func in AggFunc:
-        atom = AggregateAtom(func, ((1, Literal("p")), (2, Literal("q", True))), Comparison.GE, 0)
+    two = ((1, Literal("p")), (2, Literal("q", True)))
+    small = [AggregateAtom(func, two, Comparison.GE, 0) for func in AggFunc]
+    # seven condition atoms, two of them outside the universe: past the cap
+    seven = tuple((2, Literal(a)) for a in UNIVERSE + ("u", "v"))
+    past_cap = AggregateAtom(AggFunc.PROD, seven, Comparison.GE, 0)
+    # max(1, |2^62|) * max(1, |2|) is past the guard
+    past_guard = AggregateAtom(
+        AggFunc.PROD, ((HALF, Literal("p")), (2, Literal("q"))), Comparison.GE, 0
+    )
+    for atom in small + [past_cap, past_guard]:
         interval_truth(atom, pair)
         aggregate_holds_everywhere(atom, pair)
-    # the prod walk visits the four members of {p, q} twice
-    assert walked == [AggFunc.PROD] * 8
+    assert all(atom._kernels is not None for atom in small)
+    assert (past_cap._kernels, past_guard._kernels) == (None, None)
+    # each of the two sweeps per atom visits every member once: the 2^5
+    # choices of the five condition atoms in the universe, the 2^2 of
+    # {p, q}; the small atoms, prod among them, walk none
+    assert walked == [past_cap] * 32 * 2 + [past_guard] * 4 * 2
 

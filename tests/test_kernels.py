@@ -26,9 +26,13 @@ from .test_stable_check import outcome
 PACKAGE = Path(eval2.__file__).parent
 UNIVERSE = ("d", "b", "e", "a", "c")  # not sorted, so universe order is not name order
 OUTSIDE = "z"  # a condition atom outside UNIVERSE: false in every interval over it
+WIDE = "y"  # a second one, so that an atom can pass the cap (outside the programs)
 INT64_MAX = (1 << 63) - 1
 HALF = 1 << 62
 WEIGHTS = (-3, -1, 0, 1, 2, 5)
+# 153092023 * 60247241209 == INT64_MAX: prod's guard, the product of
+# max(1, |w|), is exactly the largest int64 with these two factors
+FACTOR, COFACTOR = 153092023, 60247241209
 
 # the relations that read an atom's kernel, as functions of (atom, pair)
 RELATIONS = {
@@ -48,10 +52,13 @@ def _entry(rng, weights):
 
 
 def _atoms(rng):
-    """Seeded atoms of every function with up to seven entries, so some
-    pass the cap; some repeat a condition or take both of its literals;
-    and two families whose absolute weights sum to exactly the largest
-    int64 (kernel) and to one more (no kernel)."""
+    """Seeded atoms of every function with up to seven entries; some
+    repeat a condition or take both of its literals; two families at
+    each side of the function's int64 guard: absolute weights summing
+    to exactly the largest int64 (kernel) and to one more (no kernel),
+    and for prod, factors whose product is exactly the largest int64
+    (kernel) and one whose product passes it (no kernel); and one atom
+    of seven condition atoms, past the cap."""
     found = []
     for func in AggFunc:
         for _ in range(10):
@@ -61,12 +68,19 @@ def _atoms(rng):
                 entries.append((w, rng.choice((lit, lit.negate()))))
             bound = rng.choice((-2, -1, 0, 1, 2, 3))
             found.append(AggregateAtom(func, tuple(entries), rng.choice(list(Comparison)), bound))
-        for last in (HALF - 1, HALF):  # sums of |w|: INT64_MAX, INT64_MAX + 1
-            sign = rng.choice((1, -1))
-            entries = [(sign * HALF, Literal("a")), (sign * last, Literal("e", rng.random() < 0.5))]
-            entries += [(0, Literal(rng.choice(UNIVERSE)))]
+        if func is AggFunc.PROD:  # products of max(1, |w|): INT64_MAX, INT64_MAX + FACTOR
+            families = ((FACTOR, COFACTOR, rng.choice((0, 1, -1))), (FACTOR, COFACTOR + 1, 0))
+        else:  # sums of |w|: INT64_MAX, INT64_MAX + 1
+            families = ((HALF, HALF - 1, 0), (HALF, HALF, 0))
+        for first, second, third in families:
+            signs = rng.choice((1, -1)), rng.choice((1, -1))
+            entries = [(signs[0] * first, Literal("a"))]
+            entries += [(signs[1] * second, Literal("e", rng.random() < 0.5))]
+            entries += [(third, Literal(rng.choice(UNIVERSE)))]
             bound = rng.choice((0, 1, -1, HALF, -HALF, INT64_MAX))
             found.append(AggregateAtom(func, tuple(entries), rng.choice(list(Comparison)), bound))
+        wide = [(rng.choice(WEIGHTS), Literal(a)) for a in UNIVERSE + (OUTSIDE, WIDE)]
+        found.append(AggregateAtom(func, tuple(wide), rng.choice(list(Comparison)), 1))
     return found
 
 
@@ -74,6 +88,7 @@ def _programs(rng, atoms):
     """Programs over UNIVERSE and OUTSIDE whose heads mix literals and the
     atoms above, one to three bodies per head."""
     programs = []
+    atoms = [atom for atom in atoms if WIDE not in atom.condition_atoms]
     for _ in range(16):
         rules = []
         for head in rng.sample(UNIVERSE, 3):
@@ -137,8 +152,9 @@ def test_kernels_answer_as_the_per_call_paths(monkeypatch):
     ours, atoms_with, heads_with = _run(monkeypatch, kernels=True)
     reference, atoms_without, heads_without = _run(monkeypatch, kernels=False)
     assert (atoms_without, heads_without) == (0, (0, 0))
-    # prod, the atoms past the cap and the INT64_MAX + 1 family get none
-    assert 30 <= atoms_with < len(AggFunc) * 12 - 10
+    # every function gets kernels; the atom past the cap and the family
+    # past the guard get none, and nothing else can overflow
+    assert atoms_with == len(AggFunc) * (13 - 2)
     assert heads_with[0] >= 20 and heads_with[1] >= 1, heads_with
     assert len(ours) == len(reference)
     for index, (got, expected) in enumerate(zip(ours, reference)):
@@ -153,12 +169,29 @@ def test_kernel_eligibility():
         return AggregateAtom(func, entries, Comparison.GE, 0)
 
     fits, past = atom(AggFunc.SUM, HALF, -(HALF - 1)), atom(AggFunc.SUM, HALF, -HALF)
-    prod, wide = atom(AggFunc.PROD, 2), atom(AggFunc.CARD, *[1] * 7)
+    wide = atom(AggFunc.CARD, *[1] * 7)
     kernel = fits._kernels.over(fits, UNIVERSE)
     both = InterpretationPair.of(UNIVERSE, ("a", "b"), ("a", "b"))
     assert kernel.value[both.masks[0]] == 1
     assert sum(kernel.value.values()) == HALF + 1 - (HALF - 1)  # members {}, {a}, {b}, {a, b}
-    assert (past._kernels, prod._kernels, wide._kernels) == (None, None, None)
+    assert (past._kernels, wide._kernels) == (None, None)
+
+    # prod: a kernel whose value at every member is the checked product
+    bits = {a: 1 << UNIVERSE.index(a) for a in UNIVERSE}
+    for weights in ((-3, 5), (FACTOR, COFACTOR), (-FACTOR, COFACTOR)):
+        prod = atom(AggFunc.PROD, *weights)
+        kernel = prod._kernels.over(prod, UNIVERSE)
+        assert kernel.cm == bits["a"] | bits["b"]
+        for chosen in ((), ("a",), ("b",), ("a", "b")):
+            key = sum(bits[a] for a in chosen)
+            member = [w for w, a in zip(weights, "ab") if a in chosen]
+            assert kernel.value[key] == eval2.checked_product(member), (weights, chosen)
+    assert FACTOR * COFACTOR == INT64_MAX
+    # a product of max(1, |w|) past INT64_MAX gets none: a factor 0 does
+    # not lift the guard, and it is conservative, as every product of
+    # {2^62, -2} fits (the least is -2^63)
+    for weights in ((HALF, 2), (HALF, 2, 0), (FACTOR, COFACTOR + 1), (HALF, -2)):
+        assert atom(AggFunc.PROD, *weights)._kernels is None, weights
 
 
 def test_an_atom_with_a_kernel_pickles_compares_hashes_and_prints_as_before():
