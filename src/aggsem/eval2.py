@@ -352,6 +352,32 @@ def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     return TruthValue.UNDEFINED
 
 
+def _gz_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
+    """gz: upper satisfies the atom and every condition true in upper is
+    certainly true, that is true in lower as well, which only a positive
+    condition on an undefined atom fails.  An atom with a kernel reads
+    its truth at the upper set's mask."""
+    kernels = atom._kernels
+    if kernels is not None:
+        kernel = kernels.over(atom, pair.universe)
+        lower, upper = pair.masks
+        return not upper & ~lower & kernel.positive and kernel.truth[upper & kernel.cm]
+    return eval_aggregate(atom, pair.upper) and all(
+        literal_holds(cond, pair.lower) for cond in atom.conditions if literal_holds(cond, pair.upper)
+    )
+
+
+def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
+    """flp: both lower and upper satisfy the atom.  An atom with a kernel
+    reads its truth at both sets' masks."""
+    kernels = atom._kernels
+    if kernels is not None:
+        kernel = kernels.over(atom, pair.universe)
+        lower, upper = pair.masks
+        return kernel.truth[lower & kernel.cm] and kernel.truth[upper & kernel.cm]
+    return eval_aggregate(atom, pair.lower) and eval_aggregate(atom, pair.upper)
+
+
 def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     """mr: upper satisfies the atom and some subset of lower does.
 
@@ -615,7 +641,8 @@ class Kernel(NamedTuple):
     their universe bits, and each table is keyed by the submask of `cm`
     that is true.  `truth` is the atom's (or the head's disjunction's)
     two-valued truth; an aggregate atom's kernel also holds its `value`
-    (None: undefined) and whether no condition holds (`empty`).  The
+    (None: undefined), whether no condition holds (`empty`) and the bits
+    of the atoms of its positive conditions (`positive`).  The
     member of an interval that makes the atoms of `s` true reads key
     `(lower & cm) | s`, for `s` a submask of the interval's free bits."""
 
@@ -623,6 +650,7 @@ class Kernel(NamedTuple):
     truth: dict[int, bool]
     value: dict[int, int | Fraction | None] | None = None
     empty: dict[int, bool] | None = None
+    positive: int = 0
 
 
 class KernelSlot:
@@ -700,6 +728,7 @@ def _atom_kernel(atom: AggregateAtom, universe: tuple[str, ...]) -> Kernel:
         dict(zip(keys, truths(atom, partials, [measure(())]))),
         {key: value(partial) for key, partial in zip(keys, partials)},
         {key: not count for key, count in zip(keys, counts)},
+        sum(bits[a] for a in inside if Literal(a) in atom.conditions),
     )
 
 

@@ -9,7 +9,8 @@ when lower is contained in upper.
 This module owns the bit layout of masks: bit k stands for universe[k].
 Each universe has one bit index, kept in a bounded cache, which also
 checks every Interpretation against its universe; an Interpretation
-computes its atoms as a mask once, on first use (`mask`).  A walk that
+computes its atoms as a mask once, on first use (`mask`), unless
+`extensions` stored it as it built the member.  A walk that
 tests members at their masks takes them from `_extension_masks` and
 builds the members it keeps with `_interpretation_at`.  A loop that
 carries a pair as two masks hands the row tests a `_MaskPair`, which
@@ -322,34 +323,43 @@ def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretatio
     member is then built without its own universe check, as x's atoms
     united with two cached half-subsets: one of the low half of `free`
     (indexed by the low bits of the mask) and one of the high half
-    (indexed by the high bits).  A table entry is built from an earlier
-    one the first time the walk reaches it, so the tables hold
-    O(2^(|free|/2)) sets and a walk that stops early pays only for what
-    it visited.
+    (indexed by the high bits), and its `mask` is stored beside them,
+    from two tables of those half-subsets' masks.  A table entry is
+    built from an earlier one the first time the walk reaches it, so the
+    tables hold O(2^(|free|/2)) sets and a walk that stops early pays
+    only for what it visited.
     """
     _require_in_universe(free, x.universe)
     universe = x.universe
+    bits = _bit_index(universe)
     half = len(free) // 2
     low_mask = (1 << half) - 1
     low: list[frozenset[str]] = [frozenset()]  # subsets of free[:half]
     high = [x.atoms]  # x's atoms united with the subsets of free[half:]
+    low_masks, high_masks = [0], [x.mask]  # their masks
     new = object.__new__
     yield x
-    outer = x.atoms
+    outer, outer_mask = x.atoms, x.mask
     for mask in range(1, 1 << len(free)):
         i = mask & low_mask
         if not i:
             j = mask >> half
             if j == len(high):
                 # j without its lowest set bit, plus that bit's atom
-                high.append(high[j & (j - 1)] | {free[half + (j & -j).bit_length() - 1]})
-            outer = high[j]
+                rest, atom = j & (j - 1), free[half + (j & -j).bit_length() - 1]
+                high.append(high[rest] | {atom})
+                high_masks.append(high_masks[rest] | bits[atom])
+            outer, outer_mask = high[j], high_masks[j]
         elif i == len(low):
-            low.append(low[i & (i - 1)] | {free[(i & -i).bit_length() - 1]})
+            rest, atom = i & (i - 1), free[(i & -i).bit_length() - 1]
+            low.append(low[rest] | {atom})
+            low_masks.append(low_masks[rest] | bits[atom])
         member = new(Interpretation)
         fields = member.__dict__
         fields["universe"] = universe
         fields["atoms"] = outer | low[i]
+        # the `mask` a first read would compute, stored without its lock
+        fields["mask"] = outer_mask | low_masks[i]
         yield member
 
 

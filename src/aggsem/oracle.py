@@ -287,20 +287,31 @@ _HULL_RULES = {
 
 
 class _PairTables:
-    """Every consistent pair over one universe as an index into flat
+    """Every consistent pair over some atoms as an index into flat
     tables, and the fold that fills such a table from one value per
-    whole interpretation.
+    whole interpretation over those atoms.
 
     The index of a pair has one base-3 digit per atom, the first atom
-    of the universe lowest: 0 false, 1 true, 2 undefined.  The whole
-    interpretations are the members of `_subsets` over the universe, the
-    one at position `mask` having the atoms of `mask`'s bits; the exact
-    pair at it has index `mask`'s binary digits read in base 3."""
+    lowest: 0 false, 1 true, 2 undefined.  The whole interpretations
+    are the members of `_subsets` over the atoms, the one at position
+    `mask` having the atoms of `mask`'s bits; the exact pair at it has
+    index `mask`'s binary digits read in base 3.  Every atom of a
+    universe outside `atoms` is false in the tables' pairs."""
 
-    def __init__(self, universe: tuple[str, ...]):
-        self.members = list(_subsets(frozenset(), universe))
+    def __init__(self, atoms: tuple[str, ...]):
+        self.atoms = atoms
+        self.members = list(_subsets(frozenset(), atoms))
         self.mask = {z: mask for mask, z in enumerate(self.members)}
         self.exact = {z: int(f"{mask:b}", 3) for z, mask in self.mask.items()}
+
+    def pairs(self, universe: tuple[str, ...]) -> list[InterpretationPair]:
+        """The tables' pairs over `universe`, in the order of
+        `all_consistent_pairs` over the atoms."""
+        sets = {z: Interpretation(universe, z) for z in self.members}
+        return [
+            InterpretationPair(sets[p.lower.atoms], sets[p.upper.atoms])
+            for p in all_consistent_pairs(self.atoms)
+        ]
 
     def index(self, pair: InterpretationPair) -> int:
         exact = self.exact
@@ -321,9 +332,10 @@ class _PairTables:
 
 
 class _AtomTables(_AtomReferences):
-    """`_AtomReferences` at every consistent pair of one universe: `ult`,
-    its existential form, `mr` and the bounds read tables that one fold
-    of the whole interpretations fills at first use; `triv` stays per
+    """`_AtomReferences` at every pair of `pairs`, tables over the atom's
+    condition atoms (or over atoms that include them): `ult`, its
+    existential form, `mr` and the bounds read tables that one fold of
+    the whole interpretations fills at first use; `triv` stays per
     pair."""
 
     def __init__(self, atom: AggregateAtom, holds, pairs: _PairTables):
@@ -422,7 +434,7 @@ class _Overflow:
 
 
 def _join_lower(x, y):
-    """The intersection of two sets of heads, as masks.  An overflow
+    """The intersection of two sets of heads.  An overflow
     wins, and of two the one at the lower mask, which the interval walk
     of `_most_precise` meets first."""
     if isinstance(x, _Overflow) or isinstance(y, _Overflow):
@@ -432,16 +444,18 @@ def _join_lower(x, y):
 
 
 class _MostPreciseTable:
-    """`_most_precise(consequences, universe, pair).lower` at every
-    consistent pair of `pairs`, read from a table that one fold of the
-    consequences of the whole interpretations fills at first use."""
+    """`_most_precise(consequences, universe, pair).lower` at every pair
+    of `pairs`, read from a table that one fold of the consequences of
+    the whole interpretations fills at first use.  Over tables of a
+    head's atoms, it answers for that head wherever the universe's other
+    atoms are."""
 
     def __init__(self, consequences, universe: tuple[str, ...], pairs: _PairTables):
         self.consequences, self.universe, self.pairs = consequences, universe, pairs
 
     def _heads(self, mask: int, z: frozenset[str]):
         try:
-            return self.pairs.mask[self.consequences(z)]
+            return self.consequences(z)
         except ArithmeticOverflowError as error:
             return _Overflow(mask, error)
 
@@ -454,7 +468,7 @@ class _MostPreciseTable:
         heads = self._lower[self.pairs.index(pair)]
         if isinstance(heads, _Overflow):
             raise heads.error.with_traceback(None)
-        return Interpretation(self.universe, self.pairs.members[heads])
+        return Interpretation(self.universe, heads)
 
 
 def minimal_model_check(program: Program, i: Interpretation) -> bool:
@@ -535,15 +549,15 @@ class VerificationReport:
         return not self.mismatches
 
 
-# universes of at most this many atoms are verified at every consistent pair
+# A formula (an aggregate atom, a head's disjunction of bodies) of at
+# most this many atoms is verified at every consistent pair over its
+# atoms; a larger one at a seeded sample of the universe's pairs.
 ALL_PAIRS_ATOMS = 6
 
 
 def _sample_pairs(
     program: Program, seed: int = 0, limit: int = 800
 ) -> list[InterpretationPair]:
-    if len(program.universe) <= ALL_PAIRS_ATOMS:
-        return all_consistent_pairs(program.universe)
     rng = random.Random(seed)
     universe = program.universe
     pairs = [InterpretationPair.least_precise(universe)]
@@ -571,21 +585,29 @@ def verify_program(
     """Cross-check main-path results against the brute-force oracles and
     reduct constructions, and report the stable models per semantics.
 
-    Universes of at most six atoms are checked over every consistent
-    pair; larger ones over a seeded sample of pairs.  The main path is
-    evaluated afresh at every pair.  Over all pairs, the references are
-    read from tables over the pairs that the call builds once, at first
-    use, by folding values of whole interpretations: per aggregate atom,
-    its truth (for `ult`, `lpst`, `mr` and `bnd`) and its value bounds;
-    per program, the lower bound of the most precise approximator.  Each
-    aggregate atom's truth and the program's consequences are evaluated
-    once per interpretation for the length of the call, and `triv` reads
-    the kept truth at each pair's upper set.  A sampled run walks each
-    pair's interval afresh and keeps nothing.  Individual checks whose
-    oracle exceeds its enumeration bound, or whose main-path or
-    reference value leaves the signed 64-bit range, are counted as
-    skipped; over all pairs, an overflow of the consequences at one
-    interpretation skips the operator check at every pair whose interval
+    A relation's answer on a formula depends only on the pair restricted
+    to the formula's atoms.  So each aggregate atom is checked at its
+    own pairs: the 3^k consistent pairs over its k condition atoms, with
+    every other atom false.  The `ultimate` operator is checked per
+    head: whether the head is in `lower_step`'s answer, at the 3^k
+    pairs over the atoms its bodies mention.  A formula of more than
+    `ALL_PAIRS_ATOMS` atoms is checked at a seeded sample of the
+    universe's pairs instead, whose intervals are walked afresh and
+    whose evaluations are kept nowhere.  The main path is evaluated
+    afresh at every pair.
+
+    At own pairs, the references are read from tables over the pairs
+    that the call builds once per distinct atom set, at first use, by
+    folding values of whole interpretations over those atoms: per
+    aggregate atom, its truth (for `ult`, `lpst`, `mr` and `bnd`) and its
+    value bounds; per head, the lower bound of the most precise
+    approximator.  Each aggregate atom's truth and the program's
+    consequences are evaluated once per interpretation for the length of
+    the call, and `triv` reads the kept truth at each pair's upper set.
+    Individual checks whose oracle exceeds its enumeration bound, or
+    whose main-path or reference value leaves the signed 64-bit range,
+    are counted as skipped; an overflow of the consequences at one
+    interpretation skips a head's check at every pair whose interval
     holds it.
     `max_atoms`, when given, is the universe cap of the stable-model
     enumeration; `stable_enumerate`'s default otherwise.
@@ -595,19 +617,46 @@ def verify_program(
     if not program.is_aggregate_free:
         # gl rejects aggregates: neither checked nor reported
         sems = [sem for sem in sems if sem is not SemanticsId.GL]
-    pairs = _sample_pairs(program, seed)
-    aggregates = program.aggregate_atoms()
-    consequences = partial(_consequences, program)
-    if len(program.universe) <= ALL_PAIRS_ATOMS:
-        tables = _PairTables(program.universe)
-        # kept, as `triv` reads the truth at each pair's upper set again
-        references = [
-            _AtomTables(atom, _kept(partial(_brute_holds, atom)), tables) for atom in aggregates
-        ]
-        most_precise_lower = _MostPreciseTable(consequences, program.universe, tables).lower
-    else:
-        references = [_AtomReferences(atom) for atom in aggregates]
-        most_precise_lower = lambda p: _most_precise(consequences, program.universe, p).lower
+    universe = program.universe
+    tables: dict[frozenset[str], tuple[_PairTables, list[InterpretationPair]]] = {}
+
+    def own_pairs(atoms: Sequence[str]):
+        """The tables and pairs over `atoms`, one set per atom set; None
+        above the cap."""
+        if len(atoms) > ALL_PAIRS_ATOMS:
+            return None
+        key = frozenset(atoms)
+        if key not in tables:
+            pairs = _PairTables(tuple(a for a in universe if a in key))
+            tables[key] = pairs, pairs.pairs(universe)
+        return tables[key]
+
+    # per aggregate atom: its pairs and its references there
+    atom_checks = []
+    for atom in program.aggregate_atoms():
+        own = own_pairs(atom.condition_atoms)
+        if own is None:
+            atom_checks.append((atom, _sample_pairs(program, seed), _AtomReferences(atom)))
+        else:
+            # kept, as `triv` reads the truth at each pair's upper set again
+            holds = _kept(partial(_brute_holds, atom))
+            atom_checks.append((atom, own[1], _AtomTables(atom, holds, own[0])))
+    # per head whose `ultimate` lower bound is checked: its pairs and the
+    # most precise approximator's lower bound there
+    head_checks = []
+    if SemanticsId.ULTIMATE in sems:
+        consequences, kept, lowers = partial(_consequences, program), None, {}
+        for head, bodies in program.entries:
+            own = own_pairs(bodies.atoms)
+            if own is None:
+                lower = lambda p: _most_precise(consequences, universe, p).lower
+                head_checks.append((head, _sample_pairs(program, seed), lower))
+                continue
+            if own[0] not in lowers:
+                # kept, as tables over different atoms share interpretations
+                kept = kept or _kept(consequences)
+                lowers[own[0]] = _MostPreciseTable(kept, universe, own[0]).lower
+            head_checks.append((head, own[1], lowers[own[0]]))
     cap = () if max_atoms is None else (max_atoms,)
 
     @cache  # one enumeration serves both the reduct comparison and the report
@@ -634,25 +683,24 @@ def verify_program(
         SemanticsId.MR: (partial(sat3, SemanticsId.MR), "sat_mr"),
         SemanticsId.TRIV: (partial(sat3, SemanticsId.TRIV), "sat_triv"),
     }
-    at_pairs = [(pair,) for pair in pairs]
 
-    for atom, atom_references in zip(aggregates, references):
+    for atom, pairs, atom_references in atom_checks:
         compare(
             lambda pair: f"bounds of {atom} at {pair}",
             partial(exact_bounds, atom),
             atom_references.bounds,
-            at_pairs,
+            [(pair,) for pair in pairs],
         )
 
     for sem in sems:
         if sem in per_atom_oracles:
             main_fn, reference_name = per_atom_oracles[sem]
-            for atom, atom_references in zip(aggregates, references):
+            for atom, pairs, atom_references in atom_checks:
                 compare(
                     lambda pair: f"{sem.value}: {atom} at {pair}",
                     partial(main_fn, atom),
                     getattr(atom_references, reference_name),
-                    at_pairs,
+                    [(pair,) for pair in pairs],
                 )
         elif sem in (SemanticsId.GL, SemanticsId.GZ, SemanticsId.FLP):
             compare(
@@ -662,12 +710,13 @@ def verify_program(
                 [()],
             )
         elif sem is SemanticsId.ULTIMATE:
-            compare(
-                lambda pair: f"most-precise lower operator at {pair}",
-                partial(lower_step, sem, program),
-                most_precise_lower,
-                at_pairs,
-            )
+            for head, pairs, lower in head_checks:
+                compare(
+                    lambda pair: f"most-precise lower operator: {head} at {pair}",
+                    lambda pair: head in lower_step(sem, program, pair),
+                    lambda pair: head in lower(pair),
+                    [(pair,) for pair in pairs],
+                )
 
     for sem in sems:
         report.stable_models[sem.value] = stable_models(sem)

@@ -40,11 +40,12 @@ from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, Union
 from .bounds import _bnd_truth, interval_truth
 from .errors import CapabilityError, TooLargeError, check_universe_size
 from .eval2 import (
+    _flp_certain,
+    _gz_certain,
     _interval_sweep,
     _mr_certain,
     _triv_truth,
     eval_aggregate,
-    literal_holds,
     sat2_disjunction,
     sat2_element,
 )
@@ -104,22 +105,12 @@ def _aggregate_free_only(atom: AggregateAtom, pair: InterpretationPair) -> NoRet
     raise CapabilityError("gl is defined for aggregate-free programs only")
 
 
-def _gz_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
-    return eval_aggregate(atom, pair.upper) and all(
-        _literal_sat3(cond, pair) for cond in atom.conditions if literal_holds(cond, pair.upper)
-    )
-
-
 def _lpst_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     # Deliberately sweeps the full unrestricted interval: an independent
     # realization of the same definition as ult's restricted sweep.
     return all(
         eval_aggregate(atom, z) for z in enumerate_interval(pair.lower, pair.upper)
     )
-
-
-def _flp_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
-    return eval_aggregate(atom, pair.lower) and eval_aggregate(atom, pair.upper)
 
 
 def _sweep_certain(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> bool:

@@ -89,6 +89,23 @@ def test_reading_the_mask_changes_no_print_hash_or_pickle():
     assert (hash(pair), repr(pair), str(pair), pickle.dumps(pair)) == pair_before
 
 
+def test_walk_members_carry_their_mask_and_print_hash_and_pickle_as_built():
+    """`extensions` stores each member's mask as it builds the member; the
+    member still compares, hashes, prints and pickles as one built with
+    the universe check, and its unpickled copy computes the mask again."""
+    universe = ("q", "p", "s", "r")
+    x = Interpretation.of(universe, ("p",))
+    members = list(extensions(x, ["r", "q", "s"]))
+    assert len(members) == 8
+    for member in members[1:]:  # the first is x itself
+        assert "mask" in vars(member)
+        twin = Interpretation(universe, frozenset(member.atoms))
+        seen = member == twin, hash(member), repr(member), str(member), pickle.dumps(member)
+        assert seen == (True, hash(twin), repr(twin), str(twin), pickle.dumps(twin))
+        copy = pickle.loads(pickle.dumps(member))
+        assert "mask" not in vars(copy) and copy.mask == member.mask == twin.mask
+
+
 def test_atoms_outside_the_universe_keep_their_message():
     universe = ("q", "p")
     message = "atoms outside the universe: r, z"

@@ -41,7 +41,9 @@ RELATIONS = {
     "bnd_truth": bnd_truth,
     "exact_bounds": exact_bounds,
     "sat3 triv": lambda atom, pair: sat3("triv", atom, pair),
+    "sat3 gz": lambda atom, pair: sat3("gz", atom, pair),
     "sat3 mr": lambda atom, pair: sat3("mr", atom, pair),
+    "sat3 flp": lambda atom, pair: sat3("flp", atom, pair),
     "sat3 ult": lambda atom, pair: sat3("ult", atom, pair),
 }
 

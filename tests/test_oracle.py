@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +31,7 @@ from aggsem.ternary import SemanticsId, all_consistent_pairs
 from .conftest import interp, pair
 from .test_analysis import SIX_ATOMS, outcome, with_big_weights
 from .test_eval2 import agg
+from .test_oracle_tables import WIDE, own_pairs
 
 ALL_TAGS = [sem.value for sem in SemanticsId]
 
@@ -214,26 +215,34 @@ def test_verify_enumerates_each_semantics_once(nonconvex_loop, monkeypatch):
 
 def test_verify_describes_mismatches_as_before(nonconvex_loop, monkeypatch):
     """Main functions made wrong mismatch at every check, with the
-    descriptors, main values and oracle values of this format."""
+    descriptors, main values and oracle values of this format: each
+    aggregate atom at its own pairs, each head at the pairs of its
+    bodies' atoms."""
     import aggsem.oracle as oracle_module
+
+    program = nonconvex_loop
+    universe = program.universe
+
+    def complement(sem, of, p):
+        # every head's membership wrong
+        lower = ultimate_operator_bruteforce(of, p).lower
+        return lower.with_atoms(set(universe) - lower.atoms)
 
     monkeypatch.setattr(oracle_module, "exact_bounds", lambda atom, p: "wrong bounds")
     monkeypatch.setattr(oracle_module, "sat3", lambda sem, atom, p: "wrong truth")
     monkeypatch.setattr(oracle_module, "stable_enumerate", lambda sem, program: ["wrong model"])
-    monkeypatch.setattr(oracle_module, "lower_step", lambda sem, program, p: "wrong heads")
-    program = nonconvex_loop
+    monkeypatch.setattr(oracle_module, "lower_step", complement)
     report = verify_program(program, ["ult", "gz", "ultimate"])
 
-    pairs = all_consistent_pairs(program.universe)
-    atoms = program.aggregate_atoms()
+    atoms = [(atom, own_pairs(program, atom.condition_atoms)) for atom in program.aggregate_atoms()]
     expected = [
         (f"bounds of {atom} at {p}", "wrong bounds", str(brute_bounds(atom, p)))
-        for atom in atoms
+        for atom, pairs in atoms
         for p in pairs
     ]
     expected += [
         (f"ult: {atom} at {p}", "wrong truth", str(brute_sat_ult(atom, p)))
-        for atom in atoms
+        for atom, pairs in atoms
         for p in pairs
     ]
     expected.append(
@@ -243,16 +252,17 @@ def test_verify_describes_mismatches_as_before(nonconvex_loop, monkeypatch):
             str([str(m) for m in reduct_stable_models("gz", program)]),
         )
     )
-    expected += [
-        (
-            f"most-precise lower operator at {p}",
-            "wrong heads",
-            str(ultimate_operator_bruteforce(program, p).lower),
-        )
-        for p in pairs
-    ]
+    for head, bodies in program.entries:
+        for p in own_pairs(program, bodies.atoms):
+            reference = head in ultimate_operator_bruteforce(program, p).lower
+            expected.append(
+                (f"most-precise lower operator: {head} at {p}", str(not reference), str(reference))
+            )
     assert report.mismatches == expected
     assert (report.checked, report.skipped) == (len(expected), 0)
+    # three aggregate atoms (bounds and ult) and three heads over 2, 1
+    # and 1 atoms: 3^2 + 3 + 3 pairs each; one stable-model comparison
+    assert len(expected) == 3 * (9 + 3 + 3) + 1
 
 
 def test_verify_random_programs_have_no_mismatches():
@@ -266,16 +276,36 @@ def test_verify_random_programs_have_no_mismatches():
 
 
 # ---------------------------------------------------------------------------
-# evaluations kept by verify over every consistent pair
+# evaluations kept by verify at each formula's own pairs
 # ---------------------------------------------------------------------------
 
 
+def _recording_tables(monkeypatch):
+    """The per-formula tables each `verify_program` call builds."""
+    built = []
+
+    class AtomTables(oracle._AtomTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    class MostPreciseTable(oracle._MostPreciseTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "_AtomTables", AtomTables)
+    monkeypatch.setattr(oracle, "_MostPreciseTable", MostPreciseTable)
+    return built
+
+
 def test_kept_references_match_the_public_ones(monkeypatch):
-    """The references as `verify_program` builds them over every pair,
-    keeping each evaluation by whole interpretation, against the public
-    ones at every consistent pair: same value, or same error.  Then the
-    whole report under every tag, gz and flp with the new programs their
-    reducts make among them, with and without kept evaluations."""
+    """Every entry of the per-formula tables a `verify_program` call
+    builds, keeping each evaluation by whole interpretation, against the
+    public references at each of the table's pairs: same value, or same
+    error.  Then the whole report under every tag, gz and flp with the
+    new programs their reducts make among them, with and without kept
+    evaluations."""
     rng = random.Random(17)
     programs = [random_program(rng, max_atoms=6, max_rules=5) for _ in range(8)]
     assert max(len(p.universe) for p in programs) == 6
@@ -283,29 +313,31 @@ def test_kept_references_match_the_public_ones(monkeypatch):
     for program in programs:
         for variant in (program, with_big_weights(program)):
             universe = variant.universe
-            kept = [
-                (a, oracle._AtomReferences(a, oracle._kept(partial(oracle._brute_holds, a))))
-                for a in variant.aggregate_atoms()
-            ]
-            consequences = oracle._kept(partial(oracle._consequences, variant))
-            for p in all_consistent_pairs(universe):
-                for atom, references in kept:
-                    assert references.sat_ult(p) == brute_sat_ult(atom, p)
-                    assert references.sat_ult_upper(p) == brute_sat_ult_upper(atom, p)
-                    assert references.sat_mr(p) == brute_sat_mr(atom, p)
-                    assert references.sat_triv(p) == brute_sat_triv(atom, p)
-                    assert references.bnd_truth(p) == brute_bnd_truth(atom, p)
-                expected = outcome(lambda: ultimate_operator_bruteforce(variant, p))
-                kept_outcome = outcome(lambda: oracle._most_precise(consequences, universe, p))
-                assert kept_outcome == expected, (str(variant), str(p))
-                seen["operator", isinstance(expected, tuple)] += 1
-            report = outcome(lambda: verify_program(variant, ALL_TAGS))
+            with monkeypatch.context() as recording:
+                built = _recording_tables(recording)
+                report = outcome(lambda: verify_program(variant, ALL_TAGS))
+            for tables in built:
+                for p in tables.pairs.pairs(universe):
+                    if isinstance(tables, oracle._AtomTables):
+                        atom = tables.atom
+                        assert tables.sat_ult(p) == brute_sat_ult(atom, p)
+                        assert tables.sat_ult_upper(p) == brute_sat_ult_upper(atom, p)
+                        assert tables.sat_mr(p) == brute_sat_mr(atom, p)
+                        assert tables.sat_triv(p) == brute_sat_triv(atom, p)
+                        assert tables.bnd_truth(p) == brute_bnd_truth(atom, p)
+                        assert tables.bounds(p) == brute_bounds(atom, p)
+                        seen["atom"] += 1
+                        continue
+                    expected = outcome(lambda: ultimate_operator_bruteforce(variant, p).lower)
+                    assert outcome(lambda: tables.lower(p)) == expected, (str(variant), str(p))
+                    seen["operator", isinstance(expected, tuple)] += 1
             with monkeypatch.context() as fresh:
                 fresh.setattr(oracle, "_kept", lambda evaluate: evaluate)
                 assert outcome(lambda: verify_program(variant, ALL_TAGS)) == report, str(variant)
             seen["report", isinstance(report, tuple)] += 1
-    # values and errors (an overflow on a ±2^62 variant) of both
-    assert len(seen) == 4, seen
+    # atom entries, and values and errors (an overflow on a ±2^62
+    # variant) of the operator and of the report
+    assert len(seen) == 5, seen
 
 
 def _counting_evaluations(monkeypatch, program):
@@ -328,19 +360,30 @@ def _counting_evaluations(monkeypatch, program):
     return holds, images
 
 
+def _own_interpretations(atoms):
+    """The whole interpretations over `atoms`, every other atom false."""
+    return {frozenset(c) for size in range(len(atoms) + 1) for c in combinations(atoms, size)}
+
+
 def test_all_pairs_verify_evaluates_once_per_interpretation(monkeypatch):
+    """Each aggregate atom's truth once at each interpretation over its
+    condition atoms, and the consequences once at each interpretation
+    over the atoms of some head's bodies."""
     program = parse_program(SIX_ATOMS)
     holds, images = _counting_evaluations(monkeypatch, program)
     assert verify_program(program, ALL_TAGS).ok
-    interpretations = {p.lower.atoms for p in all_consistent_pairs(program.universe)}
-    assert len(interpretations) == 2**6
-    assert images == Counter(interpretations)
-    assert holds == Counter((a, z) for a in program.aggregate_atoms() for z in interpretations)
+    over_heads = set().union(*(_own_interpretations(b.atoms) for _, b in program.entries))
+    # {}, the six one-atom sets, {p, q}, and {a, b, s} with its subsets
+    assert len(over_heads) == 1 + 6 + 1 + 3
+    assert images == Counter(over_heads)
+    assert holds == Counter(
+        (a, z) for a in program.aggregate_atoms() for z in _own_interpretations(a.condition_atoms)
+    )
 
 
 def test_sampled_verify_keeps_nothing(monkeypatch):
-    program = parse_program(SIX_ATOMS + "d :- not c.")
-    assert len(program.universe) == oracle.ALL_PAIRS_ATOMS + 1
+    program = parse_program(WIDE)
+    assert [len(b.atoms) for _, b in program.entries] == [oracle.ALL_PAIRS_ATOMS + 1]
 
     def no_keeping(evaluate):
         raise AssertionError("a sampled verify keeps evaluations")
