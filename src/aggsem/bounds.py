@@ -46,12 +46,13 @@ from .eval2 import (
     AggValue,
     _avg_range,
     _extreme_range,
+    _fixed_weights,
     _half_tables,
     _interval_sweep,
     _kernel_bounds,
     _kernel_range,
 )
-from .interp import InterpretationPair, _bit_index
+from .interp import InterpretationPair, Universe
 from .syntax import AggFunc, AggregateAtom, Comparison
 from .truth import TruthValue
 
@@ -99,24 +100,18 @@ def _bounds(lb, ub, empty_possible: bool, empty_certain: bool) -> Bounds:
 
 
 def _split(
-    atom: AggregateAtom, universe: tuple[str, ...], lower: int, upper: int
+    atom: AggregateAtom, universe: Universe, lower: int, upper: int
 ) -> tuple[list[int], dict[str, tuple[tuple[int, ...], tuple[int, ...]]]]:
     """At the pair whose sets have the masks `lower` and `upper`: the
-    weights of the certainly true conditions, in entry order, and per
-    undefined condition atom, first occurrence first, its (false-branch,
-    true-branch) weights.  A condition atom outside the universe is
-    false."""
-    bits = _bit_index(universe)
-    fixed = [
-        w
-        for w, lit in atom.entries
-        if (not upper & bits.get(lit.atom, 0) if lit.negated else lower & bits.get(lit.atom, 0))
-    ]
-    free = upper & ~lower
+    weights of the certainly true conditions, in entry order
+    (`eval2._fixed_weights`), and per undefined condition atom, first
+    occurrence first, its (false-branch, true-branch) weights.  A
+    condition atom outside the universe is false."""
+    bits, free = universe.bits, upper & ~lower
     branches = {
         a: weights for a, weights in atom._branch_weights.items() if free & bits.get(a, 0)
     }
-    return fixed, branches
+    return _fixed_weights(atom, universe, lower, upper), branches
 
 
 def _hull(func: AggFunc, fixed: list[int], branches: dict) -> tuple[int, int]:

@@ -53,10 +53,9 @@ Stable search tests support at masks: `_supported_extensions` walks the
 candidates as universe masks and reads each head's kernel at the mask,
 so on a program whose heads all have kernels a candidate becomes an
 Interpretation only when it passes.  The tests of a pair here (`triv`,
-`mr` and the interval sweep) read a kernel at the pair's `universe` and
-`masks` and its sets only where the atom or head has none, so a Kleene
-loop of `fixpoints`, which hands them an `interp._MaskPair`, builds no
-pair for an atom or head with a kernel.
+`gz`, `flp`, `mr` and the interval sweep) read a kernel at the pair's
+`universe` and `masks`, and the atoms of its sets only where the atom or
+head has none.
 """
 
 from __future__ import annotations
@@ -72,10 +71,9 @@ from .errors import ArithmeticOverflowError, InconsistentPairError
 from .interp import (
     Interpretation,
     InterpretationPair,
-    _bit_index,
+    Universe,
     _count_expansion,
     _extension_masks,
-    _interpretation_at,
     _interval_free_atoms,
     enumerate_interval,
     extensions,
@@ -137,7 +135,7 @@ AggValue.UNDEFINED = AggValue(False)
 
 
 def literal_holds(literal: Literal, i: Interpretation) -> bool:
-    return (literal.atom in i.atoms) != literal.negated
+    return (literal.atom in i) != literal.negated
 
 
 def eval_multiset(entries: Sequence[tuple[int, Literal]], i: Interpretation) -> tuple[int, ...]:
@@ -301,7 +299,7 @@ def _supported_extensions(
     head has a kernel, only the members that pass are built; otherwise
     `extensions` builds each member alongside its mask."""
     universe = x.universe
-    bits = _bit_index(universe)
+    bits = universe.bits
     heads, tests = 0, []
     for head, bodies in program.entries:
         kernels = bodies._kernels
@@ -323,7 +321,7 @@ def _supported_extensions(
                 break
         else:
             if not mask & ~heads:  # every atom of a supported model is a head
-                yield _interpretation_at(universe, mask) if member is None else member
+                yield Interpretation(universe, mask) if member is None else member
 
 
 def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) -> bool:
@@ -340,16 +338,16 @@ def _triv_truth(atom: AggregateAtom, pair: InterpretationPair) -> TruthValue:
     """triv: the atom's truth at the upper set when every condition atom
     is decided, else undefined.  An atom with a kernel reads it at the
     upper set's mask."""
-    kernels = atom._kernels
+    kernels, (lower, upper) = atom._kernels, pair.masks
     if kernels is not None:
         kernel = kernels.over(atom, pair.universe)
-        lower, upper = pair.masks
         if (upper ^ lower) & kernel.cm:
             return TruthValue.UNDEFINED
         return TruthValue.from_bool(kernel.truth[upper & kernel.cm])
-    if all(a in pair.lower.atoms or a not in pair.upper.atoms for a in atom.condition_atoms):
-        return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
-    return TruthValue.UNDEFINED
+    bits = pair.universe.bits
+    if any(upper & ~lower & bits.get(a, 0) for a in atom.condition_atoms):
+        return TruthValue.UNDEFINED
+    return TruthValue.from_bool(eval_aggregate(atom, pair.upper))
 
 
 def _gz_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
@@ -396,7 +394,7 @@ def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
         return _entry_truth(kernel, truths, 0, lower) is not False
     if not eval_aggregate(atom, pair.upper):
         return False
-    base = [a for a in atom.condition_atoms if a in pair.lower.atoms]
+    base = [a for a in atom.condition_atoms if a in pair.lower]
     return any(eval_aggregate(atom, z) for z in extensions(pair.lower.with_atoms(()), base))
 
 
@@ -455,18 +453,20 @@ def _member_truths(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> I
         members = enumerate_interval(pair.lower, pair.upper, restrict=restrict)
         return (eval_aggregate(owner, z) for z in members)
     free = _interval_free_atoms(pair.lower, pair.upper, restrict)
-    high, low = _half_tables(owner, free, _fixed_weights(owner, pair))
+    fixed = _fixed_weights(owner, pair.universe, *pair.masks)
+    high, low = _half_tables(owner, free, fixed)
     return _RULES[owner.func].truths(owner, high, low)
 
 
-def _fixed_weights(atom: AggregateAtom, pair: InterpretationPair) -> list[int]:
-    """The weights of the conditions the pair makes certainly true, in
-    entry order."""
-    lower, upper = pair.lower.atoms, pair.upper.atoms
+def _fixed_weights(atom: AggregateAtom, universe: Universe, lower: int, upper: int) -> list[int]:
+    """The weights of the conditions that the pair whose sets have the
+    masks `lower` and `upper` makes certainly true, in entry order.  A
+    condition atom outside the universe is false."""
+    bits = universe.bits
     return [
         w
         for w, lit in atom.entries
-        if (lit.atom not in upper if lit.negated else lit.atom in lower)
+        if (not upper & bits.get(lit.atom, 0) if lit.negated else lower & bits.get(lit.atom, 0))
     ]
 
 
@@ -712,7 +712,7 @@ def _atom_kernel(atom: AggregateAtom, universe: tuple[str, ...]) -> Kernel:
     """The atom's tables over its condition atoms in the universe, built
     by `_choice_table` as the half tables are; a condition atom outside
     the universe is false in every interval over it."""
-    bits = _bit_index(universe)
+    bits = Universe.of(universe).bits
     branches = atom._branch_weights
     inside = [a for a in atom.condition_atoms if a in bits]
     fixed = [w for a in atom.condition_atoms if a not in bits for w in branches[a][0]]
@@ -743,12 +743,10 @@ def _head_kernel(bodies: Bodies, universe: tuple[str, ...]) -> Kernel | None:
     universe, or None when an evaluation leaves the signed 64-bit range:
     which member of an interval raises first depends on the order, so
     the sweep runs.  An atom outside the universe is false."""
-    inside = [a for a in bodies.atoms if a in universe]
+    empty = Interpretation.empty(universe)
+    inside = [a for a in bodies.atoms if a in empty.universe.bits]
     try:
-        truth = {
-            z.mask: sat2_disjunction(bodies, z)
-            for z in extensions(Interpretation(universe, frozenset()), inside)
-        }
+        truth = {z.mask: sat2_disjunction(bodies, z) for z in extensions(empty, inside)}
     except ArithmeticOverflowError:
         return None
     return Kernel(max(truth), truth)  # cm: the greatest key, every atom chosen

@@ -32,23 +32,19 @@ universe masks, reads each head's kernel at the mask and stops at the
 first head it refutes, so only the candidates that pass become
 Interpretations and reach `stable_check`.  The Kripke-Kleene loop (the
 box included) and the least fixpoint carry their pair as two masks in
-`interp`'s bit layout: a step's changed atoms are `old ^ new`, the
-consistency check is `lower & ~upper`, and a head is tested with its
-row's test (`SemanticsId.bodies_certain`, `bodies_possible`) at one
-`interp._MaskPair` per step, which builds its InterpretationPair only
-when a test reads a set: a literal reads its bit, and an atom or head
-with a kernel the masks.  The minimal-model check, whose subset walk
-builds each subset, tests every rule at one pair per subset.  Otherwise
-pairs are built where they leave the loops:
-the box, the Kripke-Kleene and well-founded pairs, the least fixpoint
-`lfp_lower` returns, and the pair an InconsistentPairError names.  The
-least fixpoint is semi-naive (a head already derived is not tested
-again, and a waiting head only when an atom of its bodies was just
-added) and stops as soon as it reaches Y.  The well-founded upper
-bound, the least fixpoint of the upper operator, runs through the same
-loop.  A well-founded round computes its lower (upper) set again only
-when the upper (lower) set it is computed from differs from the last
-round's.
+`interp`'s bit layout: a step's changed atoms are `old ^ new`, and a
+head is tested with its row's test (`SemanticsId.bodies_certain`,
+`bodies_possible`) at the one InterpretationPair each step builds from
+the masks.  A literal reads its bit, an atom or head with a kernel the
+masks, and only a test without one derives the atoms of the pair's
+sets.  The minimal-model check, whose subset walk builds each subset,
+tests every rule at one pair per subset.  The least fixpoint is
+semi-naive (a head already derived is not tested again, and a waiting
+head only when an atom of its bodies was just added) and stops as soon
+as it reaches Y.  The well-founded upper bound, the least fixpoint of
+the upper operator, runs through the same loop.  A well-founded round
+computes its lower (upper) set again only when the upper (lower) set it
+is computed from differs from the last round's.
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`
@@ -72,15 +68,7 @@ from typing import Callable, Iterable, TypeVar
 
 from .errors import ArithmeticOverflowError, CapabilityError, check_universe_size
 from .eval2 import _supported_extensions, is_supported_model
-from .interp import (
-    Interpretation,
-    InterpretationPair,
-    _atoms_at,
-    _bit_index,
-    _interpretation_at,
-    _MaskPair,
-    extensions,
-)
+from .interp import Interpretation, InterpretationPair, Universe, extensions
 from .syntax import Bodies, Literal, Program, Rule
 from .ternary import SemanticsId
 
@@ -125,8 +113,8 @@ def _step(holds, sem: SemanticsId | str, program: Program, pair: InterpretationP
     sem = SemanticsId.from_tag(sem)
     _reject_gl_aggregates(sem, program)
     pair.require_consistent()
-    fired = {head for head, bodies in program.entries if holds(sem, bodies, pair)}
-    return Interpretation(program.universe, frozenset(fired))
+    fired = [head for head, bodies in program.entries if holds(sem, bodies, pair)]
+    return Interpretation.of(program.universe, fired)
 
 
 def _reject_gl_aggregates(sem: SemanticsId, program: Program) -> None:
@@ -165,7 +153,7 @@ def lfp_lower(sem: SemanticsId | str, program: Program, y: Interpretation) -> In
         )
     upper = y.mask
     x = _least_fixpoint(SemanticsId.bodies_certain, sem, program, lambda x: (x, upper), False)
-    return _interpretation_at(program.universe, x)
+    return Interpretation(Universe.of(program.universe), x)
 
 
 def _least_fixpoint(
@@ -176,9 +164,9 @@ def _least_fixpoint(
     stop_at_upper: bool,
 ) -> int:
     """The Kleene chain from bottom of X -> the heads whose bodies pass the
-    row's test `holds` at the pair with the masks `pair_at(X)`, one
-    `_MaskPair` per round, semi-naive, on masks of the program's
-    universe; returns the limit's mask.  The caller sees to it that this
+    row's test `holds` at the pair with the masks `pair_at(X)`, built
+    once per round, semi-naive, on masks of the program's universe;
+    returns the limit's mask.  The caller sees to it that this
     map is monotone in X and that `pair_at(X)` changes only on the atoms
     added to X, so the chain only grows: a head already derived is not
     tested again, and after the first round a waiting head is tested
@@ -190,14 +178,13 @@ def _least_fixpoint(
     supported model y that is its last element, as at (y, y) certain
     truth implies two-valued truth, so lower(y, y) adds nothing."""
     _reject_gl_aggregates(sem, program)
-    universe, entries = program.universe, program.entries
-    bits = _bit_index(universe)
+    universe, entries = Universe.of(program.universe), program.entries
+    bits = universe.bits
     x, waiting = 0, range(len(entries))
     while True:
         lower, upper = pair_at(x)
-        pair = _MaskPair(universe, lower, upper)
-        if lower & ~upper:
-            pair.interpretations().require_consistent()
+        pair = InterpretationPair(Interpretation(universe, lower), Interpretation(universe, upper))
+        pair.require_consistent()
         fired = [entries[i][0] for i in waiting if holds(sem, entries[i][1], pair)]
         if not fired:
             return x
@@ -260,8 +247,8 @@ def _minimal_model_check(sem: SemanticsId, program: Program, y: Interpretation) 
     proper_subsets = islice(extensions(y.with_atoms(()), members), (1 << len(members)) - 1)
     rules = [(rule.head, Bodies((rule.body,))) for rule in program.rules]
     for subset in proper_subsets:
-        pair, closed = InterpretationPair(subset, y), subset.atoms
-        if all(head in closed or not sem.bodies_certain(bodies, pair) for head, bodies in rules):
+        pair = InterpretationPair(subset, y)
+        if all(head in subset or not sem.bodies_certain(bodies, pair) for head, bodies in rules):
             return False
     return True
 
@@ -296,10 +283,7 @@ def stable_enumerate(
 
 def _supported_box(program: Program) -> InterpretationPair:
     """A pair whose interval holds every supported model of the program."""
-    heads = InterpretationPair(
-        Interpretation.empty(program.universe),
-        Interpretation(program.universe, frozenset(program.heads)),
-    )
+    heads = InterpretationPair.of(program.universe, (), program.heads)
     try:
         return _kripke_kleene_from(SemanticsId.BND, program, heads)
     except ArithmeticOverflowError:
@@ -318,7 +302,7 @@ def gl_reduct(program: Program, i: Interpretation) -> Program:
         raise CapabilityError("the classical reduct is defined for aggregate-free programs")
     kept: list[Rule] = []
     for rule in program.rules:
-        if any(isinstance(e, Literal) and e.negated and e.atom in i.atoms for e in rule.body):
+        if any(isinstance(e, Literal) and e.negated and e.atom in i for e in rule.body):
             continue
         body = tuple(e for e in rule.body if not (isinstance(e, Literal) and e.negated))
         kept.append(Rule(rule.head, body))
@@ -354,9 +338,8 @@ def _kripke_kleene_from(
     approximator must map to an equally or more precise pair.
 
     The pair is carried as two masks of the program's universe, and each
-    step hands its tests one `_MaskPair`, which becomes an
-    InterpretationPair only when a test reads a set, or when it is
-    returned or named in an error.  The first step tests every head.
+    step builds its pair from them for its tests.  The first step tests
+    every head.
     Each later step tests only the heads whose bodies mention an atom the
     last step changed in either set (`old ^ new`), its lower tests first
     and then its upper tests, each in `entries` order; every other head
@@ -365,17 +348,16 @@ def _kripke_kleene_from(
     `lower_step` and `upper_step` iterated together, raises the first
     error they would raise, and keeps their limit of steps."""
     _reject_gl_aggregates(sem, program)
-    universe, entries = program.universe, program.entries
-    bits = _bit_index(universe)
+    universe, entries = Universe.of(program.universe), program.entries
+    bits = universe.bits
     limit = 2 * len(universe) + 2
     certain, possible = sem.bodies_certain, sem.bodies_possible
-    lower, upper = start.masks
+    pair = start
     certain_heads = possible_heads = 0  # the heads' last answers
     tested = range(len(entries))
     for _ in range(limit):
-        pair = _MaskPair(universe, lower, upper)
-        if lower & ~upper:
-            pair.interpretations().require_consistent()
+        pair.require_consistent()
+        lower, upper = pair.masks
         for i in tested:
             head, bodies = entries[i]
             if certain(bodies, pair):
@@ -390,9 +372,11 @@ def _kripke_kleene_from(
                 possible_heads &= ~bits[head]
         changed = (lower ^ certain_heads) | (upper ^ possible_heads)
         if not changed:
-            return pair.interpretations()
-        lower, upper = certain_heads, possible_heads
-        tested = _entries_reading(program, _atoms_at(universe, changed))
+            return pair
+        pair = InterpretationPair(
+            Interpretation(universe, certain_heads), Interpretation(universe, possible_heads)
+        )
+        tested = _entries_reading(program, universe.atoms_at(changed))
     raise AssertionError(f"Kleene iteration failed to reach a fixpoint in {limit} steps")
 
 
@@ -409,7 +393,7 @@ def well_founded(sem: SemanticsId | str, program: Program) -> WellFoundedResult:
     def refine(pair: InterpretationPair) -> InterpretationPair:
         x = lower_at(pair.upper)
         y = upper_at(pair.lower)
-        if not x.atoms <= y.atoms:
+        if x.mask & ~y.mask:
             raise AssertionError("well-founded refinement left the consistent pairs")
         return InterpretationPair(x, y)
 
@@ -432,4 +416,4 @@ def _lfp_upper(sem: SemanticsId, program: Program, x: Interpretation) -> Interpr
     z = _least_fixpoint(
         SemanticsId.bodies_possible, sem, program, lambda z: (lower, z | lower), False
     )
-    return _interpretation_at(program.universe, z)
+    return Interpretation(Universe.of(program.universe), z)

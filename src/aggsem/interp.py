@@ -6,27 +6,27 @@ stands for the three-valued interpretation that makes lower true,
 upper-minus-lower undefined and everything else false; it is consistent
 when lower is contained in upper.
 
-This module owns the bit layout of masks: bit k stands for universe[k].
-Each universe has one bit index, kept in a bounded cache, which also
-checks every Interpretation against its universe; an Interpretation
-computes its atoms as a mask once, on first use (`mask`), unless
-`extensions` stored it as it built the member.  A walk that
-tests members at their masks takes them from `_extension_masks` and
-builds the members it keeps with `_interpretation_at`.  A loop that
-carries a pair as two masks hands the row tests a `_MaskPair`, which
-builds its InterpretationPair only when a test reads a set.
+A `Universe` is a tuple of distinct atoms that owns their bit layout:
+bit k of a mask stands for universe[k].  An Interpretation is a universe
+and a mask; its set of atoms is derived on first read and kept outside
+the fields, and `extensions` stores it as it builds each member.  The
+two sets of an InterpretationPair share one universe, and the pair is
+consistent when `lower & ~upper` is 0.  A Kleene loop that carries a
+pair as two masks builds the pair from them each round.  A plain tuple
+becomes a Universe where it enters (`Universe.of`), through one bounded
+table, so equal tuples share one layout; nothing past that hashes a
+universe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentPairError, UniverseMismatchError
 
 __all__ = [
+    "Universe",
     "Interpretation",
     "InterpretationPair",
     "leq_subset",
@@ -51,75 +51,122 @@ def reset_interval_expansions() -> None:
     _interval_expansions = 0
 
 
-# Each universe's bit index, built whole and stored in one assignment, so
-# a thread never reads one half built; cleared when it holds 64 universes.
-_bit_indexes: dict[tuple[str, ...], dict[str, int]] = {}
-# (universe, bits) of the last universe asked, replaced in one assignment:
-# a call on that same tuple object returns its bits without hashing it.
-_last_bit_index: tuple = (None, None)
+# The Universe of each plain tuple that entered, cleared when it holds
+# this many; a Universe never enters it.
+UNIVERSE_TABLE = 64
+_universes: dict[tuple[str, ...], "Universe"] = {}
 
 
-def _bit_index(universe: tuple[str, ...]) -> dict[str, int]:
-    """The universe's bit layout: each atom with its bit, 1 << its
-    position.  A universe that repeats an atom raises
-    UniverseMismatchError."""
-    global _last_bit_index
-    last = _last_bit_index
-    if universe is last[0]:
-        return last[1]
-    bits = _bit_indexes.get(universe)
-    if bits is None:
-        bits = {a: 1 << k for k, a in enumerate(universe)}
-        if len(bits) < len(universe):
+class Universe(tuple):
+    """Distinct atoms in a fixed order, with their bit layout: `bits` maps
+    universe[k] to 1 << k.  It compares, hashes and prints as the plain
+    tuple of its atoms.  A repeated atom raises UniverseMismatchError."""
+
+    def __new__(cls, atoms: Iterable[str] = ()):
+        universe = super().__new__(cls, atoms)
+        universe.bits = {a: 1 << k for k, a in enumerate(universe)}
+        if len(universe.bits) < len(universe):
             raise UniverseMismatchError("universe contains duplicate atoms")
-        if len(_bit_indexes) >= 64:
-            _bit_indexes.clear()
-        _bit_indexes[universe] = bits
-    _last_bit_index = universe, bits
-    return bits
+        return universe
+
+    @staticmethod
+    def of(atoms: Iterable[str]) -> "Universe":
+        """`atoms` itself when it is a Universe, without hashing it; else
+        the Universe of its atoms, one per equal tuple while the table
+        keeps it."""
+        if isinstance(atoms, Universe):
+            return atoms
+        atoms = tuple(atoms)
+        universe = _universes.get(atoms)
+        if universe is None:
+            universe = Universe(atoms)
+            if len(_universes) >= UNIVERSE_TABLE:
+                _universes.clear()
+            _universes[atoms] = universe
+        return universe
+
+    def mask_of(self, atoms: Iterable[str]) -> int:
+        """The mask of the atoms; atoms outside the universe raise
+        UniverseMismatchError."""
+        bits, mask, unknown = self.bits, 0, set()
+        for atom in atoms:
+            bit = bits.get(atom)
+            if bit is None:
+                unknown.add(atom)
+            else:
+                mask |= bit
+        if unknown:
+            raise UniverseMismatchError(f"atoms outside the universe: {', '.join(sorted(unknown))}")
+        return mask
+
+    def atoms_at(self, mask: int) -> list[str]:
+        """The atoms whose bits `mask` sets, in universe order."""
+        return [a for a, bit in self.bits.items() if mask & bit]
+
+    def __reduce__(self):
+        """Pickle the atoms only; the layout is built again."""
+        return Universe, (tuple(self),)
 
 
-@dataclass(frozen=True, repr=False)
 class Interpretation:
-    universe: tuple[str, ...]
-    atoms: frozenset[str]
+    """The atoms of `universe` whose bits `mask` sets.  `atoms`, given in
+    place of the mask, as `Interpretation.of` and the repr give them, are
+    checked against the universe.  Treated as immutable: each operation
+    builds a new one."""
+
+    def __init__(
+        self, universe: Iterable[str], mask: int = 0, *, atoms: Iterable[str] | None = None
+    ):
+        self.universe = universe = Universe.of(universe)
+        self.mask = mask if atoms is None else universe.mask_of(atoms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        _require_in_universe(self.atoms, self.universe)
+        """The check of every build once its fields are set."""
+        if self.mask >> len(self.universe):
+            raise UniverseMismatchError("mask sets bits outside the universe")
 
-    # cached outside the fields, so eq, hash, repr and pickles are unchanged
+    # derived outside the fields, so eq, hash, repr and pickles are unchanged
     @cached_property
-    def mask(self) -> int:
-        """The atoms as a bitmask over the universe: bit k stands for
-        universe[k]."""
-        return sum(map(_bit_index(self.universe).__getitem__, self.atoms))
+    def atoms(self) -> frozenset[str]:
+        return frozenset(self.universe.atoms_at(self.mask))
 
     def __getstate__(self) -> dict:
-        """Pickle the fields only; the mask is computed again on first use."""
-        return {"universe": self.universe, "atoms": self.atoms}
+        """Pickle the fields only; the atoms are derived again on first use."""
+        return {"universe": self.universe, "mask": self.mask}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Interpretation:
+            return NotImplemented
+        return self.mask == other.mask and (
+            self.universe is other.universe or self.universe == other.universe
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.mask))
 
     @staticmethod
     def of(universe: Iterable[str], atoms: Iterable[str] = ()) -> "Interpretation":
-        return Interpretation(tuple(universe), frozenset(atoms))
+        return Interpretation(universe, atoms=atoms)
 
     @staticmethod
     def empty(universe: Iterable[str]) -> "Interpretation":
-        return Interpretation.of(universe)
+        return Interpretation(universe)
 
     @staticmethod
     def full(universe: Iterable[str]) -> "Interpretation":
-        universe = tuple(universe)
-        return Interpretation(universe, frozenset(universe))
+        universe = Universe.of(universe)
+        return Interpretation(universe, (1 << len(universe)) - 1)
 
     def __contains__(self, atom: str) -> bool:
-        return atom in self.atoms
+        return bool(self.mask & self.universe.bits.get(atom, 0))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[str]:
         """Iterate member atoms in universe order (deterministic)."""
-        return (a for a in self.universe if a in self.atoms)
+        return iter(self.universe.atoms_at(self.mask))
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.sorted_atoms) + "}"
@@ -127,143 +174,106 @@ class Interpretation:
     def __repr__(self) -> str:
         """The dataclass format with the atoms in universe order, so equal
         interpretations print alike whatever order their sets were built in."""
-        atoms = f"frozenset({{{', '.join(map(repr, self))}}})" if self.atoms else "frozenset()"
+        atoms = f"frozenset({{{', '.join(map(repr, self))}}})" if self.mask else "frozenset()"
         return f"Interpretation(universe={self.universe!r}, atoms={atoms})"
 
     @property
     def sorted_atoms(self) -> tuple[str, ...]:
-        return tuple(sorted(self.atoms))
+        return tuple(sorted(self))
 
     def with_atoms(self, atoms: Iterable[str]) -> "Interpretation":
-        return Interpretation(self.universe, frozenset(atoms))
+        return Interpretation(self.universe, atoms=atoms)
 
     def union(self, atoms: Iterable[str]) -> "Interpretation":
-        return Interpretation(self.universe, self.atoms | frozenset(atoms))
+        return Interpretation(self.universe, self.mask | self.universe.mask_of(atoms))
 
     def difference(self, atoms: Iterable[str]) -> "Interpretation":
-        return Interpretation(self.universe, self.atoms - frozenset(atoms))
-
-
-def _interpretation_at(universe: tuple[str, ...], mask: int) -> Interpretation:
-    """The Interpretation over the universe whose `mask` is `mask`."""
-    return Interpretation(universe, frozenset(_atoms_at(universe, mask)))
-
-
-def _atoms_at(universe: tuple[str, ...], mask: int) -> list[str]:
-    """The atoms of the universe whose bits `mask` sets, in universe order."""
-    return [a for a, bit in _bit_index(universe).items() if mask & bit]
-
-
-def _require_in_universe(atoms: Iterable[str], universe: tuple[str, ...]) -> None:
-    known, atoms = _bit_index(universe).keys(), frozenset(atoms)
-    if not known >= atoms:
-        unknown = atoms.difference(known)
-        raise UniverseMismatchError(f"atoms outside the universe: {', '.join(sorted(unknown))}")
+        return Interpretation(self.universe, self.mask & ~self.universe.mask_of(atoms))
 
 
 def _require_same_universe(a: Interpretation, b: Interpretation) -> None:
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatchError("interpretations are over different universes")
 
 
 def leq_subset(a: Interpretation, b: Interpretation) -> bool:
     """Lattice order: a <= b iff a's atoms are a subset of b's."""
     _require_same_universe(a, b)
-    return a.atoms <= b.atoms
+    return not a.mask & ~b.mask
 
 
-@dataclass(frozen=True)
 class InterpretationPair:
-    lower: Interpretation
-    upper: Interpretation
+    """Two interpretations over one universe, kept with that universe and
+    their two masks (`universe`, `masks`).  Treated as immutable."""
 
-    def __post_init__(self) -> None:
-        _require_same_universe(self.lower, self.upper)
+    __slots__ = ("lower", "upper", "universe", "masks")
+
+    def __init__(self, lower: Interpretation, upper: Interpretation):
+        _require_same_universe(lower, upper)
+        self.lower, self.upper = lower, upper
+        self.universe, self.masks = lower.universe, (lower.mask, upper.mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not InterpretationPair:
+            return NotImplemented
+        return self.lower == other.lower and self.upper == other.upper
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper))
+
+    def __repr__(self) -> str:
+        return f"InterpretationPair(lower={self.lower!r}, upper={self.upper!r})"
+
+    def __reduce__(self):
+        return InterpretationPair, (self.lower, self.upper)
 
     @staticmethod
     def of(
         universe: Iterable[str], lower: Iterable[str], upper: Iterable[str]
     ) -> "InterpretationPair":
-        universe = tuple(universe)
+        universe = Universe.of(universe)
         return InterpretationPair(
-            Interpretation.of(universe, lower), Interpretation.of(universe, upper)
+            Interpretation(universe, atoms=lower), Interpretation(universe, atoms=upper)
         )
 
     @staticmethod
     def least_precise(universe: Iterable[str]) -> "InterpretationPair":
-        universe = tuple(universe)
-        return InterpretationPair(Interpretation.empty(universe), Interpretation.full(universe))
+        universe = Universe.of(universe)
+        return InterpretationPair(Interpretation(universe), Interpretation.full(universe))
 
     @staticmethod
     def exact(interpretation: Interpretation) -> "InterpretationPair":
         return InterpretationPair(interpretation, interpretation)
 
-    # C getters, cheaper than methods: the row tests read both at every call
-    universe = property(attrgetter("lower.universe"))
-    masks = property(attrgetter("lower.mask", "upper.mask"), doc="The two sets' `mask`.")
-
     @property
     def is_consistent(self) -> bool:
-        return self.lower.atoms <= self.upper.atoms
+        lower, upper = self.masks
+        return not lower & ~upper
 
     @property
     def is_exact(self) -> bool:
-        return self.lower.atoms == self.upper.atoms
+        lower, upper = self.masks
+        return lower == upper
 
     def undefined_atoms(self) -> tuple[str, ...]:
         """Atoms with unknown truth value, in universe order."""
-        free = self.upper.atoms - self.lower.atoms
-        return tuple(a for a in self.universe if a in free)
+        lower, upper = self.masks
+        return tuple(self.universe.atoms_at(upper & ~lower))
 
     def require_consistent(self) -> None:
-        if not self.is_consistent:
+        lower, upper = self.masks
+        if lower & ~upper:
             raise InconsistentPairError(f"inconsistent pair ({self.lower}, {self.upper})")
 
     def __str__(self) -> str:
         return f"({self.lower}, {self.upper})"
 
 
-def _pair_at(universe: tuple[str, ...], lower: int, upper: int) -> InterpretationPair:
-    """The pair over the universe whose sets have the masks `lower` and
-    `upper`."""
-    lower_set, upper_set = _interpretation_at(universe, lower), _interpretation_at(universe, upper)
-    return InterpretationPair(lower_set, upper_set)
-
-
-class _MaskPair:
-    """The pair over the universe whose sets have the masks `lower` and
-    `upper`, as a Kleene loop carries it.  It answers `universe` and
-    `masks` as an InterpretationPair does, and builds that pair on the
-    first read of `lower` or `upper` (`interpretations`), so a row test
-    that reads only masks builds nothing."""
-
-    __slots__ = ("universe", "masks", "_pair")
-
-    def __init__(self, universe: tuple[str, ...], lower: int, upper: int):
-        self.universe = universe
-        self.masks = lower, upper
-        self._pair: InterpretationPair | None = None
-
-    def interpretations(self) -> InterpretationPair:
-        pair = self._pair
-        if pair is None:
-            pair = self._pair = _pair_at(self.universe, *self.masks)
-        return pair
-
-    @property
-    def lower(self) -> Interpretation:
-        return self.interpretations().lower
-
-    @property
-    def upper(self) -> Interpretation:
-        return self.interpretations().upper
-
-
 def leq_precision(a: InterpretationPair, b: InterpretationPair) -> bool:
     """Precision order: b refines a iff a.lower <= b.lower and b.upper <= a.upper."""
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise UniverseMismatchError("pairs are over different universes")
-    return a.lower.atoms <= b.lower.atoms and b.upper.atoms <= a.upper.atoms
+    return not (a.lower.mask & ~b.lower.mask or b.upper.mask & ~a.upper.mask)
 
 
 def enumerate_interval(
@@ -289,17 +299,20 @@ def _interval_free_atoms(
     its checks; counts one interval expansion.  A sweep that evaluates the
     interval without building its members starts here."""
     _interval_check(x, y)
-    free = y.atoms - x.atoms
-    if restrict is not None:
-        free = free.intersection(restrict)
-    return [a for a in x.universe if a in free] if free else []
+    free, bits = y.mask & ~x.mask, x.universe.bits
+    if restrict is not None and free:
+        kept = 0
+        for atom in restrict:
+            kept |= bits.get(atom, 0)
+        free &= kept
+    return x.universe.atoms_at(free) if free else []
 
 
 def _interval_check(x: Interpretation, y: Interpretation) -> None:
     """The checks of `enumerate_interval`; counts one interval expansion.
     A sweep that reads the interval's members from a table starts here."""
     _require_same_universe(x, y)
-    if not x.atoms <= y.atoms:
+    if x.mask & ~y.mask:
         raise InconsistentPairError(f"{x} is not a subset of {y}")
     _count_expansion()
 
@@ -320,18 +333,18 @@ def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretatio
 
     Cost: `free` is checked against x's universe once, before the first
     member, so a foreign atom raises UniverseMismatchError there.  Each
-    member is then built without its own universe check, as x's atoms
-    united with two cached half-subsets: one of the low half of `free`
-    (indexed by the low bits of the mask) and one of the high half
-    (indexed by the high bits), and its `mask` is stored beside them,
-    from two tables of those half-subsets' masks.  A table entry is
+    member is then built without its own checks, from two cached
+    half-subsets: one of the low half of `free` (indexed by the low bits
+    of the count) and one of the high half united with x (indexed by the
+    high bits), each kept as a mask and as a set of atoms, so the member
+    gets its mask and, already derived, its `atoms`.  A table entry is
     built from an earlier one the first time the walk reaches it, so the
-    tables hold O(2^(|free|/2)) sets and a walk that stops early pays
+    tables hold O(2^(|free|/2)) entries and a walk that stops early pays
     only for what it visited.
     """
-    _require_in_universe(free, x.universe)
     universe = x.universe
-    bits = _bit_index(universe)
+    universe.mask_of(free)  # the check: a foreign atom raises here
+    bits = universe.bits
     half = len(free) // 2
     low_mask = (1 << half) - 1
     low: list[frozenset[str]] = [frozenset()]  # subsets of free[:half]
@@ -357,9 +370,9 @@ def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretatio
         member = new(Interpretation)
         fields = member.__dict__
         fields["universe"] = universe
-        fields["atoms"] = outer | low[i]
-        # the `mask` a first read would compute, stored without its lock
         fields["mask"] = outer_mask | low_masks[i]
+        # the `atoms` a first read would derive, stored without its lock
+        fields["atoms"] = outer | low[i]
         yield member
 
 
@@ -369,8 +382,8 @@ def _extension_masks(x: Interpretation, free: Sequence[str]) -> Iterator[int]:
     of a table of the subsets of the high half of `free` and one of the
     low half, as `extensions` splits it.  `free` is checked against x's
     universe first."""
-    _require_in_universe(free, x.universe)
-    bits = _bit_index(x.universe)
+    x.universe.mask_of(free)  # the check
+    bits = x.universe.bits
     half = len(free) // 2
     low, high = [0], [x.mask]
     for a in free[:half]:

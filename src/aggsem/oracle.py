@@ -24,7 +24,7 @@ from .bounds import Bounds, bnd_truth, exact_bounds
 from .errors import ArithmeticOverflowError, TooLargeError
 from .eval2 import AggValue
 from .fixpoints import gl_reduct, lower_step, stable_enumerate
-from .interp import Interpretation, InterpretationPair
+from .interp import Interpretation, InterpretationPair, Universe
 from .syntax import (
     AggFunc,
     AggregateAtom,
@@ -307,7 +307,7 @@ class _PairTables:
     def pairs(self, universe: tuple[str, ...]) -> list[InterpretationPair]:
         """The tables' pairs over `universe`, in the order of
         `all_consistent_pairs` over the atoms."""
-        sets = {z: Interpretation(universe, z) for z in self.members}
+        sets = {z: Interpretation.of(universe, z) for z in self.members}
         return [
             InterpretationPair(sets[p.lower.atoms], sets[p.upper.atoms])
             for p in all_consistent_pairs(self.atoms)
@@ -423,7 +423,7 @@ def _most_precise(
     lower = upper = next(images)
     for image in images:
         lower, upper = lower & image, upper | image
-    return InterpretationPair(Interpretation(universe, lower), Interpretation(universe, upper))
+    return InterpretationPair.of(universe, lower, upper)
 
 
 class _Overflow:
@@ -468,7 +468,7 @@ class _MostPreciseTable:
         heads = self._lower[self.pairs.index(pair)]
         if isinstance(heads, _Overflow):
             raise heads.error.with_traceback(None)
-        return Interpretation(self.universe, heads)
+        return Interpretation.of(self.universe, heads)
 
 
 def minimal_model_check(program: Program, i: Interpretation) -> bool:
@@ -486,7 +486,7 @@ def _lfp_tp(program: Program) -> Interpretation:
     while True:
         merged = current | _consequences(program, current)
         if merged == current:
-            return Interpretation(program.universe, current)
+            return Interpretation.of(program.universe, current)
         current = merged
 
 
@@ -513,11 +513,11 @@ def reduct_stable_models(sem: SemanticsId | str, program: Program) -> list[Inter
     sem = SemanticsId.from_tag(sem)
     models = []
     for atoms in _subsets(frozenset(), program.universe):
-        candidate = Interpretation(program.universe, atoms)
+        candidate = Interpretation.of(program.universe, atoms)
         if sem is SemanticsId.GL:
-            ok = _lfp_tp(gl_reduct(program, candidate)).atoms == atoms
+            ok = _lfp_tp(gl_reduct(program, candidate)) == candidate
         elif sem is SemanticsId.GZ:
-            ok = _lfp_tp(gz_reduct(program, candidate)).atoms == atoms
+            ok = _lfp_tp(gz_reduct(program, candidate)) == candidate
         elif sem is SemanticsId.FLP:
             ok = minimal_model_check(flp_reduct(program, candidate), candidate)
         else:
@@ -785,4 +785,4 @@ def random_program(
                 negated = negative_literals and rng.random() < 0.4
                 body.append(Literal(rng.choice(atoms), negated))
         rules.append(Rule(head, tuple(body)))
-    return Program(tuple(rules), tuple(atoms))
+    return Program(tuple(rules), Universe(atoms))

@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import ArithmeticOverflowError, ParseError, TooLargeError, UniverseMismatchError
+from .interp import Interpretation, Universe
 
 __all__ = [
     "AggFunc",
@@ -217,11 +218,20 @@ class Program:
     universe: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        known = set(self.universe)
-        if len(known) != len(self.universe):
+        universe = self.universe
+        known = universe.bits.keys() if isinstance(universe, Universe) else set(universe)
+        if len(known) != len(universe):
             raise ValueError("universe contains duplicate atoms")
-        missing = [a for a in _first_occurrence_universe(self.rules) if a not in known]
-        if missing:
+        mentioned = set()
+        for rule in self.rules:
+            mentioned.add(rule.head)
+            for element in rule.body:
+                if element.__class__ is Literal:
+                    mentioned.add(element.atom)
+                else:
+                    mentioned.update(element.condition_atoms)
+        if not known >= mentioned:
+            missing = [a for a in _first_occurrence_universe(self.rules) if a not in known]
             raise ValueError(f"universe is missing atoms: {', '.join(missing)}")
 
     def __str__(self) -> str:
@@ -376,7 +386,7 @@ class _Parser:
                 rules.append(self.parse_rule())
             else:
                 raise self.error("expected a rule or '#atoms' declaration")
-        return Program(rules=tuple(rules), universe=tuple(self.universe))
+        return Program(rules=tuple(rules), universe=Universe(self.universe))
 
     def parse_declaration(self) -> None:
         token = self.advance()
@@ -466,8 +476,6 @@ def parse_program(text: str) -> Program:
 
 def parse_interpretation(text: str, universe: tuple[str, ...]):
     """Parse a comma-separated atom list into an Interpretation over `universe`."""
-    from .interp import Interpretation
-
     atoms = []
     stripped = text.strip()
     if stripped:

@@ -52,7 +52,7 @@ from .eval2 import (
 from .interp import (
     Interpretation,
     InterpretationPair,
-    _bit_index,
+    Universe,
     enumerate_interval,
     extensions,
 )
@@ -87,14 +87,14 @@ __all__ = [
 
 def _literal_sat3(lit: Literal, pair: InterpretationPair) -> bool:
     if lit.negated:
-        return lit.atom not in pair.upper.atoms
-    return lit.atom in pair.lower.atoms
+        return lit.atom not in pair.upper
+    return lit.atom in pair.lower
 
 
 def _literal_truth(lit: Literal, pair: InterpretationPair) -> TruthValue:
-    if lit.atom in pair.lower.atoms:
+    if lit.atom in pair.lower:
         value = TruthValue.TRUE
-    elif lit.atom not in pair.upper.atoms:
+    elif lit.atom not in pair.upper:
         value = TruthValue.FALSE
     else:
         value = TruthValue.UNDEFINED
@@ -123,10 +123,10 @@ def _sweep_certain(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> b
 class _Row(NamedTuple):
     """One row of the relation table, the arguments of a `SemanticsId`
     member.  Each test takes an aggregate atom, or a head's `Bodies`, and
-    a consistent pair: an `InterpretationPair`, or the `interp._MaskPair`
-    of a Kleene loop.  A test that reads a kernel reads the pair's
-    `universe` and `masks`; one that needs the sets reads `lower` and
-    `upper`."""
+    a consistent `InterpretationPair`, which a Kleene loop builds from its
+    two masks each round.  A test that reads a kernel reads the pair's
+    `universe` and `masks`; one that needs the sets of atoms reads
+    `lower` and `upper`."""
 
     tag: str
     truth: Callable | None = None  # three-valued truth of an aggregate atom
@@ -200,7 +200,7 @@ class SemanticsId(Enum):
         false), an aggregate atom takes the row's test."""
         if self._bodies is not None:
             return self._bodies(bodies, pair)
-        test, bits = self._certain, _bit_index(pair.universe)
+        test, bits = self._certain, pair.universe.bits
         lower, upper = pair.masks
         for body in bodies:
             for element in body:
@@ -219,7 +219,7 @@ class SemanticsId(Enum):
         pair?  For a row with a truth function, which the caller checks;
         in the order of `bodies_certain`, each body up to its first false
         element."""
-        truth, false, bits = self._truth, TruthValue.FALSE, _bit_index(pair.universe)
+        truth, false, bits = self._truth, TruthValue.FALSE, pair.universe.bits
         lower, upper = pair.masks
         for body in bodies:
             for element in body:
@@ -312,7 +312,7 @@ MAX_ANALYZE_ATOMS = 8
 
 def all_consistent_pairs(universe: Iterable[str]) -> list[InterpretationPair]:
     """Every consistent pair over the universe, in `_PairIndex` order."""
-    index = _PairIndex(tuple(universe))
+    index = _PairIndex(universe)
     return list(map(index.pair, range(len(index.masks))))
 
 
@@ -414,11 +414,11 @@ class _PairIndex:
     """The consistent pairs that vary `atoms` (by default the whole
     universe) and make every other atom false, as (lower, upper) masks
     (`Interpretation.mask`); `mask` is that of `atoms`.  The subsets of
-    `atoms` are built once, by size and then by universe positions, and
-    the pairs are ordered by upper set, then by lower set, in that
-    order.  The `InterpretationPair` of a pair is built from those
-    subsets when it is read, and kept.  `exact`, `position` and `steps`
-    are built on first use.
+    `atoms` are taken by size and then by universe positions, each
+    built once as an Interpretation, and the pairs are ordered by upper
+    set, then by lower set, in that order.  The `InterpretationPair` of
+    a pair is built from those subsets when it is read, and kept.
+    `exact`, `position` and `steps` are built on first use.
 
     The universe's order restricted to the subsets of `atoms` is their
     own order.  So the index over a formula's atoms holds the
@@ -426,19 +426,15 @@ class _PairIndex:
     universe's pairs first reach them: the first pair to reach (lower,
     upper) is (lower, upper) itself, with the other atoms false."""
 
-    def __init__(self, universe: tuple[str, ...], atoms: Iterable[str] | None = None):
+    def __init__(self, universe: Iterable[str], atoms: Iterable[str] | None = None):
+        universe = Universe.of(universe)
         if atoms is not None:
             atoms = frozenset(atoms)
-        varied = tuple(a for a in universe if atoms is None or a in atoms)
         # the masks of the one-atom subsets of `atoms`, in universe order
-        self.bits = list(map(_bit_index(universe).__getitem__, varied))
+        self.bits = [bit for a, bit in universe.bits.items() if atoms is None or a in atoms]
         self.mask = sum(self.bits)
-        subsets = [
-            Interpretation(universe, frozenset(subset))
-            for size in range(len(varied) + 1)
-            for subset in combinations(varied, size)
-        ]
-        self.sets = {z.mask: z for z in subsets}
+        subsets = (map(sum, combinations(self.bits, size)) for size in range(len(self.bits) + 1))
+        self.sets = {mask: Interpretation(universe, mask) for masks in subsets for mask in masks}
         self.masks = [(lo, up) for up in self.sets for lo in self.sets if lo & up == lo]
         self._pairs: list[InterpretationPair | None] = [None] * len(self.masks)
 
@@ -567,7 +563,7 @@ class Analysis:
                 program = isinstance(source, Program)
                 universe = source.universe if program else Bodies((tuple(source),)).atoms
                 check_universe_size(len(universe), self._max_universe)
-                self._universe = universe
+                self._universe = Universe.of(universe)
             table = self._tables[sem] = _Table(sem, self._source, self._pair_index)
         return table
 
@@ -664,7 +660,8 @@ def is_convex(atom: AggregateAtom) -> bool:
         )
     # sat[mask] is the value at the subset holding atoms[b] for each bit b
     # set in mask, which is the order of the walk
-    sat = [eval_aggregate(atom, z) for z in extensions(Interpretation.empty(atoms), atoms)]
+    empty = Interpretation(Universe(atoms))
+    sat = [eval_aggregate(atom, z) for z in extensions(empty, atoms)]
     masks = range(len(sat))
     has_sat_subset = list(sat)
     for mask in masks:

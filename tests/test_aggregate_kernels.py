@@ -62,7 +62,7 @@ def test_evaluator_matches_the_oracle_evaluation():
     seen = {}
     for atom in _aggregates(universe, 1501):
         for atoms in _subsets(universe):
-            i = Interpretation(universe, atoms)
+            i = Interpretation.of(universe, atoms)
             ours = _outcome(lambda: eval_aggregate(atom, i))
             assert ours == _outcome(lambda: oracle._element_holds(atom, atoms)), f"{atom} at {i}"
             seen.setdefault(atom.func, set()).add(ours[0])

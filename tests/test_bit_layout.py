@@ -1,9 +1,10 @@
 """`interp` owns the universe bit layout: bit k of a mask stands for
-universe[k].  `Interpretation.mask` against a positional reference, the
-pickles and prints it leaves alone, the universe checks built on the
-same bit index, and the two constructions that now read masks
-(`all_consistent_pairs` and the head kernels) against the code they
-replaced, kept here as references."""
+universe[k], and a `Universe` keeps each atom's bit.  `Interpretation.mask`
+against a positional reference, the pickles and prints that deriving
+the atoms leaves alone, the universe checks built on the same layout,
+a Universe against the plain tuple of its atoms, and the two
+constructions that read masks (`all_consistent_pairs` and the head
+kernels) against the code they replaced, kept here as references."""
 
 import ast
 import pickle
@@ -14,12 +15,12 @@ from pathlib import Path
 import pytest
 
 import aggsem.eval2 as eval2
-from aggsem import ArithmeticOverflowError, UniverseMismatchError, oracle
+from aggsem import ArithmeticOverflowError, UniverseMismatchError, interp, oracle, parse_program
 from aggsem.eval2 import Kernel, sat2_disjunction
 from aggsem.interp import (
     Interpretation,
     InterpretationPair,
-    _bit_index,
+    Universe,
     enumerate_interval,
     extensions,
 )
@@ -63,7 +64,8 @@ def test_mask_is_the_positional_layout():
             y,
             *extensions(x, free),  # built without the universe check
             *enumerate_interval(x, y),
-            Interpretation(twin, frozenset(chosen)),
+            Interpretation.of(twin, chosen),
+            Interpretation.of(Universe(universe), chosen),
             pickle.loads(pickle.dumps(y)),
         ]
         for z in members:
@@ -73,15 +75,19 @@ def test_mask_is_the_positional_layout():
 
 
 def test_reading_the_mask_changes_no_print_hash_or_pickle():
+    """The mask is a field; the atoms are derived on first read, which
+    changes no equality, hash, print or pickle, and a copy does not carry
+    them."""
     universe = ("q", "p", "s", "r")
     i = Interpretation.of(universe, ("s", "q"))
     twin = Interpretation.of(universe, ("q", "s"))
+    assert i.mask == 0b101 and "atoms" not in vars(i)
     before = i == twin, hash(i), repr(i), str(i), pickle.dumps(i)
-    assert i.mask == 0b101
+    assert i.atoms == frozenset({"q", "s"}) and "atoms" in vars(i)
     assert (i == twin, hash(i), repr(i), str(i), pickle.dumps(i)) == before
     assert twin == i and hash(twin) == hash(i)
     copy = pickle.loads(pickle.dumps(i))
-    assert copy == i and "mask" not in vars(copy) and copy.mask == i.mask
+    assert copy == i and "atoms" not in vars(copy) and copy.atoms == i.atoms
 
     pair = InterpretationPair(Interpretation.of(universe, ("q",)), i)
     pair_before = hash(pair), repr(pair), str(pair), pickle.dumps(pair)
@@ -90,20 +96,20 @@ def test_reading_the_mask_changes_no_print_hash_or_pickle():
 
 
 def test_walk_members_carry_their_mask_and_print_hash_and_pickle_as_built():
-    """`extensions` stores each member's mask as it builds the member; the
+    """`extensions` stores each member's atoms as it builds the member; the
     member still compares, hashes, prints and pickles as one built with
-    the universe check, and its unpickled copy computes the mask again."""
+    the universe check, and its unpickled copy derives the atoms again."""
     universe = ("q", "p", "s", "r")
     x = Interpretation.of(universe, ("p",))
     members = list(extensions(x, ["r", "q", "s"]))
     assert len(members) == 8
     for member in members[1:]:  # the first is x itself
-        assert "mask" in vars(member)
-        twin = Interpretation(universe, frozenset(member.atoms))
+        assert "atoms" in vars(member)
+        twin = Interpretation.of(universe, member.atoms)
         seen = member == twin, hash(member), repr(member), str(member), pickle.dumps(member)
         assert seen == (True, hash(twin), repr(twin), str(twin), pickle.dumps(twin))
         copy = pickle.loads(pickle.dumps(member))
-        assert "mask" not in vars(copy) and copy.mask == member.mask == twin.mask
+        assert "atoms" not in vars(copy) and copy.atoms == member.atoms == twin.atoms
 
 
 def test_atoms_outside_the_universe_keep_their_message():
@@ -126,15 +132,19 @@ def test_a_universe_that_repeats_an_atom_has_no_layout():
         lambda: InterpretationPair.of(repeated, ["a"], ["a", "b"]),
         lambda: InterpretationPair.least_precise(repeated),
         lambda: all_consistent_pairs(repeated),
+        lambda: Universe(repeated),
     ):
         with pytest.raises(UniverseMismatchError, match=message):
             build()
+    # a program keeps its own error type and message
+    with pytest.raises(ValueError, match=message):
+        Program((Rule("a"),), repeated)
     # the same atoms once each still build
     assert InterpretationPair.of(("a", "b"), ["a"], ["a", "b"]).masks == (1, 3)
 
 
 def test_the_last_universe_asked_answers_without_hashing():
-    class Counted(tuple):
+    class Counted(Universe):
         """A universe that counts how often it is hashed."""
 
         hashes = 0
@@ -144,17 +154,74 @@ def test_the_last_universe_asked_answers_without_hashing():
             return super().__hash__()
 
     universe = Counted(("q", "p", "r"))
-    bits = _bit_index(universe)
-    assert bits == {"q": 1, "p": 2, "r": 4}
+    assert isinstance(universe, tuple) and universe.bits == {"q": 1, "p": 2, "r": 4}
     before = Counted.hashes
-    assert _bit_index(universe) is bits  # the same tuple: its dict, not hashed again
+    x = Interpretation.of(universe, ("p",))
+    pairs = [
+        InterpretationPair.of(universe, ("p",), ("p", "r")),
+        InterpretationPair.least_precise(universe),
+        InterpretationPair(x, Interpretation.full(universe)),
+        *all_consistent_pairs(universe),
+    ]
+    members = [*extensions(x, ["r", "q"]), *enumerate_interval(x, pairs[0].upper)]
+    assert all(p.universe is universe and p.is_consistent for p in pairs)
+    assert all(z.universe is universe for z in members)
+    assert [z.mask for z in members] == [2, 6, 3, 7, 2, 6]
+    assert x.union(["q"]).mask == 3 and "q" not in x and x.universe.bits["r"] == 4
     assert Counted.hashes == before
+    # a plain tuple becomes an equal Universe where it enters
     equal = ("q", "p", "r")
-    assert equal is not universe and _bit_index(equal) == bits
-    # a universe that repeats an atom raises right after another was cached
+    twin = Interpretation.of(equal, ("p",))
+    assert type(twin.universe) is Universe and twin.universe.bits == universe.bits
+    assert twin == x and hash(twin) == hash(x)
+    # a universe that repeats an atom raises right after another entered
     with pytest.raises(UniverseMismatchError, match="^universe contains duplicate atoms$"):
-        _bit_index(("a", "b", "a"))
-    assert _bit_index(equal) == bits
+        Interpretation.of(("a", "b", "a"))
+    assert Interpretation.of(equal, ("p",)).universe is twin.universe
+
+
+def test_a_parsed_universe_and_the_plain_tuple_build_the_same_values():
+    program = parse_program("h :- sum{1:p, 2:q} >= 2. p :- not q. q :- not p.")
+    parsed, plain = program.universe, tuple(program.universe)
+    assert type(parsed) is Universe and parsed == plain and hash(parsed) == hash(plain)
+    i, j = Interpretation.of(parsed, ("q", "h")), Interpretation.of(plain, ("h", "q"))
+    assert i.universe is parsed and j.universe is not parsed
+    assert (i == j, hash(i), repr(i), str(i)) == (True, hash(j), repr(j), str(j))
+    pair = InterpretationPair.of(parsed, ("q",), ("q", "h"))
+    twin = InterpretationPair.of(plain, ("q",), ("h", "q"))
+    seen = pair == twin, hash(pair), repr(pair), str(pair)
+    assert seen == (True, hash(twin), repr(twin), str(twin))
+    # the atom's kernel is built for the first universe and read for the equal one
+    atom = program.aggregate_atoms()[0]
+    built = []
+    build = atom._kernels.build
+    atom._kernels.build = lambda owner, universe: built.append(universe) or build(owner, universe)
+    kernels = [atom._kernels.read(atom, u)[1] for u in (parsed, plain, parsed)]
+    assert built == [parsed] and kernels[0] is kernels[1] is kernels[2]
+
+
+def test_pickles_keep_the_layout():
+    universe = Universe(("q", "p", "s"))
+    i = Interpretation(universe, 0b101)
+    pair = InterpretationPair(Interpretation(universe, 0b001), i)
+    for value in (universe, i, pair):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value) and repr(copy) == repr(value)
+    copy = pickle.loads(pickle.dumps(pair))
+    assert type(copy.universe) is Universe and copy.universe.bits == universe.bits
+    assert copy.masks == (0b001, 0b101) and copy.upper.atoms == {"q", "s"}
+    assert pickle.loads(pickle.dumps(universe)).bits == {"q": 1, "p": 2, "s": 4}
+
+
+def test_equality_holds_across_the_universe_table_overflow():
+    universe = ("q", "p")
+    before = Interpretation.of(universe, ("p",))
+    for k in range(interp.UNIVERSE_TABLE + 1):  # the table is cleared on the way
+        Interpretation.of((f"x{k}",))
+    after = Interpretation.of(universe, ("p",))
+    assert after.universe is not before.universe
+    assert after == before and hash(after) == hash(before) and repr(after) == repr(before)
+    assert InterpretationPair.exact(after) == InterpretationPair.exact(before)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +239,10 @@ def reference_consistent_pairs(universe):
     ]
     pairs = []
     for upper in subsets:
-        up = Interpretation(universe, upper)
+        up = Interpretation.of(universe, upper)
         for lower in subsets:
             if lower <= upper:
-                pairs.append(InterpretationPair(Interpretation(universe, lower), up))
+                pairs.append(InterpretationPair(Interpretation.of(universe, lower), up))
     return pairs
 
 
@@ -210,7 +277,7 @@ def reference_head_kernel(bodies, universe):
             keys += [key | bits[a] for key in keys]
             chosen += [atoms | {a} for atoms in chosen]
     try:
-        truth = [sat2_disjunction(bodies, Interpretation(universe, atoms)) for atoms in chosen]
+        truth = [sat2_disjunction(bodies, Interpretation.of(universe, atoms)) for atoms in chosen]
     except ArithmeticOverflowError:
         return None
     return Kernel(keys[-1], dict(zip(keys, truth)))
@@ -282,4 +349,4 @@ def _position_shifts(module):
 
 def test_only_interp_and_the_oracle_lay_out_bits():
     places = set().union(*(_position_shifts(path.stem) for path in PACKAGE.glob("*.py")))
-    assert places == {("interp", "_bit_index"), ("oracle", "_subsets")}
+    assert places == {("interp", "__new__"), ("oracle", "_subsets")}

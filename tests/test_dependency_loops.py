@@ -30,7 +30,6 @@ from aggsem.fixpoints import (
 from aggsem.interp import (
     Interpretation,
     InterpretationPair,
-    _pair_at,
     extensions,
     interval_expansion_count,
     reset_interval_expansions,
@@ -61,7 +60,8 @@ def reference_least_fixpoint(holds, sem, program, pair_at, stop_at_upper):
     fixpoints._reject_gl_aggregates(sem, program)
     x, waiting = Interpretation.empty(program.universe), program.entries
     while True:
-        pair = _pair_at(program.universe, *pair_at(x.mask))
+        lower, upper = (Interpretation(program.universe, m) for m in pair_at(x.mask))
+        pair = InterpretationPair(lower, upper)
         pair.require_consistent()
         fired = [head for head, bodies in waiting if holds(sem, bodies, pair)]
         if not fired:

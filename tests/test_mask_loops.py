@@ -1,18 +1,20 @@
 """The Kleene loops carry pairs as two universe masks and hand the rows'
-tests of a head, `SemanticsId.bodies_certain` and `bodies_possible`, an
-`interp._MaskPair`, which builds its InterpretationPair only when a test
-reads a set.
+tests of a head, `SemanticsId.bodies_certain` and `bodies_possible`, the
+InterpretationPair they build from those masks each round, whose sets
+derive their atoms only when a test reads them.
 
-At a mask pair those tests must answer as at the InterpretationPair: the
-same value, or the type and message of the same first error, and the
-same number of interval expansions, at every consistent pair of every
-program of the outcome fingerprint's corpus, ±2^62 variants included
-(where few atoms and heads have kernels, so the tests read the sets).
-The loops build at most one pair per round, none where every test reads
-masks, and a kernel-backed relation call checks its pair once."""
+At a pair built from masks those tests must answer as at the pair of
+`all_consistent_pairs`: the same value, or the type and message of the
+same first error, and the same number of interval expansions, at every
+consistent pair of every program of the outcome fingerprint's corpus,
+±2^62 variants included (where few atoms and heads have kernels, so the
+tests read the sets).  The loops derive at most one pair's atom sets per
+round, none where every test reads masks, and a kernel-backed relation
+call checks its pair once."""
 
 import importlib.util
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from aggsem import fixpoints, parse_program
 from aggsem.bounds import bnd_truth, interval_truth
 from aggsem.errors import AggsemError, InconsistentPairError
 from aggsem.eval2 import aggregate_holds_everywhere
-from aggsem.interp import InterpretationPair, _MaskPair, interval_expansion_count
+from aggsem.interp import Interpretation, InterpretationPair, interval_expansion_count
 from aggsem.syntax import AggregateAtom
 from aggsem.ternary import SemanticsId, all_consistent_pairs, sat3, truth3
 
@@ -63,7 +65,8 @@ def test_mask_tests_answer_as_the_pair_tests_on_the_fingerprint_corpus():
                 for _, bodies in program.entries:
                     for pair in pairs:
                         expected = _counted(lambda: test(sem, bodies, pair))
-                        masks = _MaskPair(universe, *pair.masks)
+                        lower, upper = (Interpretation(universe, m) for m in pair.masks)
+                        masks = InterpretationPair(lower, upper)
                         got = _counted(lambda: test(sem, bodies, masks))
                         assert got == expected, (name, sem, test.__name__, bodies, pair)
                         value = expected[0]
@@ -72,16 +75,16 @@ def test_mask_tests_answer_as_the_pair_tests_on_the_fingerprint_corpus():
     assert {True, False, "ArithmeticOverflowError", "CapabilityError"} <= set(seen), seen
 
 
-def _count_pairs(monkeypatch):
-    """A counter of the InterpretationPairs built (`pairs`) and of the
-    rounds of the least fixpoint (`rounds`, its calls of `pair_at`) from
-    now on."""
+def _count_atom_sets(monkeypatch):
+    """A counter of the atom sets Interpretations derive (`atom sets`) and
+    of the rounds of the least fixpoint (`rounds`, its calls of
+    `pair_at`) from now on."""
     built = Counter()
-    post_init, least_fixpoint = InterpretationPair.__post_init__, fixpoints._least_fixpoint
+    derive, least_fixpoint = Interpretation.atoms.func, fixpoints._least_fixpoint
 
-    def counting_pairs(pair):
-        built["pairs"] += 1
-        post_init(pair)
+    def counting_atom_sets(interpretation):
+        built["atom sets"] += 1
+        return derive(interpretation)
 
     def counting_rounds(holds, sem, program, pair_at, stop_at_upper):
         def counted(x):
@@ -90,7 +93,9 @@ def _count_pairs(monkeypatch):
 
         return least_fixpoint(holds, sem, program, counted, stop_at_upper)
 
-    monkeypatch.setattr(InterpretationPair, "__post_init__", counting_pairs)
+    counted = cached_property(counting_atom_sets)
+    counted.__set_name__(Interpretation, "atoms")
+    monkeypatch.setattr(Interpretation, "atoms", counted)
     monkeypatch.setattr(fixpoints, "_least_fixpoint", counting_rounds)
     return built
 
@@ -98,20 +103,23 @@ def _count_pairs(monkeypatch):
 def test_the_loops_build_pairs_only_at_their_ends(monkeypatch):
     program = chain(8)  # every head and aggregate atom has a kernel
     start = fixpoints._supported_box(program)  # builds the kernels
+    assert fixpoints._all_convex(program)  # and decides each atom's convexity, once
+    for _, bodies in program.entries:  # and the heads' kernels, which ultimate reads
+        assert bodies._kernels.over(bodies, program.universe) is not None
     y = start.lower.union(f"b{i}" for i in range(1, 9))  # a stable model
-    built = _count_pairs(monkeypatch)
+    y.atoms  # the support test evaluates the bodies at y's atoms, once per check
+    built = _count_atom_sets(monkeypatch)
     box = fixpoints._supported_box(program)
-    # the start pair and the box; plain iteration builds one per step
-    assert box == start and built["pairs"] == 2
-    # the rows whose aggregate tests read the kernels build no pair
+    assert box == start and built["atom sets"] == 0
+    # the rows whose aggregate tests read the kernels derive no atom set
     for sem in ("triv", "gz", "ult", "bnd", "mr", "flp", "ultimate"):
         built.clear()
         assert fixpoints.stable_check(sem, program, y)
-        assert built["pairs"] == 0 and built["rounds"] > 0, (sem, built)
-    # lpst sweeps the whole interval of a pair's sets: at most one per round
+        assert built["atom sets"] == 0 and built["rounds"] > 0, (sem, built)
+    # lpst sweeps the whole interval of a pair's sets: at most one pair's per round
     built.clear()
     assert fixpoints.stable_check("lpst", program, y)
-    assert 0 < built["pairs"] <= built["rounds"], built
+    assert 0 < built["atom sets"] <= 2 * built["rounds"], built
 
 
 def _count_checks(monkeypatch):

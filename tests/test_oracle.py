@@ -416,8 +416,10 @@ k :- prod{4611686018427387904:a, 2:b, 0:c} = 0.
 
 
 def test_sampled_verify_depends_on_the_seed_alone(tmp_path):
-    """The sampled pairs, and so the report, are the same under two string
-    hash seeds: each lower set is drawn in universe order."""
+    """The report is the same under two string hash seeds.  Every formula
+    of this 7-atom program has at most three atoms, so `verify` checks
+    each at its own pairs and samples none: this checks an own-pairs
+    report, and `test_oracle_tables.py` the sampled pairs."""
     path = tmp_path / "seven.lp"
     path.write_text(SAMPLED, encoding="utf-8")
     src = str(Path(oracle.__file__).resolve().parent.parent)

@@ -51,7 +51,7 @@ def test_an_index_over_atoms_lists_the_restrictions_in_first_reach_order():
                 assert own == list(first.values()), (universe, atoms)
                 assert [(p.lower.atoms, p.upper.atoms) for p in own] == list(first)
                 assert all(p.universe == universe for p in own)
-                assert index.mask == Interpretation(universe, kept).mask
+                assert index.mask == Interpretation.of(universe, kept).mask
                 assert len(index.bits) == len(kept)
 
 

@@ -17,7 +17,6 @@ from aggsem.eval2 import _supported_extensions, is_supported_model
 from aggsem.interp import (
     Interpretation,
     _extension_masks,
-    _interpretation_at,
     extensions,
     interval_expansion_count,
 )
@@ -110,7 +109,7 @@ def test_extension_masks_follow_extensions():
         rng.shuffle(free)
         members = list(extensions(x, free))
         assert list(_extension_masks(x, free)) == [z.mask for z in members]
-        assert [_interpretation_at(universe, z.mask) for z in members] == members
+        assert [Interpretation(universe, z.mask) for z in members] == members
 
 
 @pytest.mark.parametrize("text", [CHAIN_4, MIN_CHAIN_4], ids=["sum", "min"])
