@@ -17,10 +17,11 @@ tables read (prod's only the kernels': its sweep walks members).
 sweep's truth loops and avg's value range restate a row's test inline,
 as their callers run them once per interpretation or member.
 
-Each aggregate atom is evaluated by a function of the set of true atoms
-that `aggregate_evaluator` builds once per atom, over its (weight, atom,
-negated) entries; the atom caches it.  The rule-level tests below take
-literals inline and stop at the first false element of a body.
+Every two-valued test reads an interpretation as its universe and mask.
+An aggregate atom is evaluated by a function of the mask that
+`aggregate_evaluator` builds once per atom and universe, over its
+(weight, bit, want) entries.  Body tests read a literal's bit inline and
+stop at the first false element of a body.
 
 Small aggregate atoms and heads also get a bitmask kernel, built once
 per universe and kept on the atom (`AggregateAtom._kernels`) or on the
@@ -49,13 +50,9 @@ and avg) and for a head's `Bodies` (`ultimate`);
 `_kernel_range` gives `bounds` a range entry and `_kernel_bounds` a
 shared `Bounds`; and the `triv` and `mr` tests live here.
 
-Stable search tests support at masks: `_supported_extensions` walks the
-candidates as universe masks and reads each head's kernel at the mask,
-so on a program whose heads all have kernels a candidate becomes an
-Interpretation only when it passes.  The tests of a pair here (`triv`,
-`gz`, `flp`, `mr` and the interval sweep) read a kernel at the pair's
-`universe` and `masks`, and the atoms of its sets only where the atom or
-head has none.
+A body test reads an aggregate's kernel where it has one, the support
+test a head's; stable search runs it at each candidate's mask and builds
+only the candidates that pass.  No test here reads a set of atoms.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import inf, prod
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
@@ -75,7 +71,6 @@ from .interp import (
     _count_expansion,
     _extension_masks,
     _interval_free_atoms,
-    enumerate_interval,
     extensions,
 )
 from .syntax import AggFunc, AggregateAtom, Bodies, BodyElement, Literal, Program
@@ -140,8 +135,7 @@ def literal_holds(literal: Literal, i: Interpretation) -> bool:
 
 def eval_multiset(entries: Sequence[tuple[int, Literal]], i: Interpretation) -> tuple[int, ...]:
     """Multiset of weights whose condition holds in i, entry order preserved."""
-    atoms = i.atoms
-    return tuple([w for w, lit in entries if (lit.atom in atoms) != lit.negated])
+    return tuple([w for w, lit in entries if (lit.atom in i) != lit.negated])
 
 
 def _value(func: AggFunc, multiset: Sequence[int]) -> int | Fraction | None:
@@ -156,27 +150,40 @@ def aggregate_value(func: AggFunc, multiset: Sequence[int]) -> AggValue:
 
 
 def eval_aggregate(atom: AggregateAtom, i: Interpretation) -> bool:
-    return atom._holds(i.atoms)
+    return atom._evaluators.over(atom, i.universe)(i.mask)
 
 
-def aggregate_evaluator(atom: AggregateAtom) -> Callable[[frozenset[str]], bool]:
-    """The atom's two-valued test as a function of the set of true atoms,
-    which `AggregateAtom._holds` caches.  It takes the entries in order
-    and raises ArithmeticOverflowError as `_value` does: sum and avg on
-    the total, prod after every factor."""
-    triples = tuple((w, lit.atom, lit.negated) for w, lit in atom.entries)
+def atom_evaluators(atom: AggregateAtom) -> KernelSlot:
+    """The atom's evaluator slot: `aggregate_evaluator` over the universe
+    of the interpretation that asks, built again for another universe."""
+    return KernelSlot(aggregate_evaluator)
+
+
+def aggregate_evaluator(atom: AggregateAtom, universe: tuple[str, ...]) -> Callable[[int], bool]:
+    """The atom's two-valued test as a function of a mask of the universe.
+    Each entry becomes (weight, bit, want) and holds when `mask & bit ==
+    want`; a positive condition on an atom outside the universe never
+    holds, so it is dropped, and a negated one always does.  It takes the
+    entries in order and raises ArithmeticOverflowError as `_value` does:
+    sum and avg on the total, prod after every factor."""
+    bits = Universe.of(universe).bits
+    triples = [
+        (w, bits.get(lit.atom, 0), 0 if lit.negated else bits[lit.atom])
+        for w, lit in atom.entries
+        if lit.negated or lit.atom in bits
+    ]
     holds, bound, func = atom.cmp.holds, atom.bound, atom.func
     lowest, highest = INT64_MIN, INT64_MAX
 
     if func in (AggFunc.SUM, AggFunc.CARD):
         if func is AggFunc.CARD:
             # the count is the sum of weight 1 per entry, far inside the range
-            triples = tuple((1, a, negated) for _, a, negated in triples)
+            triples = [(1, bit, want) for _, bit, want in triples]
 
-        def sum_holds(atoms: frozenset[str]) -> bool:
+        def sum_holds(mask: int) -> bool:
             total = 0
-            for w, a, negated in triples:
-                if (a in atoms) != negated:
+            for w, bit, want in triples:
+                if mask & bit == want:
                     total += w
             if not lowest <= total <= highest:
                 checked_int(total, "sum")
@@ -186,12 +193,12 @@ def aggregate_evaluator(atom: AggregateAtom) -> Callable[[frozenset[str]], bool]
 
     if func is AggFunc.AVG:
 
-        def avg_holds(atoms: frozenset[str]) -> bool:
+        def avg_holds(mask: int) -> bool:
             # for a count above 0, comparing the total with the bound
             # times the count is the exact comparison of the average
             total = count = 0
-            for w, a, negated in triples:
-                if (a in atoms) != negated:
+            for w, bit, want in triples:
+                if mask & bit == want:
                     total += w
                     count += 1
             if not count:
@@ -204,10 +211,10 @@ def aggregate_evaluator(atom: AggregateAtom) -> Callable[[frozenset[str]], bool]
 
     if func is AggFunc.PROD:
 
-        def prod_holds(atoms: frozenset[str]) -> bool:
+        def prod_holds(mask: int) -> bool:
             product = 1
-            for w, a, negated in triples:
-                if (a in atoms) != negated:
+            for w, bit, want in triples:
+                if mask & bit == want:
                     product *= w
                     if not lowest <= product <= highest:
                         checked_int(product, "product")
@@ -217,111 +224,121 @@ def aggregate_evaluator(atom: AggregateAtom) -> Callable[[frozenset[str]], bool]
 
     is_min = func is AggFunc.MIN
 
-    def extreme_holds(atoms: frozenset[str]) -> bool:
+    def extreme_holds(mask: int) -> bool:
         # min and max: undefined, so false, when no entry holds; a weight
         # replaces the value so far when it is below it (min) or not (max)
         value = None
-        for w, a, negated in triples:
-            if (a in atoms) != negated and (value is None or (w < value) is is_min):
+        for w, bit, want in triples:
+            if mask & bit == want and (value is None or (w < value) is is_min):
                 value = w
         return value is not None and holds(value, bound)
 
     return extreme_holds
 
 
+def _body_holds(body: Sequence[BodyElement], universe: Universe, mask: int) -> bool:
+    """The body's truth at a mask of the universe.  Elements are tested
+    left to right and the test stops at the first false one, so an
+    aggregate after it is never evaluated.  A literal reads its bit (an
+    atom outside the universe is false); an aggregate atom reads its
+    kernel's truth, or without a kernel runs its evaluator, whose errors
+    are the only ones a body raises."""
+    bits = universe.bits
+    for element in body:
+        if element.__class__ is Literal:
+            if (mask & bits.get(element.atom, 0) != 0) == element.negated:
+                return False
+        else:
+            kernels = element._kernels
+            if kernels is None:
+                if not element._evaluators.over(element, universe)(mask):
+                    return False
+            else:
+                kernel = kernels.over(element, universe)
+                if not kernel.truth[mask & kernel.cm]:
+                    return False
+    return True
+
+
+def _bodies_hold(bodies: Iterable[Sequence[BodyElement]], universe: Universe, mask: int) -> bool:
+    """The disjunction's truth at a mask: the bodies in order, stopping at
+    the first that holds."""
+    for body in bodies:
+        if _body_holds(body, universe, mask):
+            return True
+    return False
+
+
 def sat2_element(element: BodyElement, i: Interpretation) -> bool:
-    if isinstance(element, Literal):
-        return (element.atom in i.atoms) != element.negated
-    return element._holds(i.atoms)
+    return _body_holds((element,), i.universe, i.mask)
 
 
 def sat2(body: Sequence[BodyElement], i: Interpretation) -> bool:
     """A body (conjunction) holds iff every element holds.  Elements are
     tested left to right and the test stops at the first false one, so
     an aggregate after it is never evaluated."""
-    atoms = i.atoms
-    for element in body:
-        if isinstance(element, Literal):
-            if (element.atom in atoms) == element.negated:
-                return False
-        elif not element._holds(atoms):
-            return False
-    return True
+    return _body_holds(body, i.universe, i.mask)
 
 
 def sat2_disjunction(bodies: Iterable[Sequence[BodyElement]], i: Interpretation) -> bool:
-    for body in bodies:
-        if sat2(body, i):
-            return True
-    return False
+    return _bodies_hold(bodies, i.universe, i.mask)
 
 
 def tp(program: Program, i: Interpretation) -> Interpretation:
     """Immediate consequence operator: heads of rules whose body holds in i."""
-    fired = {rule.head for rule in program.rules if sat2(rule.body, i)}
+    fired = [rule.head for rule in program.rules if _body_holds(rule.body, i.universe, i.mask)]
     return i.with_atoms(fired)
 
 
 def is_model(program: Program, i: Interpretation) -> bool:
-    atoms = i.atoms
-    for rule in program.rules:
-        if rule.head not in atoms and sat2(rule.body, i):
-            return False
-    return True
+    return not any(
+        rule.head not in i and _body_holds(rule.body, i.universe, i.mask) for rule in program.rules
+    )
 
 
 def is_supported_model(program: Program, i: Interpretation) -> bool:
     """Is i a fixpoint of `tp`?  Heads are tested one at a time, in the
     order of `program.entries`, and the test stops at the first head
-    whose membership in i differs from "some body holds at i", so a body
-    after that head is never evaluated.  Every atom of i must be a head."""
-    atoms = i.atoms
-    heads_in_i = 0
+    whose membership in i differs from "some body holds at i", so no body
+    after that head raises.  Every atom of i must be a head."""
+    return _support_test(program, i.universe)(i.mask)
+
+
+def _support_test(program: Program, universe: Universe) -> Callable[[int], bool]:
+    """`is_supported_model` as a function of a mask of the universe.  A
+    head with a kernel reads its disjunction as `truth[mask & cm]`, one
+    without (too many atoms, or an evaluation leaving the signed 64-bit
+    range) tests its bodies at the mask."""
+    bits = universe.bits
+    heads, tests = 0, []
     for head, bodies in program.entries:
-        holds = head in atoms
-        if holds is not sat2_disjunction(bodies, i):
-            return False
-        heads_in_i += holds
-    return heads_in_i == len(atoms)
+        bit = bits.get(head, 0)
+        heads |= bit
+        kernels = bodies._kernels
+        kernel = kernels and kernels.over(bodies, universe)
+        tests.append((bit, None, bodies) if kernel is None else (bit, kernel.cm, kernel.truth))
+
+    def supported(mask: int) -> bool:
+        for bit, cm, test in tests:
+            holds = test[mask & cm] if cm is not None else _bodies_hold(test, universe, mask)
+            if holds is not (mask & bit != 0):
+                return False
+        return not mask & ~heads  # every atom of a supported model is a head
+
+    return supported
 
 
 def _supported_extensions(
     program: Program, x: Interpretation, free: Sequence[str]
 ) -> Iterator[Interpretation]:
     """The members of `extensions(x, free)` at which `is_supported_model`
-    holds, in that order, tested at their masks.  Heads are tested in
-    the order of `program.entries`, and the test stops at the first head
-    whose bit disagrees with its disjunction.  A head with a kernel reads
-    the disjunction as `truth[mask & cm]`.  A head without one (too many
-    atoms, or an evaluation leaving the signed 64-bit range) evaluates
-    its bodies with `sat2_disjunction` at the member, so the first error
-    is that of `is_supported_model` on the members in order.  When every
-    head has a kernel, only the members that pass are built; otherwise
-    `extensions` builds each member alongside its mask."""
+    holds, in that order: the support test runs at each mask, and only
+    the members that pass are built."""
     universe = x.universe
-    bits = universe.bits
-    heads, tests = 0, []
-    for head, bodies in program.entries:
-        kernels = bodies._kernels
-        kernel = kernels and kernels.over(bodies, universe)
-        heads |= bits[head]
-        if kernel is None:
-            tests.append((bits[head], None, bodies))
-        else:
-            tests.append((bits[head], kernel.cm, kernel.truth))
-    masks = _extension_masks(x, free)
-    if all(cm is not None for _, cm, _ in tests):
-        walk = zip(masks, repeat(None))
-    else:  # a head without a kernel evaluates its bodies at the member
-        walk = zip(masks, extensions(x, free))
-    for mask, member in walk:
-        for bit, cm, test in tests:
-            holds = test[mask & cm] if cm is not None else sat2_disjunction(test, member)
-            if holds is not (mask & bit != 0):
-                break
-        else:
-            if not mask & ~heads:  # every atom of a supported model is a head
-                yield Interpretation(universe, mask) if member is None else member
+    supported = _support_test(program, universe)
+    for mask in _extension_masks(x, free):
+        if supported(mask):
+            yield Interpretation(universe, mask)
 
 
 def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) -> bool:
@@ -437,23 +454,23 @@ def _interval_sweep(
 
 
 def _member_truths(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> Iterator[bool]:
-    """The owner's truth at each member of the sweep, in order.
+    """The owner's truth at each member of the sweep, in order; counts
+    one interval expansion.
 
-    A head's disjunction and a prod without a kernel walk the members,
-    so a product leaves the signed 64-bit range at the first member, and
-    the first factor, at which the ordered product does.  The other
-    functions build none: each member's value is one entry of
+    A head's disjunction and a prod without a kernel are tested at each
+    member's mask, so a product leaves the signed 64-bit range at the
+    first member, and the first factor, at which the ordered product
+    does.  For the other functions each member's value is one entry of
     `_half_tables` over the free condition atoms joined with another.
     """
+    universe = pair.universe
     if isinstance(owner, Bodies):
-        members = enumerate_interval(pair.lower, pair.upper, restrict=owner.atoms)
-        return (sat2_disjunction(owner, z) for z in members)
-    restrict = frozenset(owner.condition_atoms)
+        free = _interval_free_atoms(pair.lower, pair.upper, owner.atoms)
+        return (_bodies_hold(owner, universe, m) for m in _extension_masks(pair.lower, free))
+    free = _interval_free_atoms(pair.lower, pair.upper, owner.condition_atoms)
     if owner.func is AggFunc.PROD:
-        members = enumerate_interval(pair.lower, pair.upper, restrict=restrict)
-        return (eval_aggregate(owner, z) for z in members)
-    free = _interval_free_atoms(pair.lower, pair.upper, restrict)
-    fixed = _fixed_weights(owner, pair.universe, *pair.masks)
+        return map(owner._evaluators.over(owner, universe), _extension_masks(pair.lower, free))
+    fixed = _fixed_weights(owner, universe, *pair.masks)
     high, low = _half_tables(owner, free, fixed)
     return _RULES[owner.func].truths(owner, high, low)
 
@@ -654,14 +671,15 @@ class Kernel(NamedTuple):
 
 
 class KernelSlot:
-    """The kernel of one aggregate atom or one head, built by
-    `build(owner, universe)` for the universe of the pair that asks,
-    since its bits are universe positions; a pair over another universe
-    builds it again.  `built` is (universe, kernel, truths, ranges,
-    bounds), the last three the kernel's interval entries
-    (`_entry_truth`, `_kernel_range`, `_kernel_bounds`).  It is replaced
-    whole, and `read` returns the one tuple it took, so a caller never
-    reads one universe's kernel or entries for another."""
+    """The kernel of one aggregate atom or one head, or an atom's
+    evaluator, built by `build(owner, universe)` for the universe of the
+    pair or interpretation that asks, since its bits are universe
+    positions; one over another universe builds it again.  `built` is
+    (universe, kernel, truths, ranges, bounds), the last three a
+    kernel's interval entries (`_entry_truth`, `_kernel_range`,
+    `_kernel_bounds`).  It is replaced whole, and `read` returns the one
+    tuple it took, so a caller never reads one universe's kernel or
+    entries for another."""
 
     __slots__ = ("build", "built")
 
@@ -744,9 +762,10 @@ def _head_kernel(bodies: Bodies, universe: tuple[str, ...]) -> Kernel | None:
     which member of an interval raises first depends on the order, so
     the sweep runs.  An atom outside the universe is false."""
     empty = Interpretation.empty(universe)
-    inside = [a for a in bodies.atoms if a in empty.universe.bits]
+    universe = empty.universe
+    inside = [a for a in bodies.atoms if a in universe.bits]
     try:
-        truth = {z.mask: sat2_disjunction(bodies, z) for z in extensions(empty, inside)}
+        truth = {m: _bodies_hold(bodies, universe, m) for m in _extension_masks(empty, inside)}
     except ArithmeticOverflowError:
         return None
     return Kernel(max(truth), truth)  # cm: the greatest key, every atom chosen

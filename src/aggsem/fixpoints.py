@@ -28,23 +28,24 @@ the same first error.
 
 The checks cost little per candidate.  Stable search tests support
 before it builds a candidate: `eval2` walks the box's candidates as
-universe masks, reads each head's kernel at the mask and stops at the
-first head it refutes, so only the candidates that pass become
-Interpretations and reach `stable_check`.  The Kripke-Kleene loop (the
-box included) and the least fixpoint carry their pair as two masks in
-`interp`'s bit layout: a step's changed atoms are `old ^ new`, and a
-head is tested with its row's test (`SemanticsId.bodies_certain`,
-`bodies_possible`) at the one InterpretationPair each step builds from
-the masks.  A literal reads its bit, an atom or head with a kernel the
-masks, and only a test without one derives the atoms of the pair's
-sets.  The minimal-model check, whose subset walk builds each subset,
-tests every rule at one pair per subset.  The least fixpoint is
-semi-naive (a head already derived is not tested again, and a waiting
-head only when an atom of its bodies was just added) and stops as soon
-as it reaches Y.  The well-founded upper bound, the least fixpoint of
-the upper operator, runs through the same loop.  A well-founded round
-computes its lower (upper) set again only when the upper (lower) set it
-is computed from differs from the last round's.
+universe masks, reads each head's kernel at the mask (or tests its
+bodies there) and stops at the first head it refutes, so only the
+candidates that pass become Interpretations and reach `stable_check`.
+The Kripke-Kleene loop (the box included) and the least fixpoint carry
+their pair as two masks in `interp`'s bit layout: a step's changed atoms
+are `old ^ new`, and a head is tested with its row's test
+(`SemanticsId.bodies_certain`, `bodies_possible`) at the one
+InterpretationPair each step builds from the masks.  A literal reads its
+bit, an atom or head with a kernel the masks, and one without evaluates
+at the masks; no test derives a set of atoms.  The minimal-model check,
+whose subset walk builds each subset, tests every rule at one pair per
+subset.  The least fixpoint is semi-naive (a head already derived is not
+tested again, and a waiting head only when an atom of its bodies was
+just added) and stops as soon as it reaches Y.  The well-founded upper
+bound, the least fixpoint of the upper operator, runs through the same
+loop.  A well-founded round computes its lower (upper) set again only
+when the upper (lower) set it is computed from differs from the last
+round's.
 
 Stable-model search tests only the candidates inside one box, the same
 for every relation: the Kripke-Kleene fixpoint of the cheap `bnd`

@@ -8,14 +8,14 @@ when lower is contained in upper.
 
 A `Universe` is a tuple of distinct atoms that owns their bit layout:
 bit k of a mask stands for universe[k].  An Interpretation is a universe
-and a mask; its set of atoms is derived on first read and kept outside
-the fields, and `extensions` stores it as it builds each member.  The
-two sets of an InterpretationPair share one universe, and the pair is
-consistent when `lower & ~upper` is 0.  A Kleene loop that carries a
-pair as two masks builds the pair from them each round.  A plain tuple
-becomes a Universe where it enters (`Universe.of`), through one bounded
-table, so equal tuples share one layout; nothing past that hashes a
-universe.
+and a mask, each built through its checked constructor; its set of atoms
+is derived on first read and kept outside the fields, and only the
+oracle, the CLI and the benchmark read it.  The two sets of an
+InterpretationPair share one universe, and the pair is consistent when
+`lower & ~upper` is 0.  A Kleene loop that carries a pair as two masks
+builds the pair from them each round.  A plain tuple becomes a Universe
+where it enters (`Universe.of`), through one bounded table, so equal
+tuples share one layout; nothing past that hashes a universe.
 """
 
 from __future__ import annotations
@@ -118,12 +118,8 @@ class Interpretation:
         self, universe: Iterable[str], mask: int = 0, *, atoms: Iterable[str] | None = None
     ):
         self.universe = universe = Universe.of(universe)
-        self.mask = mask if atoms is None else universe.mask_of(atoms)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        """The check of every build once its fields are set."""
-        if self.mask >> len(self.universe):
+        self.mask = mask = mask if atoms is None else universe.mask_of(atoms)
+        if mask >> len(universe):
             raise UniverseMismatchError("mask sets bits outside the universe")
 
     # derived outside the fields, so eq, hash, repr and pickles are unchanged
@@ -325,69 +321,45 @@ def _count_expansion() -> None:
 
 
 def extensions(x: Interpretation, free: Sequence[str]) -> Iterator[Interpretation]:
-    """Yield x united with every subset of `free`, by binary counting with
-    free[0] as the least significant bit, so the output order is fixed.
+    """Yield x united with every subset of `free`, in the order of
+    `_extension_masks`: x itself first, then an Interpretation built at
+    each later mask.  `free` is checked against x's universe before the
+    first member, so a foreign atom raises UniverseMismatchError there.
+    The walk does not count interval expansions."""
+    masks = _extension_masks(x, free)
+    next(masks)  # x's own mask, once the check has passed
+    yield x
+    universe = x.universe
+    for mask in masks:
+        yield Interpretation(universe, mask)
 
-    Every exhaustive subset walk outside the independent oracle runs
-    here.  The walk does not count interval expansions.
 
-    Cost: `free` is checked against x's universe once, before the first
-    member, so a foreign atom raises UniverseMismatchError there.  Each
-    member is then built without its own checks, from two cached
-    half-subsets: one of the low half of `free` (indexed by the low bits
-    of the count) and one of the high half united with x (indexed by the
-    high bits), each kept as a mask and as a set of atoms, so the member
-    gets its mask and, already derived, its `atoms`.  A table entry is
-    built from an earlier one the first time the walk reaches it, so the
-    tables hold O(2^(|free|/2)) entries and a walk that stops early pays
-    only for what it visited.
+def _extension_masks(x: Interpretation, free: Sequence[str]) -> Iterator[int]:
+    """The mask of x united with every subset of `free`, by binary
+    counting with free[0] as the least significant bit, so the order is
+    fixed.  Every exhaustive subset walk outside the independent oracle
+    runs here; `extensions` builds members at its masks.
+
+    `free` is checked against x's universe before the first mask.  Each
+    mask joins one entry of a table of the subsets of the low half of
+    `free` (indexed by the low bits of the count) with one of a table of
+    the subsets of the high half united with x (the high bits).  The low
+    table is built first; a high entry is built from an earlier one the
+    first time the walk reaches it, so the tables hold O(2^(|free|/2))
+    entries and a walk that stops early pays little for what it did not
+    visit.
     """
     universe = x.universe
     universe.mask_of(free)  # the check: a foreign atom raises here
     bits = universe.bits
     half = len(free) // 2
-    low_mask = (1 << half) - 1
-    low: list[frozenset[str]] = [frozenset()]  # subsets of free[:half]
-    high = [x.atoms]  # x's atoms united with the subsets of free[half:]
-    low_masks, high_masks = [0], [x.mask]  # their masks
-    new = object.__new__
-    yield x
-    outer, outer_mask = x.atoms, x.mask
-    for mask in range(1, 1 << len(free)):
-        i = mask & low_mask
-        if not i:
-            j = mask >> half
-            if j == len(high):
-                # j without its lowest set bit, plus that bit's atom
-                rest, atom = j & (j - 1), free[half + (j & -j).bit_length() - 1]
-                high.append(high[rest] | {atom})
-                high_masks.append(high_masks[rest] | bits[atom])
-            outer, outer_mask = high[j], high_masks[j]
-        elif i == len(low):
-            rest, atom = i & (i - 1), free[(i & -i).bit_length() - 1]
-            low.append(low[rest] | {atom})
-            low_masks.append(low_masks[rest] | bits[atom])
-        member = new(Interpretation)
-        fields = member.__dict__
-        fields["universe"] = universe
-        fields["mask"] = outer_mask | low_masks[i]
-        # the `atoms` a first read would derive, stored without its lock
-        fields["atoms"] = outer | low[i]
-        yield member
-
-
-def _extension_masks(x: Interpretation, free: Sequence[str]) -> Iterator[int]:
-    """The `mask` of each member `extensions(x, free)` yields, in its
-    order, without building the members: x's mask united with one entry
-    of a table of the subsets of the high half of `free` and one of the
-    low half, as `extensions` splits it.  `free` is checked against x's
-    universe first."""
-    x.universe.mask_of(free)  # the check
-    bits = x.universe.bits
-    half = len(free) // 2
-    low, high = [0], [x.mask]
-    for a in free[:half]:
-        low += [m | bits[a] for m in low]
-    for a in free[half:]:
-        high += [m | bits[a] for m in high]
-    return (outer | inner for outer in high for inner in low)
+    low = [0]  # the subsets of free[:half]
+    for atom in free[:half]:
+        low += [m | bits[atom] for m in low]
+    high = [x.mask]  # x united with the subsets of free[half:]
+    for j in range(1 << (len(free) - half)):
+        if j:  # j without its lowest set bit, plus that bit's atom
+            high.append(high[j & (j - 1)] | bits[free[half + (j & -j).bit_length() - 1]])
+        outer = high[j]
+        for inner in low:
+            yield outer | inner

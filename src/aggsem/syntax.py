@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ArithmeticOverflowError, ParseError, TooLargeError, UniverseMismatchError
 from .interp import Interpretation, Universe
@@ -123,12 +123,12 @@ class AggregateAtom:
         return AggregateAtom, (self.func, self.entries, self.cmp, self.bound)
 
     @cached_property
-    def _holds(self) -> Callable[[frozenset[str]], bool]:
-        """The atom's two-valued truth as a function of the set of true
-        atoms, built once by `eval2.aggregate_evaluator`."""
-        from .eval2 import aggregate_evaluator
+    def _evaluators(self):
+        """The atom's slot of two-valued evaluators (`eval2.atom_evaluators`):
+        its truth as a function of a mask, built once per universe."""
+        from .eval2 import atom_evaluators
 
-        return aggregate_evaluator(self)
+        return atom_evaluators(self)
 
     @cached_property
     def _kernels(self):

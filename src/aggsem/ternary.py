@@ -125,8 +125,8 @@ class _Row(NamedTuple):
     member.  Each test takes an aggregate atom, or a head's `Bodies`, and
     a consistent `InterpretationPair`, which a Kleene loop builds from its
     two masks each round.  A test that reads a kernel reads the pair's
-    `universe` and `masks`; one that needs the sets of atoms reads
-    `lower` and `upper`."""
+    `universe` and `masks`; one that evaluates the atom at the pair's
+    sets reads `lower` and `upper`, at their masks."""
 
     tag: str
     truth: Callable | None = None  # three-valued truth of an aggregate atom

@@ -11,7 +11,7 @@ import pytest
 
 from aggsem import ArithmeticOverflowError, CapabilityError, oracle, parse_program
 from aggsem.bounds import Bounds, bnd_truth, exact_bounds, interval_truth
-from aggsem.eval2 import AggValue, eval_aggregate, sat2, sat2_disjunction
+from aggsem.eval2 import AggValue, eval_aggregate, sat2, sat2_disjunction, sat2_element
 from aggsem.fixpoints import stable_enumerate
 from aggsem.interp import Interpretation, InterpretationPair
 from aggsem.syntax import AggFunc, AggregateAtom, Comparison, Literal
@@ -58,14 +58,24 @@ def _subsets(universe):
 
 
 def test_evaluator_matches_the_oracle_evaluation():
+    """Each atom, and its unpickled copy, is evaluated over the universe
+    and over one that orders the same atoms differently, alternately, so
+    its evaluator is built again for each call; a body test of the atom,
+    which reads its kernel where it has one, over the universe."""
     universe = ("s", "q", "t", "p", "r")
+    reordered = ("r", "t", "s", "p", "q")
     seen = {}
     for atom in _aggregates(universe, 1501):
+        copy = pickle.loads(pickle.dumps(atom))
         for atoms in _subsets(universe):
+            expected = _outcome(lambda: oracle._element_holds(atom, atoms))
+            for evaluated, order in ((atom, universe), (atom, reordered), (copy, reordered)):
+                i = Interpretation.of(order, atoms)
+                ours = _outcome(lambda: eval_aggregate(evaluated, i))
+                assert ours == expected, f"{atom} at {i}"
             i = Interpretation.of(universe, atoms)
-            ours = _outcome(lambda: eval_aggregate(atom, i))
-            assert ours == _outcome(lambda: oracle._element_holds(atom, atoms)), f"{atom} at {i}"
-            seen.setdefault(atom.func, set()).add(ours[0])
+            assert _outcome(lambda: sat2_element(atom, i)) == expected, f"{atom} at {i}"
+            seen.setdefault(atom.func, set()).add(expected[0])
     for func in (AggFunc.SUM, AggFunc.PROD, AggFunc.AVG):
         assert seen[func] == {"ok", "ArithmeticOverflowError"}, func
     for func in (AggFunc.CARD, AggFunc.MIN, AggFunc.MAX):

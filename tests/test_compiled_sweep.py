@@ -101,7 +101,11 @@ def test_inconsistent_pair_raises_as_the_walk_does():
 
 def test_only_a_kernel_less_prod_walks_members(monkeypatch):
     walked = []
-    monkeypatch.setattr(eval2, "eval_aggregate", lambda atom, z: walked.append(atom) or True)
+
+    def counting_evaluator(atom, universe):  # each call of the atom's mask evaluator
+        return lambda mask: walked.append(atom) or True
+
+    monkeypatch.setattr(eval2, "aggregate_evaluator", counting_evaluator)
     pair = InterpretationPair.least_precise(UNIVERSE)
     two = ((1, Literal("p")), (2, Literal("q", True)))
     small = [AggregateAtom(func, two, Comparison.GE, 0) for func in AggFunc]

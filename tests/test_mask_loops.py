@@ -1,16 +1,15 @@
 """The Kleene loops carry pairs as two universe masks and hand the rows'
 tests of a head, `SemanticsId.bodies_certain` and `bodies_possible`, the
-InterpretationPair they build from those masks each round, whose sets
-derive their atoms only when a test reads them.
+InterpretationPair they build from those masks each round.
 
 At a pair built from masks those tests must answer as at the pair of
 `all_consistent_pairs`: the same value, or the type and message of the
 same first error, and the same number of interval expansions, at every
 consistent pair of every program of the outcome fingerprint's corpus,
 ±2^62 variants included (where few atoms and heads have kernels, so the
-tests read the sets).  The loops derive at most one pair's atom sets per
-round, none where every test reads masks, and a kernel-backed relation
-call checks its pair once."""
+tests evaluate bodies and aggregates at masks).  No loop, sweep or
+stable search derives an interpretation's set of atoms, and a
+kernel-backed relation call checks its pair once."""
 
 import importlib.util
 from collections import Counter
@@ -100,6 +99,13 @@ def _count_atom_sets(monkeypatch):
     return built
 
 
+# p_i and q_i even loops, and a prod over the fourteen p_i: past the
+# kernel cap, so its sweeps and the head's `ultimate` sweep walk members
+WIDE_PROD = "".join(f"p{i} :- not q{i}.\nq{i} :- not p{i}.\n" for i in range(14)) + (
+    "h :- prod{" + ", ".join(f"2:p{i}" for i in range(14)) + "} >= 1.\n"
+)
+
+
 def test_the_loops_build_pairs_only_at_their_ends(monkeypatch):
     program = chain(8)  # every head and aggregate atom has a kernel
     start = fixpoints._supported_box(program)  # builds the kernels
@@ -107,19 +113,32 @@ def test_the_loops_build_pairs_only_at_their_ends(monkeypatch):
     for _, bodies in program.entries:  # and the heads' kernels, which ultimate reads
         assert bodies._kernels.over(bodies, program.universe) is not None
     y = start.lower.union(f"b{i}" for i in range(1, 9))  # a stable model
-    y.atoms  # the support test evaluates the bodies at y's atoms, once per check
     built = _count_atom_sets(monkeypatch)
     box = fixpoints._supported_box(program)
     assert box == start and built["atom sets"] == 0
-    # the rows whose aggregate tests read the kernels derive no atom set
-    for sem in ("triv", "gz", "ult", "bnd", "mr", "flp", "ultimate"):
+    # no row derives an atom set, not even lpst, which sweeps the whole
+    # interval of each pair
+    for sem in ("triv", "gz", "ult", "lpst", "bnd", "mr", "flp", "ultimate"):
         built.clear()
         assert fixpoints.stable_check(sem, program, y)
         assert built["atom sets"] == 0 and built["rounds"] > 0, (sem, built)
-    # lpst sweeps the whole interval of a pair's sets: at most one pair's per round
+    # nor does the whole search, the support test of each candidate included
+    for sem in (s for s in SemanticsId if s.handles_aggregates):
+        built.clear()
+        assert len(fixpoints.stable_enumerate(sem, program, max_atoms=25)) == 256
+        assert built["atom sets"] == 0, (sem, built)
+    # nor the sweeps that walk the members of a prod without a kernel
+    wide = parse_program(WIDE_PROD)
+    (atom,) = wide.aggregate_atoms()
+    assert atom._kernels is None and wide.entries[-1][1]._kernels is None
     built.clear()
-    assert fixpoints.stable_check("lpst", program, y)
-    assert 0 < built["atom sets"] <= 2 * built["rounds"], built
+    before = interval_expansion_count()
+    for sem in ("triv", "ult", "bnd"):
+        fixpoints.kripke_kleene(sem, wide)
+        fixpoints.well_founded(sem, wide)
+    least = InterpretationPair.least_precise(wide.universe)
+    assert "h" in fixpoints.lower_step("ultimate", wide, least)
+    assert built["atom sets"] == 0 and interval_expansion_count() > before, built
 
 
 def _count_checks(monkeypatch):

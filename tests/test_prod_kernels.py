@@ -30,23 +30,28 @@ h :- prod{-2:f, 5:not g} <= -10.
 
 def _search(monkeypatch, sem, kernels):
     """The models of `stable_enumerate` on a fresh parse, the `bounds._hull`
-    calls and the `eval_aggregate` calls on a prod member it made."""
+    calls and the calls of a prod atom's mask evaluator it made."""
     counts = {"hull": 0, "prod members": 0}
-    hull, evaluate = bounds._hull, eval2.eval_aggregate
+    hull, evaluator = bounds._hull, eval2.aggregate_evaluator
 
     def counted_hull(*args):
         counts["hull"] += 1
         return hull(*args)
 
-    def counted_evaluate(atom, z):
-        counts["prod members"] += atom.func is AggFunc.PROD
-        return evaluate(atom, z)
+    def counted_evaluator(atom, universe):
+        evaluate = evaluator(atom, universe)
+
+        def counted_evaluate(mask):
+            counts["prod members"] += atom.func is AggFunc.PROD
+            return evaluate(mask)
+
+        return counted_evaluate
 
     with monkeypatch.context() as patch:
         if not kernels:
             patch.setattr(eval2, "KERNEL_ATOMS", -1)
         patch.setattr(bounds, "_hull", counted_hull)
-        patch.setattr(eval2, "eval_aggregate", counted_evaluate)
+        patch.setattr(eval2, "aggregate_evaluator", counted_evaluator)
         models = stable_enumerate(sem, parse_program(PROGRAM))
     return sorted(sorted(m.atoms) for m in models), counts
 

@@ -32,8 +32,13 @@ def test_min_max_avg_bounds_build_no_members(monkeypatch):
             if hasattr(module, name):
                 spy = lambda *args, name=name: walked.append(name) or iter(())  # noqa: E731
                 monkeypatch.setattr(module, name, spy)
-    built = []
-    monkeypatch.setattr(Interpretation, "__post_init__", built.append)
+    built, init = [], Interpretation.__init__
+
+    def counting_init(self, *args, **kwargs):  # every build, `extensions`' members included
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interpretation, "__init__", counting_init)
     entries = (
         (1, Literal("a0")),
         (2, Literal("a1", True)),
