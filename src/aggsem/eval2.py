@@ -50,9 +50,11 @@ and avg) and for a head's `Bodies` (`ultimate`);
 `_kernel_range` gives `bounds` a range entry and `_kernel_bounds` a
 shared `Bounds`; and the `triv` and `mr` tests live here.
 
-A body test reads an aggregate's kernel where it has one, the support
-test a head's; stable search runs it at each candidate's mask and builds
-only the candidates that pass.  No test here reads a set of atoms.
+Body tests and `is_supported_model` run the evaluators and read no
+kernel, so they stay a reference for the kernels; stable search's
+support test reads a head's kernel where it has one at each
+candidate's mask and builds only the candidates that pass.  No test
+here reads a set of atoms.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .interp import (
     _count_expansion,
     _extension_masks,
     _interval_free_atoms,
-    extensions,
 )
 from .syntax import AggFunc, AggregateAtom, Bodies, BodyElement, Literal, Program
 from .truth import TruthValue
@@ -240,23 +241,15 @@ def _body_holds(body: Sequence[BodyElement], universe: Universe, mask: int) -> b
     """The body's truth at a mask of the universe.  Elements are tested
     left to right and the test stops at the first false one, so an
     aggregate after it is never evaluated.  A literal reads its bit (an
-    atom outside the universe is false); an aggregate atom reads its
-    kernel's truth, or without a kernel runs its evaluator, whose errors
-    are the only ones a body raises."""
+    atom outside the universe is false); an aggregate atom runs its
+    evaluator, whose errors are the only ones a body raises."""
     bits = universe.bits
     for element in body:
         if element.__class__ is Literal:
             if (mask & bits.get(element.atom, 0) != 0) == element.negated:
                 return False
-        else:
-            kernels = element._kernels
-            if kernels is None:
-                if not element._evaluators.over(element, universe)(mask):
-                    return False
-            else:
-                kernel = kernels.over(element, universe)
-                if not kernel.truth[mask & kernel.cm]:
-                    return False
+        elif not element._evaluators.over(element, universe)(mask):
+            return False
     return True
 
 
@@ -301,44 +294,44 @@ def is_supported_model(program: Program, i: Interpretation) -> bool:
     order of `program.entries`, and the test stops at the first head
     whose membership in i differs from "some body holds at i", so no body
     after that head raises.  Every atom of i must be a head."""
-    return _support_test(program, i.universe)(i.mask)
-
-
-def _support_test(program: Program, universe: Universe) -> Callable[[int], bool]:
-    """`is_supported_model` as a function of a mask of the universe.  A
-    head with a kernel reads its disjunction as `truth[mask & cm]`, one
-    without (too many atoms, or an evaluation leaving the signed 64-bit
-    range) tests its bodies at the mask."""
-    bits = universe.bits
-    heads, tests = 0, []
+    universe, mask = i.universe, i.mask
+    bits, heads = universe.bits, 0
     for head, bodies in program.entries:
         bit = bits.get(head, 0)
+        if _bodies_hold(bodies, universe, mask) is not (mask & bit != 0):
+            return False
         heads |= bit
-        kernels = bodies._kernels
-        kernel = kernels and kernels.over(bodies, universe)
-        tests.append((bit, None, bodies) if kernel is None else (bit, kernel.cm, kernel.truth))
-
-    def supported(mask: int) -> bool:
-        for bit, cm, test in tests:
-            holds = test[mask & cm] if cm is not None else _bodies_hold(test, universe, mask)
-            if holds is not (mask & bit != 0):
-                return False
-        return not mask & ~heads  # every atom of a supported model is a head
-
-    return supported
+    return not mask & ~heads
 
 
 def _supported_extensions(
     program: Program, x: Interpretation, free: Sequence[str]
 ) -> Iterator[Interpretation]:
     """The members of `extensions(x, free)` at which `is_supported_model`
-    holds, in that order: the support test runs at each mask, and only
-    the members that pass are built."""
+    holds, in that order, tested at their masks; only the members that
+    pass are built.  Heads are tested in the order of `program.entries`,
+    and the test stops at the first head whose bit disagrees with its
+    disjunction.  A head with a kernel reads the disjunction as
+    `truth[mask & cm]`; one without (too many atoms, or an evaluation
+    leaving the signed 64-bit range) tests its bodies at the mask, so the
+    first error is that of `is_supported_model` on the members in order."""
     universe = x.universe
-    supported = _support_test(program, universe)
+    bits = universe.bits
+    heads, tests = 0, []
+    for head, bodies in program.entries:
+        kernels = bodies._kernels
+        kernel = kernels and kernels.over(bodies, universe)
+        bit = bits.get(head, 0)
+        heads |= bit
+        tests.append((bit, None, bodies) if kernel is None else (bit, kernel.cm, kernel.truth))
     for mask in _extension_masks(x, free):
-        if supported(mask):
-            yield Interpretation(universe, mask)
+        for bit, cm, test in tests:
+            holds = test[mask & cm] if cm is not None else _bodies_hold(test, universe, mask)
+            if holds is not (mask & bit != 0):
+                break
+        else:
+            if not mask & ~heads:  # every atom of a supported model is a head
+                yield Interpretation(universe, mask)
 
 
 def aggregate_holds_everywhere(atom: AggregateAtom, pair: InterpretationPair) -> bool:
@@ -412,7 +405,13 @@ def _mr_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     if not eval_aggregate(atom, pair.upper):
         return False
     base = [a for a in atom.condition_atoms if a in pair.lower]
-    return any(eval_aggregate(atom, z) for z in extensions(pair.lower.with_atoms(()), base))
+    return any(_walk_truths(atom, pair.lower.with_atoms(()), base))
+
+
+def _walk_truths(atom: AggregateAtom, x: Interpretation, free: Sequence[str]) -> Iterator[bool]:
+    """The atom's truth at each member of `extensions(x, free)`, in that
+    order, tested at the members' masks without building them."""
+    return map(atom._evaluators.over(atom, x.universe), _extension_masks(x, free))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +468,7 @@ def _member_truths(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> I
         return (_bodies_hold(owner, universe, m) for m in _extension_masks(pair.lower, free))
     free = _interval_free_atoms(pair.lower, pair.upper, owner.condition_atoms)
     if owner.func is AggFunc.PROD:
-        return map(owner._evaluators.over(owner, universe), _extension_masks(pair.lower, free))
+        return _walk_truths(owner, pair.lower, free)
     fixed = _fixed_weights(owner, universe, *pair.masks)
     high, low = _half_tables(owner, free, fixed)
     return _RULES[owner.func].truths(owner, high, low)

@@ -45,7 +45,7 @@ from .eval2 import (
     _interval_sweep,
     _mr_certain,
     _triv_truth,
-    eval_aggregate,
+    _walk_truths,
     sat2_disjunction,
     sat2_element,
 )
@@ -53,8 +53,7 @@ from .interp import (
     Interpretation,
     InterpretationPair,
     Universe,
-    enumerate_interval,
-    extensions,
+    _interval_free_atoms,
 )
 from .syntax import (
     AggregateAtom,
@@ -108,9 +107,8 @@ def _aggregate_free_only(atom: AggregateAtom, pair: InterpretationPair) -> NoRet
 def _lpst_certain(atom: AggregateAtom, pair: InterpretationPair) -> bool:
     # Deliberately sweeps the full unrestricted interval: an independent
     # realization of the same definition as ult's restricted sweep.
-    return all(
-        eval_aggregate(atom, z) for z in enumerate_interval(pair.lower, pair.upper)
-    )
+    free = _interval_free_atoms(pair.lower, pair.upper, None)
+    return all(_walk_truths(atom, pair.lower, free))
 
 
 def _sweep_certain(owner: AggregateAtom | Bodies, pair: InterpretationPair) -> bool:
@@ -660,8 +658,7 @@ def is_convex(atom: AggregateAtom) -> bool:
         )
     # sat[mask] is the value at the subset holding atoms[b] for each bit b
     # set in mask, which is the order of the walk
-    empty = Interpretation(Universe(atoms))
-    sat = [eval_aggregate(atom, z) for z in extensions(empty, atoms)]
+    sat = list(_walk_truths(atom, Interpretation(Universe(atoms)), atoms))
     masks = range(len(sat))
     has_sat_subset = list(sat)
     for mask in masks:

@@ -60,8 +60,8 @@ def _subsets(universe):
 def test_evaluator_matches_the_oracle_evaluation():
     """Each atom, and its unpickled copy, is evaluated over the universe
     and over one that orders the same atoms differently, alternately, so
-    its evaluator is built again for each call; a body test of the atom,
-    which reads its kernel where it has one, over the universe."""
+    its evaluator is built again for each call; and `sat2_element` of the
+    atom over the universe."""
     universe = ("s", "q", "t", "p", "r")
     reordered = ("r", "t", "s", "p", "q")
     seen = {}

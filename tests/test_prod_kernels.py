@@ -30,28 +30,37 @@ h :- prod{-2:f, 5:not g} <= -10.
 
 def _search(monkeypatch, sem, kernels):
     """The models of `stable_enumerate` on a fresh parse, the `bounds._hull`
-    calls and the calls of a prod atom's mask evaluator it made."""
+    calls, and the prod members it evaluated: those the interval sweep
+    walks (`eval2._member_truths`) and the `eval_aggregate` calls on a
+    prod atom.  The support tests and head kernels, which evaluate bodies
+    at single interpretations, are not member walks."""
     counts = {"hull": 0, "prod members": 0}
-    hull, evaluator = bounds._hull, eval2.aggregate_evaluator
+    hull, member_truths, evaluate = bounds._hull, eval2._member_truths, eval2.eval_aggregate
 
     def counted_hull(*args):
         counts["hull"] += 1
         return hull(*args)
 
-    def counted_evaluator(atom, universe):
-        evaluate = evaluator(atom, universe)
+    def counted(truths):
+        for truth in truths:
+            counts["prod members"] += 1
+            yield truth
 
-        def counted_evaluate(mask):
-            counts["prod members"] += atom.func is AggFunc.PROD
-            return evaluate(mask)
+    def counted_member_truths(owner, pair):
+        truths = member_truths(owner, pair)
+        is_prod = isinstance(owner, AggregateAtom) and owner.func is AggFunc.PROD
+        return counted(truths) if is_prod else truths
 
-        return counted_evaluate
+    def counted_evaluate(atom, z):
+        counts["prod members"] += atom.func is AggFunc.PROD
+        return evaluate(atom, z)
 
     with monkeypatch.context() as patch:
         if not kernels:
             patch.setattr(eval2, "KERNEL_ATOMS", -1)
         patch.setattr(bounds, "_hull", counted_hull)
-        patch.setattr(eval2, "aggregate_evaluator", counted_evaluator)
+        patch.setattr(eval2, "_member_truths", counted_member_truths)
+        patch.setattr(eval2, "eval_aggregate", counted_evaluate)
         models = stable_enumerate(sem, parse_program(PROGRAM))
     return sorted(sorted(m.atoms) for m in models), counts
 

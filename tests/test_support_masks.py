@@ -1,7 +1,7 @@
 """Stable search tests support at universe masks: `eval2._supported_extensions`
-reads each head's kernel at the candidate's mask and builds an
-Interpretation only for a head without one and for a candidate that
-passes.  It must accept what `is_supported_model` accepts on the
+reads each head's kernel at the candidate's mask, tests the bodies of a
+head without one at that mask, and builds an Interpretation only for a
+candidate that passes.  It must accept what `is_supported_model` accepts on the
 members of `extensions`, in order, and raise its first error; and
 `stable_enumerate` must hand `stable_check` exactly those candidates."""
 
